@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 
 import sympy as sp
 
-from . import catalog as catalog_mod
+from . import catalog as catalog_mod, scalars
 from .algebras import (annihilator_basis, change_basis_table, check_identities,
                        derivation_dim, derived_power_dims, substitute)
 from .catalog import Catalog, check_witness, load as load_catalog
@@ -197,8 +197,7 @@ def criterion_derivation_dims(cat: Catalog | None = None, samples: int = 5,
     if results["N4_22_generic"] != 3:
         failures.append({"algebra": "N4_22", "problem": "generic dim != 3"})
     for _ in range(samples):
-        val = sp.Rational(rng.choice([n for n in range(-9, 10) if n != 0]),
-                          rng.randint(1, 7))
+        val = scalars.random_rational(rng)
         d = derivation_dim(n420, {"alpha": val})
         results.setdefault("N4_20_samples", []).append([str(val), d])
         if d != 3:

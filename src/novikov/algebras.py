@@ -16,7 +16,7 @@ from typing import Iterable, Mapping, Sequence
 
 import sympy as sp
 
-from . import linalg
+from . import linalg, scalars
 from .scalars import T, grammar_str, parse_scalar
 
 Vector = tuple[sp.Expr, ...]
@@ -277,47 +277,33 @@ def change_basis_table(table: Sequence, rows: Sequence[Sequence]) -> Table:
 # Identities
 # ---------------------------------------------------------------------------
 
-def _triple_left(table, i, j, k) -> Vector:
-    """(e_i e_j) e_k"""
-    n = len(table)
-    return multiply_table(table, table[i][j], basis_vector(n, k))
-
-
-def _triple_right(table, i, j, k) -> Vector:
-    """e_i (e_j e_k)"""
-    n = len(table)
-    return multiply_table(table, basis_vector(n, i), table[j][k])
-
-
 def check_identities(a: Algebra) -> IdentityFlags:
-    """Decide the defining identities exactly, generically in the parameters."""
+    """Decide the defining identities exactly, generically in the parameters.
+
+    Each of the 2n^3 triple products (e_i e_j) e_k and e_i (e_j e_k) is
+    computed once; every identity is then decided from those by exact zero
+    tests.
+    """
     n = a.dim
     table = a.table
-    right_comm = True
-    left_sym = True
-    two_step = True
-    for i in range(n):
-        for j in range(n):
-            for k in range(n):
-                lhs = _triple_left(table, i, j, k)
-                if right_comm:
-                    rhs = _triple_left(table, i, k, j)
-                    if any(sp.cancel(u - v) != 0 for u, v in zip(lhs, rhs)):
-                        right_comm = False
-                if left_sym:
-                    val = [sp.cancel(_triple_left(table, i, j, k)[m]
-                                     - _triple_right(table, i, j, k)[m]
-                                     - _triple_left(table, j, i, k)[m]
-                                     + _triple_right(table, j, i, k)[m])
-                           for m in range(n)]
-                    if any(v != 0 for v in val):
-                        left_sym = False
-                if two_step:
-                    if any(sp.cancel(v) != 0 for v in lhs) or \
-                       any(sp.cancel(v) != 0 for v in _triple_right(table, i, j, k)):
-                        two_step = False
-                if not (right_comm or left_sym or two_step):
-                    return IdentityFlags(False, False, False, False)
+    basis = [basis_vector(n, k) for k in range(n)]
+    triples = [(i, j, k) for i in range(n) for j in range(n) for k in range(n)]
+    left = {(i, j, k): multiply_table(table, table[i][j], basis[k])
+            for i, j, k in triples}
+    right = {(i, j, k): multiply_table(table, basis[i], table[j][k])
+             for i, j, k in triples}
+
+    def vanishes(v: Sequence) -> bool:
+        return all(sp.cancel(x) == 0 for x in v)
+
+    right_comm = all(
+        vanishes([u - w for u, w in zip(left[i, j, k], left[i, k, j])])
+        for i, j, k in triples)
+    left_sym = all(
+        vanishes([p - q - r + s for p, q, r, s in zip(
+            left[i, j, k], right[i, j, k], left[j, i, k], right[j, i, k])])
+        for i, j, k in triples)
+    two_step = all(vanishes(left[t]) and vanishes(right[t]) for t in triples)
     return IdentityFlags(right_comm, left_sym, right_comm and left_sym, two_step)
 
 
@@ -406,21 +392,22 @@ def derivation_dim(a: Algebra, at: Mapping | None = None) -> int:
 def substitute(a: Algebra, at: Mapping, name: str | None = None) -> Algebra:
     """Instantiate every declared parameter at exact values.
 
-    Raises :class:`ConstraintViolation` if a declared-nonzero expression
-    vanishes at the assignment.
+    Raises :class:`AlgebraError` if the assignment names an undeclared
+    parameter or leaves one out, and :class:`ConstraintViolation` if a
+    declared-nonzero expression vanishes at the assignment.
     """
-    subs = {}
-    for key, value in at.items():
-        sym = key if isinstance(key, sp.Symbol) else sp.Symbol(str(key))
-        subs[sym] = parse_scalar(value)
+    subs = scalars.subs_map(at)
+    undeclared = sorted(str(s) for s in subs if s not in a.params)
+    if undeclared:
+        raise AlgebraError(f"{a.name}: undeclared parameters {undeclared}")
     missing = [p for p in a.params if p not in subs]
     if missing:
         raise AlgebraError(f"missing assignment for {[str(m) for m in missing]}")
     for cons in a.constraints:
-        if sp.cancel(cons.subs(subs)) == 0:
+        if sp.cancel(scalars.substitute(cons, subs)) == 0:
             raise ConstraintViolation(
                 f"constraint violated: {grammar_str(cons)} = 0 for {a.name}")
-    table = tuple(tuple(tuple(sp.cancel(x.subs(subs)) for x in row)
+    table = tuple(tuple(tuple(sp.cancel(scalars.substitute(x, subs)) for x in row)
                         for row in plane) for plane in a.table)
     label = name or (a.name + "(" + ", ".join(
         f"{p}={grammar_str(subs[p])}" for p in a.params) + ")" if a.params else a.name)
@@ -431,14 +418,11 @@ def instantiate_table(a: Algebra, at: Mapping) -> Table:
     """Like :func:`substitute` but unrestricted: values may involve t or new
     symbols (used for parametrized-index degenerations).  Constraint check is
     'not identically zero' instead of 'nonzero value'."""
-    subs = {}
-    for key, value in at.items():
-        sym = key if isinstance(key, sp.Symbol) else sp.Symbol(str(key))
-        subs[sym] = parse_scalar(value)
+    subs = scalars.subs_map(at)
     missing = [p for p in a.params if p not in subs]
     if missing:
         raise AlgebraError(f"missing assignment for {[str(m) for m in missing]}")
-    return tuple(tuple(tuple(x.subs(subs) for x in row) for row in plane)
+    return tuple(tuple(tuple(scalars.substitute(x, subs) for x in row) for row in plane)
                  for plane in a.table)
 
 

@@ -19,6 +19,7 @@ from typing import Mapping, Sequence
 
 import sympy as sp
 
+from . import scalars
 from .algebras import (Algebra, AlgebraError, algebra_from_json, annihilator_basis,
                        check_identities, derived_power_dims, invariant_profile,
                        substitute)
@@ -118,12 +119,12 @@ class Catalog:
         return out
 
     def witness_target_algebra(self, w: ExtensionWitness) -> Algebra:
-        subs = {sp.Symbol(k): parse_scalar(v) for k, v in w.target_params.items()}
+        subs = scalars.subs_map(w.target_params)
         entry = self.entry(w.target)
         missing = [p for p in entry.algebra.params if p not in subs]
         if missing:
             raise AlgebraError(f"{w.id}: target params missing {missing}")
-        table = tuple(tuple(tuple(sp.cancel(x.subs(subs)) for x in row)
+        table = tuple(tuple(tuple(sp.cancel(scalars.substitute(x, subs)) for x in row)
                             for row in plane) for plane in entry.algebra.table)
         return Algebra(w.target, entry.algebra.dim, (), table, ())
 
@@ -259,21 +260,31 @@ class CatalogReport:
         }
 
 
+#: Draws :func:`_admissible_samples` makes before giving up.
+MAX_SAMPLE_ATTEMPTS = 1000
+
+
 def _admissible_samples(entry: CatalogEntry, rng, count: int) -> list[dict]:
+    """``count`` distinct random rational points where no constraint vanishes.
+
+    Raises :class:`AlgebraError` after :data:`MAX_SAMPLE_ATTEMPTS` draws, e.g.
+    when the constraints reject every draw or ``count`` exceeds the number
+    of distinct draws.
+    """
     if not entry.algebra.params:
         return [{}]
     out = []
     seen = set()
+    attempts = 0
     while len(out) < count:
-        assign = {}
-        ok = True
-        for p in entry.algebra.params:
-            num = rng.choice([n for n in range(-9, 10) if n != 0])
-            den = rng.randint(1, 7)
-            assign[str(p)] = sp.Rational(num, den)
-        for cons in entry.algebra.constraints:
-            if sp.cancel(cons.subs({sp.Symbol(k): v for k, v in assign.items()})) == 0:
-                ok = False
+        if attempts == MAX_SAMPLE_ATTEMPTS:
+            raise AlgebraError(f"{entry.name}: found {len(out)} of {count} admissible "
+                               f"samples in {MAX_SAMPLE_ATTEMPTS} draws")
+        attempts += 1
+        assign = {str(p): scalars.random_rational(rng) for p in entry.algebra.params}
+        subs = scalars.subs_map(assign)
+        ok = all(sp.cancel(scalars.substitute(cons, subs)) != 0
+                 for cons in entry.algebra.constraints)
         key = tuple(sorted((k, str(v)) for k, v in assign.items()))
         if ok and key not in seen:
             seen.add(key)

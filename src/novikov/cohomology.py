@@ -20,7 +20,7 @@ from typing import Mapping, Sequence
 
 import sympy as sp
 
-from . import linalg
+from . import linalg, scalars
 from .algebras import (Algebra, AlgebraError, Vector, annihilator_basis,
                        basis_vector, change_basis_table, multiply_table,
                        substitute)
@@ -364,14 +364,6 @@ def split_central_extension(a: Algebra, w_vectors: Sequence[Sequence]) -> SplitE
 # Automorphism action on cocycles
 # ---------------------------------------------------------------------------
 
-def _subs_map(at: Mapping | None) -> dict:
-    subs = {}
-    for key, value in (at or {}).items():
-        sym = key if isinstance(key, sp.Symbol) else sp.Symbol(str(key))
-        subs[sym] = parse_scalar(value)
-    return subs
-
-
 def is_automorphism(a: Algebra, phi: Sequence[Sequence], at: Mapping | None = None) -> bool:
     """Check phi(e_i) phi(e_j) = phi(e_i e_j); columns of phi are the images.
 
@@ -379,11 +371,12 @@ def is_automorphism(a: Algebra, phi: Sequence[Sequence], at: Mapping | None = No
     generically; ``at`` pins any of them to exact values.  Raises
     :class:`SingularMatrixError` if phi is singular at the assignment.
     """
-    subs = _subs_map(at)
+    subs = scalars.subs_map(at)
     n = a.dim
-    p = [[sp.cancel(parse_scalar(x).subs(subs)) for x in row] for row in phi]
-    table = tuple(tuple(tuple(sp.cancel(x.subs(subs)) for x in row) for row in plane)
-                  for plane in a.table)
+    p = [[sp.cancel(scalars.substitute(parse_scalar(x), subs)) for x in row]
+         for row in phi]
+    table = tuple(tuple(tuple(sp.cancel(scalars.substitute(x, subs)) for x in row)
+                        for row in plane) for plane in a.table)
     if sp.cancel(linalg.det(p)) == 0:
         raise SingularMatrixError("singular matrix")
     cols = [tuple(p[r][i] for r in range(n)) for i in range(n)]
@@ -467,12 +460,6 @@ class ActionCaseReport:
         }
 
 
-def _random_rational(rng: random.Random) -> sp.Rational:
-    num = rng.choice([n for n in range(-9, 10) if n != 0])
-    den = rng.randint(1, 7)
-    return sp.Rational(num, den)
-
-
 def verify_action_formulas(case: ActionCase, samples: int = 20,
                            seed: int = 20260810) -> ActionCaseReport:
     """Check the published alpha -> alpha* formulas against direct conjugation.
@@ -494,12 +481,15 @@ def verify_action_formulas(case: ActionCase, samples: int = 20,
 
     for _ in range(samples):
         for _attempt in range(200):
-            assign = {s: _random_rational(rng) for s in free_syms}
-            ok = all(sp.cancel(g.subs(assign)) != 0 for g in case.invertibility)
-            ok = ok and all(sp.cancel(g.subs(assign)) != 0 for g in a.constraints)
+            assign = {s: scalars.random_rational(rng) for s in free_syms}
+            ok = all(sp.cancel(scalars.substitute(g, assign)) != 0
+                     for g in case.invertibility)
+            ok = ok and all(sp.cancel(scalars.substitute(g, assign)) != 0
+                            for g in a.constraints)
             if not ok:
                 continue
-            phi = [[sp.cancel(x.subs(assign)) for x in row] for row in case.template]
+            phi = [[sp.cancel(scalars.substitute(x, assign)) for x in row]
+                   for row in case.template]
             if sp.cancel(linalg.det(phi)) != 0:
                 break
         else:
@@ -507,8 +497,8 @@ def verify_action_formulas(case: ActionCase, samples: int = 20,
 
         inst = substitute(a, {p: assign[p] for p in a.params}) if a.params else a
         nabla_mats = [
-            Cocycle(inst, tuple(tuple(sp.cancel(x.subs(assign)) for x in row)
-                                for row in nab.matrix))
+            Cocycle(inst, tuple(tuple(sp.cancel(scalars.substitute(x, assign))
+                                      for x in row) for row in nab.matrix))
             for nab in case.nablas]
         theta = Cocycle(inst, tuple(
             tuple(sp.cancel(sum(assign[c] * nab.matrix[i][j]
@@ -527,7 +517,7 @@ def verify_action_formulas(case: ActionCase, samples: int = 20,
         if sol is None or linalg.rank(system) != len(cols):
             raise AlgebraError(f"{case.case_id}: conjugated form left span(B2 | nablas)")
         got = sol[len(b2_indep):]
-        expected = [sp.cancel(f.subs(assign)) for f in case.alpha_star]
+        expected = [sp.cancel(scalars.substitute(f, assign)) for f in case.alpha_star]
         for idx, (g, e) in enumerate(zip(got, expected)):
             if sp.cancel(g - e) != 0:
                 class_ok = False
@@ -540,7 +530,7 @@ def verify_action_formulas(case: ActionCase, samples: int = 20,
                         "reading": "class",
                     }
         for (i, j, entry) in case.matrix_reading:
-            want = sp.cancel(entry.subs(assign))
+            want = sp.cancel(scalars.substitute(entry, assign))
             have = conj.matrix[i - 1][j - 1]
             if sp.cancel(want - have) != 0:
                 matrix_ok = False

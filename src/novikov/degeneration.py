@@ -25,7 +25,7 @@ from typing import Mapping, Sequence
 import mpmath
 import sympy as sp
 
-from . import linalg
+from . import linalg, scalars
 from .algebras import (AlgebraError, change_basis_table, derivation_dim,
                        instantiate_table)
 from .catalog import Catalog, load as load_catalog
@@ -46,7 +46,6 @@ __all__ = [
     "load_witnesses",
     "free_symbols_of",
     "detect_tier",
-    "conjugate_constants",
     "verify_exact",
     "verify_numeric",
     "verify_witness",
@@ -184,26 +183,16 @@ class WitnessReport:
 
 
 # ---------------------------------------------------------------------------
-# Conjugated structure constants
+# Source and target structure constants
 # ---------------------------------------------------------------------------
-
-def conjugate_constants(table: Sequence, basis_rows: Sequence[Sequence]):
-    """Structure constants of the product in the basis E_i = sum_j rows[i][j] e_j.
-
-    ``table`` may carry any scalar entries (t, parameters).  Raises on a
-    singular basis.
-    """
-    return change_basis_table(table, basis_rows)
-
 
 def _source_table(cat: Catalog, w: DegenerationWitness):
     name, param_map = w.source, w.source_params
     entry = cat.entry(name)
     source = entry.algebra
-    subs = {p: parse_scalar(v) for p, v in param_map.items()}
+    subs = scalars.subs_map(param_map)
     for cons in source.constraints:
-        value = cons.subs({sp.Symbol(k): v for k, v in subs.items()})
-        if sp.cancel(value) == 0:
+        if sp.cancel(scalars.substitute(cons, subs)) == 0:
             raise AlgebraError(
                 f"{w.id}: source constraint {grammar_str(cons)} vanishes identically")
     return instantiate_table(source, subs), name
@@ -211,9 +200,13 @@ def _source_table(cat: Catalog, w: DegenerationWitness):
 
 def _target_table(cat: Catalog, w: DegenerationWitness):
     entry = cat.entry(w.target)
-    subs = {p: (sp.Symbol(p) if v == "free" else parse_scalar(v))
-            for p, v in w.target_params.items()}
-    return instantiate_table(entry.algebra, subs)
+    return instantiate_table(entry.algebra, _target_values(w))
+
+
+def _target_values(w: DegenerationWitness) -> dict[sp.Symbol, sp.Expr]:
+    """Target parameter map; a "free" parameter stays its own symbol."""
+    return scalars.subs_map({p: (sp.Symbol(p) if v == "free" else v)
+                             for p, v in w.target_params.items()})
 
 
 # ---------------------------------------------------------------------------
@@ -236,12 +229,13 @@ def verify_exact(w: DegenerationWitness,
         return report
     new_table = change_basis_table(table, rows)
     target = _target_table(cat, w)
+    at_zero = {T: sp.Integer(0)}
     for i in range(n):
         for j in range(n):
             for k in range(n):
                 r = sp.cancel(new_table[i][j][k])
                 num, den = sp.fraction(r)
-                den0 = sp.cancel(den.subs(T, 0))
+                den0 = sp.cancel(scalars.substitute(den, at_zero))
                 if den0 == 0:
                     report.passed = False
                     report.failures.append({
@@ -249,7 +243,7 @@ def verify_exact(w: DegenerationWitness,
                         "problem": "pole at t = 0",
                         "value": grammar_str(r)})
                     continue
-                limit = sp.cancel(num.subs(T, 0) / den0)
+                limit = sp.cancel(scalars.substitute(num, at_zero) / den0)
                 diff = sp.cancel(limit - target[i][j][k])
                 if diff != 0:
                     report.passed = False
@@ -265,26 +259,19 @@ def verify_exact(w: DegenerationWitness,
 # Numeric tier
 # ---------------------------------------------------------------------------
 
-def _random_rational(rng: random.Random) -> sp.Rational:
-    num = rng.choice([x for x in range(-9, 10) if x != 0])
-    den = rng.randint(1, 7)
-    return sp.Rational(num, den)
-
-
 def _sample_assignment(w: DegenerationWitness, cat: Catalog,
                        rng: random.Random) -> dict[sp.Symbol, sp.Rational]:
     syms = free_symbols_of(w)
     avoid = [parse_scalar(x) for x in w.avoid]
     target_cons = cat.entry(w.target).algebra.constraints
-    target_vals = {sp.Symbol(p): (sp.Symbol(p) if v == "free" else parse_scalar(v))
-                   for p, v in w.target_params.items()}
+    target_vals = _target_values(w)
     for _ in range(500):
-        assign = {s: _random_rational(rng) for s in syms}
-        if any(sp.cancel(g.subs(assign)) == 0 for g in avoid):
+        assign = {s: scalars.random_rational(rng) for s in syms}
+        if any(sp.cancel(scalars.substitute(g, assign)) == 0 for g in avoid):
             continue
         ok = True
         for cons in target_cons:
-            value = cons.subs(target_vals).subs(assign)
+            value = scalars.substitute(scalars.substitute(cons, target_vals), assign)
             if sp.cancel(value) == 0:
                 ok = False
         if ok:
@@ -339,14 +326,14 @@ def verify_numeric(w: DegenerationWitness, catalog: Catalog | None = None,
             assign = _sample_assignment(w, cat, rng) if syms else {}
             report.samples.append({str(k): grammar_str(v)
                                    for k, v in sorted(assign.items(), key=str)})
-            target_num = [[[_num(target[i][j][k].subs(assign), digits)
+            target_num = [[[_num(scalars.substitute(target[i][j][k], assign), digits)
                             for k in range(n)] for j in range(n)]
                           for i in range(n)]
             residuals: dict[tuple, list] = {}
             for t_val in schedule:
                 subs = dict(assign)
                 subs[T] = t_val
-                raw = [[_num(x.subs(subs), digits) for x in row]
+                raw = [[_num(scalars.substitute(x, subs), digits) for x in row]
                        for row in basis_rows]
                 # Row-scale the basis: Laurent rows span hundreds of orders
                 # of magnitude at the final t, which would otherwise wreck
@@ -362,7 +349,7 @@ def verify_numeric(w: DegenerationWitness, catalog: Catalog | None = None,
                     continue
                 b_num = mpmath.matrix([[x / s for x in row]
                                        for row, s in zip(raw, scales)])
-                c_num = [[[_num(table[i][j][k].subs(subs), digits)
+                c_num = [[[_num(scalars.substitute(table[i][j][k], subs), digits)
                            for k in range(n)] for j in range(n)]
                          for i in range(n)]
                 b_t = b_num.T
@@ -545,9 +532,9 @@ def check_necessary(w: DegenerationWitness, catalog: Catalog | None = None,
         src_vals = {}
         ok = True
         for p, v in w.source_params.items():
-            value = parse_scalar(v).subs(assign)
+            value = scalars.substitute(parse_scalar(v), assign)
             if t_val is not None:
-                value = value.subs(T, t_val)
+                value = scalars.substitute(value, {T: t_val})
             value = sp.nsimplify(value, rational=False)
             if not is_root_free(value):
                 ok = False
@@ -559,7 +546,8 @@ def check_necessary(w: DegenerationWitness, catalog: Catalog | None = None,
             d_src = derivation_dim(source, src_vals) if source.params else \
                 derivation_dim(source)
             tgt_vals = {p: (assign.get(sp.Symbol(p), sp.Symbol(p))
-                            if v == "free" else parse_scalar(v).subs(assign))
+                            if v == "free" else
+                            scalars.substitute(parse_scalar(v), assign))
                         for p, v in w.target_params.items()}
             d_tgt = derivation_dim(target, tgt_vals) if target.params else \
                 derivation_dim(target)

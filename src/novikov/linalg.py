@@ -2,10 +2,14 @@
 
 Matrices are plain lists/tuples of sympy expressions drawn from the
 root-free fragment of :mod:`novikov.scalars` (the field Q(i)(params, t)).
-Every elimination step renormalizes entries through ``cancel``, which keeps
-numerators and denominators reduced, so intermediate growth stays bounded
-without a separate fraction-free pass.  Pivots are always the lowest-index
-nonzero entry, making every output basis reproducible bit-for-bit.
+Each call converts its input once to a ``DomainMatrix`` over the smallest
+field that holds every entry (``QQ``, ``QQ_I`` or a fraction field such as
+``ZZ_I(alpha, lam)``), where elimination and determinants are exact without
+any per-step simplification.  Every entry handed back is put once into the
+canonical ``cancel`` form, so equal rational functions come out
+syntactically identical.  Pivots are the lowest-index nonzero columns and
+reduction is full, so the RREF, and every basis derived from it, is unique
+and reproducible bit-for-bit.
 """
 
 from __future__ import annotations
@@ -13,6 +17,7 @@ from __future__ import annotations
 from typing import Sequence
 
 import sympy as sp
+from sympy.polys.matrices import DomainMatrix
 
 Vector = tuple[sp.Expr, ...]
 Matrix = list[list[sp.Expr]]
@@ -40,8 +45,20 @@ def entry_is_zero(e) -> bool:
     return _simp(e) == 0
 
 
-def _copy(rows: Sequence[Sequence]) -> Matrix:
-    return [[sp.sympify(x) for x in row] for row in rows]
+def _field_matrix(rows: Sequence[Sequence]) -> DomainMatrix:
+    rows = [list(row) for row in rows]
+    ncols = len(rows[0]) if rows else 0
+    return DomainMatrix.from_list_sympy(len(rows), ncols, rows).to_field()
+
+
+def _reduce(rows: Sequence[Sequence]) -> tuple[list[list], list[int], object]:
+    """RREF entries as field elements, pivot columns, and the field."""
+    red, pivots = _field_matrix(rows).rref()
+    return red.to_list(), list(pivots), red.domain
+
+
+def _expr(field, x) -> sp.Expr:
+    return sp.cancel(field.to_sympy(x))
 
 
 def rref(rows: Sequence[Sequence]) -> tuple[Matrix, list[int]]:
@@ -49,39 +66,12 @@ def rref(rows: Sequence[Sequence]) -> tuple[Matrix, list[int]]:
 
     Returns the reduced matrix and the list of pivot column indices.
     """
-    m = _copy(rows)
-    if not m:
-        return [], []
-    nrows, ncols = len(m), len(m[0])
-    pivots: list[int] = []
-    r = 0
-    for c in range(ncols):
-        if r >= nrows:
-            break
-        pivot_row = None
-        for rr in range(r, nrows):
-            if not entry_is_zero(m[rr][c]):
-                pivot_row = rr
-                break
-        if pivot_row is None:
-            continue
-        m[r], m[pivot_row] = m[pivot_row], m[r]
-        inv = _simp(1 / _simp(m[r][c]))
-        m[r] = [_simp(x * inv) for x in m[r]]
-        for rr in range(nrows):
-            if rr == r:
-                continue
-            f = _simp(m[rr][c])
-            if f == 0:
-                continue
-            m[rr] = [_simp(a - f * b) for a, b in zip(m[rr], m[r])]
-        pivots.append(c)
-        r += 1
-    return m, pivots
+    red, pivots, field = _reduce(rows)
+    return [[_expr(field, x) for x in row] for row in red], pivots
 
 
 def rank(rows: Sequence[Sequence]) -> int:
-    return len(rref(rows)[1])
+    return len(_reduce(rows)[1])
 
 
 def _cleared(vec: list) -> Vector:
@@ -108,14 +98,14 @@ def nullspace(rows: Sequence[Sequence], ncols: int | None = None) -> list[Vector
         return [tuple(sp.Integer(1) if j == k else sp.Integer(0) for j in range(ncols))
                 for k in range(ncols)]
     ncols = ncols if ncols is not None else len(rows[0])
-    red, pivots = rref(rows)
+    red, pivots, field = _reduce(rows)
     free = [c for c in range(ncols) if c not in pivots]
     basis = []
     for fc in free:
         vec = [sp.Integer(0)] * ncols
         vec[fc] = sp.Integer(1)
         for r, pc in enumerate(pivots):
-            vec[pc] = _simp(-red[r][fc])
+            vec[pc] = _expr(field, -red[r][fc])
         basis.append(_cleared(vec))
     return basis
 
@@ -125,12 +115,12 @@ def solve_right(a_rows: Sequence[Sequence], b: Sequence) -> Vector | None:
     nrows = len(a_rows)
     ncols = len(a_rows[0]) if nrows else 0
     aug = [list(row) + [bv] for row, bv in zip(a_rows, b)]
-    red, pivots = rref(aug)
+    red, pivots, field = _reduce(aug)
     if ncols in pivots:
         return None
     x = [sp.Integer(0)] * ncols
     for r, pc in enumerate(pivots):
-        x[pc] = red[r][ncols]
+        x[pc] = _expr(field, red[r][ncols])
     return tuple(x)
 
 
@@ -139,14 +129,15 @@ def invert(m_rows: Sequence[Sequence]) -> Matrix | None:
     n = len(m_rows)
     aug = [list(row) + [sp.Integer(1) if j == i else sp.Integer(0) for j in range(n)]
            for i, row in enumerate(m_rows)]
-    red, pivots = rref(aug)
+    red, pivots, field = _reduce(aug)
     if pivots != list(range(n)):
         return None
-    return [row[n:] for row in red[:n]]
+    return [[_expr(field, x) for x in row[n:]] for row in red]
 
 
 def det(m_rows: Sequence[Sequence]) -> sp.Expr:
-    return _simp(sp.Matrix(_copy(m_rows)).det(method="berkowitz"))
+    m = _field_matrix(m_rows)
+    return _expr(m.domain, m.det())
 
 
 def span_rank(vectors: Sequence[Sequence]) -> int:

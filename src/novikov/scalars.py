@@ -33,6 +33,7 @@ Whitespace is insignificant and parsing is locale-independent.
 
 from __future__ import annotations
 
+import random
 import re
 from dataclasses import dataclass
 from typing import Iterable, Mapping, Union
@@ -61,6 +62,9 @@ __all__ = [
     "is_zero_numeric",
     "eval_scalar",
     "free_parameters",
+    "subs_map",
+    "substitute",
+    "random_rational",
     "PuiseuxExpr",
     "puiseux_normalize",
 ]
@@ -384,6 +388,33 @@ def free_parameters(e: ScalarLike) -> tuple[sp.Symbol, ...]:
     """Free symbols other than t, sorted by name."""
     e = parse_scalar(e)
     return tuple(sorted((s for s in e.free_symbols if s != T), key=str))
+
+
+# ---------------------------------------------------------------------------
+# Substitution and sampling
+# ---------------------------------------------------------------------------
+
+def subs_map(at: Mapping | None) -> dict[sp.Symbol, sp.Expr]:
+    """Normalize an assignment: keys become symbols (``"t"`` is :data:`T`),
+    values are parsed into exact scalars."""
+    out = {}
+    for key, value in (at or {}).items():
+        sym = key if isinstance(key, sp.Symbol) else sp.Symbol(str(key))
+        out[T if sym.name == "t" else sym] = parse_scalar(value)
+    return out
+
+
+def substitute(e: sp.Expr, m: Mapping[sp.Symbol, sp.Expr]) -> sp.Expr:
+    """Exact, simultaneous substitution of a :func:`subs_map` into ``e``:
+    no value is substituted into again."""
+    return e.xreplace(m)
+
+
+def random_rational(rng: random.Random) -> sp.Rational:
+    """num/den with num in +-1..9 and den in 1..7, drawn in that order."""
+    num = rng.choice([n for n in range(-9, 10) if n != 0])
+    den = rng.randint(1, 7)
+    return sp.Rational(num, den)
 
 
 # ---------------------------------------------------------------------------

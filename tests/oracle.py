@@ -142,3 +142,26 @@ def derivation_dim_frac(tbl):
         if any(row):
             rows.append(row)
     return n * n - rank_frac(rows)
+
+
+def identity_flags(tbl):
+    """(right-commutative, left-symmetric, Novikov, two-step) by expanding
+    (e_i e_j) e_k and e_i (e_j e_k) for every basis triple."""
+    n = len(tbl)
+    e = [basis_vec(n, i) for i in range(n)]
+
+    def left(i, j, k):
+        return mult(tbl, mult(tbl, e[i], e[j]), e[k])
+
+    def right(i, j, k):
+        return mult(tbl, e[i], mult(tbl, e[j], e[k]))
+
+    triples = list(product(range(n), repeat=3))
+    right_comm = all(left(i, j, k) == left(i, k, j) for i, j, k in triples)
+    # (x, y, z) = (xy)z - x(yz) is symmetric in x and y.
+    left_sym = all(
+        [a - b for a, b in zip(left(i, j, k), right(i, j, k))] ==
+        [a - b for a, b in zip(left(j, i, k), right(j, i, k))]
+        for i, j, k in triples)
+    two_step = all(not any(left(*t)) and not any(right(*t)) for t in triples)
+    return right_comm, left_sym, right_comm and left_sym, two_step

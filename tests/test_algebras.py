@@ -1,6 +1,7 @@
 """Structure-constant algebra core: multiplication, identities, annihilators,
 derived powers, derivations, profiles, and the JSON schema."""
 
+import random
 from fractions import Fraction
 
 import pytest
@@ -13,7 +14,9 @@ from novikov.algebras import (AlgebraError, ConstraintViolation, algebra,
                               check_identities, derivation_dim,
                               derived_power_dims, invariant_profile, multiply,
                               parse_vector, substitute, vector_str, zero_vector)
-from oracle import annihilator_dim, derivation_dim_frac, derived_dims, table
+from novikov.catalog import _admissible_samples
+from oracle import (annihilator_dim, derivation_dim_frac, derived_dims,
+                    identity_flags, table)
 
 
 def e(n, i):
@@ -73,6 +76,39 @@ def test_identities_negative_control():
     bad = algebra("assoc_breaker", 2, [(1, 1, 2, 1), (2, 1, 1, 1)])
     flags = check_identities(bad)
     assert not flags.novikov
+
+
+def _flags(a):
+    f = check_identities(a)
+    return f.right_commutative, f.left_symmetric, f.novikov, f.two_step
+
+
+def _frac_table(a):
+    return [[[Fraction(str(x)) for x in row] for row in plane] for plane in a.table]
+
+
+def test_identities_match_oracle_on_catalog(cat):
+    rng = random.Random(20260810)
+    assert len(cat.entries) == 38
+    for entry in cat.entries.values():
+        [assign] = _admissible_samples(entry, rng, 1)
+        a = substitute(entry.algebra, assign) if assign else entry.algebra
+        assert _flags(a) == identity_flags(_frac_table(a)), (entry.name, assign)
+
+
+def test_identities_match_oracle_on_random_tables():
+    rng = random.Random(4)
+    seen = set()
+    for idx in range(40):
+        n = rng.choice((2, 3))
+        products = [(i, j, k, rng.choice((-1, 1, 2)))
+                    for i in range(1, n + 1) for j in range(1, n + 1)
+                    for k in range(1, n + 1) if rng.random() < 0.15]
+        a = algebra(f"random_{idx}", n, products)
+        flags = _flags(a)
+        assert flags == identity_flags(table(n, products)), products
+        seen.add(flags)
+    assert len(seen) >= 3  # the draws exercise failing identities too
 
 
 # ---------------------------------------------------------------------------
@@ -195,6 +231,8 @@ def test_substitute_validates(cat):
     assert inst.params == ()
     with pytest.raises(AlgebraError):
         substitute(cat.get("N4_06"), {})
+    with pytest.raises(AlgebraError, match="undeclared parameters.*'foo'"):
+        substitute(a, {"alpha": 2, "foo": 1})
 
 
 def test_change_basis_roundtrip(cat):

@@ -1,11 +1,15 @@
 """Catalog contents, name aliases, instantiation, and whole-catalog checks."""
 
+import random
+import time
+
 import pytest
 import sympy as sp
 
-from novikov.algebras import AlgebraError, ConstraintViolation, check_identities
-from novikov.catalog import (canonical_name, check_entry, check_witness,
-                             verify_catalog)
+from novikov.algebras import (AlgebraError, ConstraintViolation, algebra,
+                              check_identities)
+from novikov.catalog import (CatalogEntry, _admissible_samples, canonical_name,
+                             check_entry, check_witness, verify_catalog)
 
 
 def test_table_a_has_24_families(cat):
@@ -106,3 +110,27 @@ def test_catalog_identity_spotchecks(cat):
     assert flags.novikov
     flags = check_identities(cat.get("N3s_03"))
     assert flags.novikov and flags.two_step
+
+
+def _one_param_entry(constraints=()):
+    a = algebra("probe", 1, [(1, 1, 1, "alpha")], params=["alpha"],
+                constraints=constraints)
+    return CatalogEntry("probe", "aux", "", False, a)
+
+
+@pytest.mark.parametrize("entry, count", [
+    (_one_param_entry(constraints=["alpha - alpha"]), 1),  # rejects every draw
+    (_one_param_entry(), 500),  # more than the distinct draws
+])
+def test_admissible_samples_give_up(entry, count):
+    start = time.perf_counter()
+    with pytest.raises(AlgebraError, match="admissible samples"):
+        _admissible_samples(entry, random.Random(0), count)
+    assert time.perf_counter() - start < 30
+
+
+def test_admissible_samples_are_distinct_and_admissible(cat):
+    entry = cat.entry("N4_06")
+    samples = _admissible_samples(entry, random.Random(3), 20)
+    assert len({tuple(sorted(s.items())) for s in samples}) == 20
+    assert all(s["alpha"] != 0 for s in samples)

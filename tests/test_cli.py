@@ -95,6 +95,13 @@ def test_unknown_algebra_is_usage_error(capsys):
     assert code == 2 and "unknown algebra" in err
 
 
+def test_undeclared_param_is_usage_error(capsys):
+    code, out, err = run(capsys, "cohomology", "N3s_01", "--param", "foo=1")
+    assert code == 2 and out == ""
+    assert err.startswith("error:") and "foo" in err
+    assert len(err.strip().splitlines()) == 1
+
+
 def test_json_reports_are_deterministic(capsys):
     args = ("--format", "json", "degenerate", "verify", "--row", "B23")
     code1, out1, _ = run(capsys, *args)

@@ -4,10 +4,12 @@ Fraction-based oracle."""
 import random
 from fractions import Fraction
 
+import pytest
 import sympy as sp
+from hypothesis import given, settings, strategies as st
 
 from novikov import linalg
-from oracle import nullspace_frac, rank_frac
+from oracle import nullspace_frac, rank_frac, rref_frac
 
 lam = sp.Symbol("lam")
 
@@ -90,3 +92,93 @@ def test_intersection_dimension_matches_rank_formula():
         d_sum = linalg.span_rank(list(u) + list(v))
         inter = linalg.subspace_intersection(u, v)
         assert len(inter) == du + dv - d_sum
+
+
+def _sym(m):
+    return [[sp.Rational(x.numerator, x.denominator) for x in row] for row in m]
+
+
+@pytest.mark.parametrize("m", [
+    [],                                           # no rows
+    [[], []],                                     # no columns
+    [[Fraction(0)] * 3 for _ in range(2)],        # all zero
+    [[Fraction(0), Fraction(2), Fraction(1, 2)],  # zero first column
+     [Fraction(0), Fraction(-4), Fraction(3)]],
+])
+def test_rref_edge_cases_match_oracle(m):
+    red, pivots = linalg.rref(_sym(m))
+    want, want_pivots = rref_frac(m)
+    assert pivots == want_pivots
+    assert red == _sym(want)
+
+
+def test_rref_matches_oracle_entrywise():
+    rng = random.Random(17)
+    for _ in range(60):
+        m = _random_matrix(rng, rng.randint(1, 6), rng.randint(1, 6))
+        red, pivots = linalg.rref(_sym(m))
+        want, want_pivots = rref_frac(m)
+        assert pivots == want_pivots
+        assert red == _sym(want)
+
+
+# ---------------------------------------------------------------------------
+# Properties over Q(i) and Q(lam)
+# ---------------------------------------------------------------------------
+
+_small = st.integers(-3, 3)
+_gauss = st.builds(lambda a, b, d: sp.Rational(a, d) + sp.Rational(b, d) * sp.I,
+                   _small, _small, st.integers(1, 3))
+_lam_fn = st.builds(lambda c0, c1, c2, k: (c0 + c1 * lam + c2 * lam ** 2) / (lam + k),
+                    _small, _small, _small, st.integers(1, 3))
+
+
+def _matrices(entries, square=False):
+    def build(shape):
+        rows, cols = shape
+        return st.lists(st.lists(entries, min_size=cols, max_size=cols),
+                        min_size=rows, max_size=rows)
+    dims = st.integers(1, 4)
+    shapes = dims.map(lambda n: (n, n)) if square else st.tuples(dims, dims)
+    return shapes.flatmap(build)
+
+
+def _check_rref_properties(m):
+    red, pivots = linalg.rref(m)
+    assert len(red) == len(m)
+    for r, pc in enumerate(pivots):
+        assert red[r][pc] == 1
+        assert all(red[rr][pc] == 0 for rr in range(len(red)) if rr != r)
+    assert all(x == 0 for row in red[len(pivots):] for x in row)
+    basis = red[:len(pivots)]
+    assert all(linalg.in_span(basis, row) for row in m)
+    assert all(linalg.in_span(m, row) for row in basis)
+
+
+def _check_det(m):
+    want = sp.cancel(sp.Matrix(m).det())
+    assert sp.cancel(linalg.det(m) - want) == 0
+
+
+@settings(max_examples=40, deadline=None)
+@given(_matrices(_gauss))
+def test_rref_properties_gaussian(m):
+    _check_rref_properties(m)
+
+
+@settings(max_examples=25, deadline=None)
+@given(_matrices(_lam_fn))
+def test_rref_properties_rational_functions(m):
+    _check_rref_properties(m)
+
+
+@settings(max_examples=40, deadline=None)
+@given(_matrices(_gauss, square=True))
+def test_det_gaussian(m):
+    _check_det(m)
+
+
+@settings(max_examples=25, deadline=None)
+@given(_matrices(_lam_fn, square=True))
+def test_det_rational_functions(m):
+    _check_det(m)

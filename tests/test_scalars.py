@@ -13,7 +13,8 @@ from novikov.scalars import (I, NotPuiseuxError, NumericDivisionError,
                              ZeroDenominatorError, eval_scalar, gauss,
                              grammar_str, is_root_free, is_zero, is_zero_exact,
                              is_zero_numeric, parse_scalar, puiseux_normalize,
-                             simplify_scalar)
+                             random_rational, simplify_scalar, subs_map,
+                             substitute)
 
 
 # ---------------------------------------------------------------------------
@@ -249,3 +250,27 @@ def test_puiseux_from_terms_merges_and_drops_zero():
     p = PuiseuxExpr.from_terms([(1, "lam"), (1, "-lam"), (0, 2)])
     assert p.terms == ((Rational(0), sp.Integer(2)),)
     assert str(PuiseuxExpr.from_terms([])) == "0"
+
+
+# ---------------------------------------------------------------------------
+# Substitution and sampling
+# ---------------------------------------------------------------------------
+
+def test_subs_map_normalizes_keys_and_values():
+    alpha, lam = sp.symbols("alpha lam")
+    m = subs_map({"alpha": "1/2", "t": 3, lam: "alpha"})
+    assert m == {alpha: sp.Rational(1, 2), T: sp.Integer(3), lam: alpha}
+    assert subs_map(None) == {}
+
+
+def test_substitute_is_simultaneous():
+    x, y = sp.symbols("x y")
+    assert substitute(x - 2 * y, {x: y, y: x}) == y - 2 * x
+    assert substitute(parse_scalar("1/(t - 1)"), subs_map({"t": 1})) == sp.zoo
+
+
+def test_random_rational_draw_order():
+    rng, replay = random.Random(7), random.Random(7)
+    for _ in range(20):
+        num = replay.choice([n for n in range(-9, 10) if n != 0])
+        assert random_rational(rng) == sp.Rational(num, replay.randint(1, 7))

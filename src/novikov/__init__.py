@@ -10,26 +10,24 @@ from .algebras import (Algebra, IdentityFlags, InvariantProfile, algebra,
                        annihilator_basis, check_identities, derivation_dim,
                        derived_power_dims, invariant_profile, multiply,
                        substitute)
-from .catalog import get, list_entries, load, verify_catalog
+from .catalog import get, indistinguishable_pairs, list_entries, load
 from .cohomology import (Cocycle, CocycleSpace, central_extension, cocycle,
                          cocycle_space, has_trivial_intersection, is_cocycle,
                          split_central_extension)
 from .degeneration import (build_reachability, check_necessary, verify_all,
                            verify_witness)
-from .scalars import PuiseuxExpr, eval_scalar, is_zero, parse_scalar, \
-    puiseux_normalize, simplify_scalar
+from .scalars import parse_scalar, simplify_scalar
 
 __all__ = [
     "Algebra", "IdentityFlags", "InvariantProfile", "algebra",
     "annihilator_basis", "check_identities", "derivation_dim",
     "derived_power_dims", "invariant_profile", "multiply", "substitute",
-    "get", "list_entries", "load", "verify_catalog",
+    "get", "indistinguishable_pairs", "list_entries", "load",
     "Cocycle", "CocycleSpace", "central_extension", "cocycle",
     "cocycle_space", "has_trivial_intersection", "is_cocycle",
     "split_central_extension",
     "build_reachability", "check_necessary", "verify_all", "verify_witness",
-    "PuiseuxExpr", "eval_scalar", "is_zero", "parse_scalar",
-    "puiseux_normalize", "simplify_scalar",
+    "parse_scalar", "simplify_scalar",
 ]
 
 __version__ = "0.1.0"

@@ -17,17 +17,19 @@ from dataclasses import dataclass, field
 import sympy as sp
 
 from . import catalog as catalog_mod, scalars
-from .algebras import (annihilator_basis, change_basis_table, check_identities,
-                       derivation_dim, derived_power_dims, substitute)
+from .algebras import (Algebra, annihilator_basis, change_basis_table,
+                       check_identities, derivation_dim, derived_power_dims,
+                       substitute)
 from .catalog import Catalog, check_witness, load as load_catalog
-from .cohomology import (central_extension, cocycle_from_expr, cocycle_space,
+from .cohomology import (CocycleSpace, SplitExtension, central_extension,
+                         cocycle_from_expr, cocycle_space,
                          split_central_extension, verify_action_formulas)
 from .degeneration import (DEFAULT_DIGITS, DEFAULT_SCHEDULE, WitnessReport,
                            build_reachability, check_necessary, load_witnesses,
                            verify_all)
 from .linalg import subspace_equal
 
-__all__ = ["CriterionResult", "run_all", "CRITERIA"]
+__all__ = ["CriterionResult", "run_all", "golden_failures", "split_roundtrip"]
 
 
 @dataclass
@@ -49,8 +51,39 @@ class CriterionResult:
                 "details": self.details}
 
 
-def _samples_for(entry, rng, count):
-    return catalog_mod._admissible_samples(entry, rng, count)
+def golden_failures(a: Algebra, space: CocycleSpace, row: dict) -> list[dict]:
+    """Differences between the computed cohomology ``space`` of ``a`` and its
+    golden ``row``: the dimensions, then Z2, B2 and B2+H2 as subspaces."""
+    want = (len(row["z2"]), len(row["b2"]), len(row["z2"]) - len(row["b2"]))
+    if space.dims != want:
+        return [{"algebra": row["name"], "problem": "dimension mismatch",
+                 "got": list(space.dims), "want": list(want)}]
+    gz, gb, gh = ([cocycle_from_expr(a, s).as_vector() for s in row[key]]
+                  for key in ("z2", "b2", "h2"))
+    cz, cb, ch = ([c.as_vector() for c in basis] for basis in
+                  (space.z2_basis, space.b2_basis, space.h2_reps))
+    failures = []
+    if not subspace_equal(cz, gz):
+        failures.append({"algebra": row["name"], "problem": "Z2 span differs"})
+    if not subspace_equal(cb, gb):
+        failures.append({"algebra": row["name"], "problem": "B2 span differs"})
+    if not subspace_equal(cb + ch, gb + gh):
+        failures.append({"algebra": row["name"],
+                         "problem": "H2 reps differ modulo B2"})
+    return failures
+
+
+def split_roundtrip(a: Algebra, vectors) -> tuple[SplitExtension, bool]:
+    """Split ``a`` along the central ``vectors`` and re-extend the quotient by
+    the recovered cocycles; the verdict is whether the result equals ``a`` in
+    the split basis, constant by constant."""
+    split = split_central_extension(a, vectors)
+    rebuilt = central_extension(split.quotient, split.cocycles).result.table
+    conj = change_basis_table(a.table, split.basis_rows)
+    n = a.dim
+    exact = all(sp.cancel(rebuilt[i][j][k] - conj[i][j][k]) == 0
+                for i in range(n) for j in range(n) for k in range(n))
+    return split, exact
 
 
 def criterion_identities(cat: Catalog | None = None, samples: int = 5,
@@ -67,7 +100,7 @@ def criterion_identities(cat: Catalog | None = None, samples: int = 5,
     for entry in scope:
         plans = [{}]
         if entry.algebra.params:
-            plans += _samples_for(entry, rng, samples)
+            plans += catalog_mod._admissible_samples(entry, rng, samples)
         for assign in plans:
             checked += 1
             a = substitute(entry.algebra, assign) if assign else entry.algebra
@@ -94,26 +127,7 @@ def criterion_cohomology_golden(cat: Catalog | None = None) -> CriterionResult:
     failures = []
     for row in cat.golden_cohomology:
         a = cat.get(row["name"])
-        space = cocycle_space(a)
-        want = (len(row["z2"]), len(row["b2"]),
-                len(row["z2"]) - len(row["b2"]))
-        if space.dims != want:
-            failures.append({"algebra": row["name"], "problem": "dimension mismatch",
-                             "got": list(space.dims), "want": list(want)})
-            continue
-        gz = [cocycle_from_expr(a, s).as_vector() for s in row["z2"]]
-        gb = [cocycle_from_expr(a, s).as_vector() for s in row["b2"]]
-        gh = [cocycle_from_expr(a, s).as_vector() for s in row["h2"]]
-        cz = [c.as_vector() for c in space.z2_basis]
-        cb = [c.as_vector() for c in space.b2_basis]
-        ch = [c.as_vector() for c in space.h2_reps]
-        if not subspace_equal(cz, gz):
-            failures.append({"algebra": row["name"], "problem": "Z2 span differs"})
-        if not subspace_equal(cb, gb):
-            failures.append({"algebra": row["name"], "problem": "B2 span differs"})
-        if not subspace_equal(cb + ch, gb + gh):
-            failures.append({"algebra": row["name"],
-                             "problem": "H2 reps differ modulo B2"})
+        failures.extend(golden_failures(a, cocycle_space(a), row))
     return CriterionResult(
         2, "cohomology golden table (7 rows, exact)", not failures,
         {"rows": len(cat.golden_cohomology), "failures": failures},
@@ -153,22 +167,13 @@ def criterion_split_roundtrip(cat: Catalog | None = None, samples: int = 3,
     failures = []
     lines_checked = 0
     for entry in cat.list_entries(table="A"):
-        plans = [{}] if not entry.algebra.params else \
-            _samples_for(entry, rng, samples)
-        for assign in plans:
+        for assign in catalog_mod._admissible_samples(entry, rng, samples):
             a = substitute(entry.algebra, assign) if assign else entry.algebra
             label = f"{entry.name}@{assign}" if assign else entry.name
             for w in annihilator_basis(a):
                 lines_checked += 1
                 try:
-                    split = split_central_extension(a, [w])
-                    rebuilt = central_extension(split.quotient, split.cocycles)
-                    conj = change_basis_table(a.table, split.basis_rows)
-                    n = a.dim
-                    same = all(
-                        sp.cancel(rebuilt.result.table[i][j][k] - conj[i][j][k]) == 0
-                        for i in range(n) for j in range(n) for k in range(n))
-                    if not same:
+                    if not split_roundtrip(a, [w])[1]:
                         failures.append({"entry": label,
                                          "problem": "roundtrip constants differ"})
                 except Exception as exc:  # surfaced in the report, not swallowed
@@ -289,18 +294,6 @@ def criterion_reachability(reports: list[WitnessReport] | None = None,
          "sources_never_targets": reach.sources_never_targets,
          "edge_count": len(set(reach.edges))},
         time.time() - t0)
-
-
-CRITERIA = [
-    criterion_identities,
-    criterion_cohomology_golden,
-    criterion_extension_witnesses,
-    criterion_split_roundtrip,
-    criterion_derivation_dims,
-    criterion_table_b,
-    criterion_necessary,
-    criterion_reachability,
-]
 
 
 def run_all(digits: int = DEFAULT_DIGITS, seed: int = 20260810,

@@ -170,8 +170,9 @@ def algebra(name: str, dim: int, products: Iterable[tuple], params: Sequence = (
     grid = [[[sp.Integer(0) for _ in range(dim)] for _ in range(dim)]
             for _ in range(dim)]
     for i, j, k, c in products:
-        if not (1 <= i <= dim and 1 <= j <= dim and 1 <= k <= dim):
-            raise AlgebraError(f"{name}: product index ({i},{j},{k}) out of range")
+        if not all(isinstance(x, int) and 1 <= x <= dim for x in (i, j, k)):
+            raise AlgebraError(f"{name}: product index ({i!r},{j!r},{k!r}) "
+                               f"is not an integer in 1..{dim}")
         grid[i - 1][j - 1][k - 1] += parse_scalar(c)
     table = tuple(tuple(tuple(sp.sympify(x) for x in row) for row in plane)
                   for plane in grid)
@@ -211,13 +212,25 @@ def algebra_to_json(a: Algebra) -> dict:
     }
 
 
+def _json_field(obj, key: str, where: str):
+    if not isinstance(obj, Mapping) or key not in obj:
+        raise AlgebraError(f"{where}: missing key {key!r}")
+    return obj[key]
+
+
 def algebra_from_json(obj: Mapping) -> Algebra:
-    return algebra(
-        obj["name"], int(obj["dim"]),
-        [(p["i"], p["j"], p["k"], p["c"]) for p in obj.get("products", [])],
-        params=obj.get("params", []),
-        constraints=obj.get("constraints_nonzero", []),
-    )
+    """Algebra from its JSON object.  A missing ``name``, ``dim`` or product
+    key, or a ``dim`` that is not a positive integer, raises
+    :class:`AlgebraError` naming it."""
+    name = _json_field(obj, "name", "algebra JSON")
+    dim = _json_field(obj, "dim", f"algebra {name!r}")
+    if isinstance(dim, bool) or not isinstance(dim, int) or dim < 1:
+        raise AlgebraError(f"algebra {name!r}: dim must be a positive integer, "
+                           f"got {dim!r}")
+    products = [tuple(_json_field(p, key, f"algebra {name!r}: product")
+                      for key in "ijkc") for p in obj.get("products", [])]
+    return algebra(name, dim, products, params=obj.get("params", []),
+                   constraints=obj.get("constraints_nonzero", []))
 
 
 def load_algebra_file(path) -> Algebra:
@@ -416,8 +429,9 @@ def substitute(a: Algebra, at: Mapping, name: str | None = None) -> Algebra:
 
 def instantiate_table(a: Algebra, at: Mapping) -> Table:
     """Like :func:`substitute` but unrestricted: values may involve t or new
-    symbols (used for parametrized-index degenerations).  Constraint check is
-    'not identically zero' instead of 'nonzero value'."""
+    symbols (used for parametrized-index degenerations).  Checks only that
+    every parameter is assigned, no constraint: the degeneration source's
+    "not identically zero" check is done by its caller."""
     subs = scalars.subs_map(at)
     missing = [p for p in a.params if p not in subs]
     if missing:

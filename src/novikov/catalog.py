@@ -10,18 +10,19 @@ common unicode spellings are accepted as aliases and canonicalized.
 
 from __future__ import annotations
 
+import itertools
 import json
+import random
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
 from importlib import resources
-from typing import Mapping, Sequence
+from typing import Mapping
 
 import sympy as sp
 
 from . import scalars
-from .algebras import (Algebra, AlgebraError, algebra_from_json, annihilator_basis,
-                       check_identities, derived_power_dims, invariant_profile,
+from .algebras import (Algebra, AlgebraError, algebra_from_json, invariant_profile,
                        substitute)
 from .cohomology import (ActionCase, central_extension, cocycle_from_expr,
                          has_trivial_intersection, is_cocycle)
@@ -35,8 +36,7 @@ __all__ = [
     "get",
     "list_entries",
     "canonical_name",
-    "verify_catalog",
-    "CatalogReport",
+    "indistinguishable_pairs",
 ]
 
 
@@ -232,33 +232,8 @@ def list_entries(dim: int | None = None, table: str | None = None,
 
 
 # ---------------------------------------------------------------------------
-# Whole-catalog verification
+# Catalog checks
 # ---------------------------------------------------------------------------
-
-@dataclass
-class CatalogReport:
-    entry_failures: list[dict] = field(default_factory=list)
-    witness_failures: list[dict] = field(default_factory=list)
-    indistinguishable: list[dict] = field(default_factory=list)
-    flags: list[str] = field(default_factory=list)
-    checked_entries: int = 0
-    checked_witnesses: int = 0
-
-    @property
-    def passed(self) -> bool:
-        return not self.entry_failures and not self.witness_failures
-
-    def to_dict(self) -> dict:
-        return {
-            "passed": self.passed,
-            "checked_entries": self.checked_entries,
-            "checked_witnesses": self.checked_witnesses,
-            "entry_failures": self.entry_failures,
-            "witness_failures": self.witness_failures,
-            "indistinguishable": self.indistinguishable,
-            "flags": self.flags,
-        }
-
 
 #: Draws :func:`_admissible_samples` makes before giving up.
 MAX_SAMPLE_ATTEMPTS = 1000
@@ -290,30 +265,6 @@ def _admissible_samples(entry: CatalogEntry, rng, count: int) -> list[dict]:
             seen.add(key)
             out.append(assign)
     return out
-
-
-def check_entry(entry: CatalogEntry, samples: Sequence[Mapping] = ({},)) -> list[dict]:
-    """Invariant failures of a single entry at the given assignments."""
-    failures = []
-    for assign in samples:
-        label = entry.name if not assign else \
-            entry.name + "(" + ", ".join(f"{k}={grammar_str(v)}" for k, v in
-                                         sorted(assign.items())) + ")"
-        a = substitute(entry.algebra, assign) if assign else entry.algebra
-        flags = check_identities(a)
-        if not flags.novikov:
-            failures.append({"entry": label, "problem": "identities fail",
-                             "flags": flags.to_dict()})
-        dims = derived_power_dims(a)
-        if dims[-1] != 0:
-            failures.append({"entry": label, "problem": "not nilpotent",
-                             "dims_derived": dims})
-        if flags.two_step == entry.pure_expected:
-            failures.append({"entry": label, "problem": "purity flag mismatch",
-                             "two_step": flags.two_step})
-        if a.dim >= 1 and len(annihilator_basis(a)) < 1:
-            failures.append({"entry": label, "problem": "empty annihilator"})
-    return failures
 
 
 def check_witness(cat: Catalog, w: ExtensionWitness) -> list[dict]:
@@ -348,51 +299,17 @@ def check_witness(cat: Catalog, w: ExtensionWitness) -> list[dict]:
     return failures
 
 
-def verify_catalog(samples: int = 5, distinct_samples: int = 3,
-                   seed: int = 20260810) -> CatalogReport:
-    """Run every entry invariant, every extension witness, and the pairwise
-    invariant-profile distinctness scan."""
-    import random
-
-    cat = load()
+def indistinguishable_pairs(samples: int = 3,
+                            seed: int = 20260810) -> list[tuple[str, str]]:
+    """Pairs of 4-dimensional or limit families that the implemented
+    invariants cannot tell apart: their invariant profiles agree at the
+    generic point (constant families) or at ``samples`` admissible points."""
     rng = random.Random(seed)
-    report = CatalogReport()
-
-    for entry in cat.entries.values():
-        plans: list[Mapping] = [{}]
-        if entry.algebra.params:
-            plans += _admissible_samples(entry, rng, samples)
-        report.entry_failures.extend(check_entry(entry, plans))
-        report.checked_entries += 1
-
-    for w in cat.witnesses:
-        report.witness_failures.extend(check_witness(cat, w))
-        report.checked_witnesses += 1
-        if w.constraints_printed and w.target in cat.entries:
-            target_cons = {grammar_str(c) for c in
-                           cat.entries[w.target].algebra.constraints}
-            printed = set(w.constraints_printed)
-            if printed - target_cons:
-                report.flags.append(
-                    f"{w.id}: recorded case constraints {sorted(printed)} are "
-                    f"narrower than the target family's {sorted(target_cons)}; "
-                    "kept as recorded")
-
-    # Distinctness scan across the dimension-4 listing plus the limit families.
-    scan = [e for e in cat.entries.values() if e.listing in ("dim4", "limit")]
     profiles = {}
-    for entry in scan:
-        plans = [{}] if not entry.algebra.params else \
-            _admissible_samples(entry, rng, distinct_samples)
-        profiles[entry.name] = tuple(sorted(
-            str(invariant_profile(entry.algebra, assign or None).as_tuple())
-            for assign in plans))
-    names = sorted(profiles)
-    for i, a_name in enumerate(names):
-        for b_name in names[i + 1:]:
-            if profiles[a_name] == profiles[b_name]:
-                report.indistinguishable.append({
-                    "pair": [a_name, b_name],
-                    "note": "indistinguishable by implemented invariants",
-                })
-    return report
+    for entry in load().entries.values():
+        if entry.listing in ("dim4", "limit"):
+            profiles[entry.name] = sorted(
+                str(invariant_profile(entry.algebra, assign or None).as_tuple())
+                for assign in _admissible_samples(entry, rng, samples))
+    return [(a, b) for a, b in itertools.combinations(sorted(profiles), 2)
+            if profiles[a] == profiles[b]]

@@ -3,8 +3,8 @@
 Scalars are sympy expressions over the Gaussian rationals Q(i), extended by
 named parameters (``alpha``, ``lam``, ...), the limit variable ``t``, and
 formal square/cube roots.  Root-free scalars form an exactly decidable
-rational-function field; root-bearing scalars are kept symbolic and decided
-numerically at arbitrary precision.
+rational-function field; root-bearing scalars are kept symbolic here, and
+only the numeric tier of :mod:`novikov.degeneration` evaluates them.
 
 Conventions fixed here, once, for the whole package:
 
@@ -35,10 +35,8 @@ from __future__ import annotations
 
 import random
 import re
-from dataclasses import dataclass
-from typing import Iterable, Mapping, Union
+from typing import Mapping, Union
 
-import mpmath
 import sympy as sp
 
 __all__ = [
@@ -48,25 +46,17 @@ __all__ = [
     "ScalarError",
     "ZeroDenominatorError",
     "RadicalZeroTestError",
-    "UnassignedSymbolError",
     "NumericDivisionError",
-    "NotPuiseuxError",
     "ParseError",
     "gauss",
     "parse_scalar",
     "grammar_str",
     "simplify_scalar",
     "is_root_free",
-    "is_zero",
     "is_zero_exact",
-    "is_zero_numeric",
-    "eval_scalar",
-    "free_parameters",
     "subs_map",
     "substitute",
     "random_rational",
-    "PuiseuxExpr",
-    "puiseux_normalize",
 ]
 
 #: The distinguished degeneration variable.  Positive: t -> 0+ along the reals.
@@ -94,16 +84,8 @@ class RadicalZeroTestError(ScalarError):
     """Exact zero-test requested for a radical-bearing expression."""
 
 
-class UnassignedSymbolError(ScalarError):
-    """Evaluation reached a symbol with no assigned value."""
-
-
 class NumericDivisionError(ScalarError):
     """Evaluation divided by a numerically-zero subexpression."""
-
-
-class NotPuiseuxError(ScalarError):
-    """Expression is not a finite sum of (t-free) * t^rational terms."""
 
 
 class ParseError(ScalarError):
@@ -303,93 +285,6 @@ def is_zero_exact(e: ScalarLike) -> bool:
     return simplify_scalar(e) == 0
 
 
-def is_zero_numeric(e: ScalarLike, assign: Mapping | None = None, digits: int = 50) -> bool:
-    """Heuristic zero test: |value at assignment| <= 10^(-digits/2)."""
-    value = eval_scalar(e, assign or {}, digits)
-    return mpmath.fabs(value) <= mpmath.mpf(10) ** (-digits / 2)
-
-
-def is_zero(e: ScalarLike, mode: str = "exact", assign: Mapping | None = None,
-            digits: int = 50) -> bool:
-    """Dispatching zero test.  ``mode`` is 'exact' or 'numeric'.
-
-    Numeric verdicts are heuristic; callers that surface them in reports are
-    expected to flag them as such.
-    """
-    if mode == "exact":
-        return is_zero_exact(e)
-    if mode == "numeric":
-        return is_zero_numeric(e, assign, digits)
-    raise ValueError(f"unknown mode {mode!r}")
-
-
-# ---------------------------------------------------------------------------
-# Arbitrary-precision evaluation
-# ---------------------------------------------------------------------------
-
-def _exact_value(v) -> sp.Expr:
-    if isinstance(v, sp.Expr):
-        return v
-    if isinstance(v, complex):
-        return sp.Rational(sp.nsimplify(v.real, rational=True)) + \
-            sp.Rational(sp.nsimplify(v.imag, rational=True)) * sp.I
-    return sp.nsimplify(v, rational=True)
-
-
-def eval_scalar(e: ScalarLike, assign: Mapping, digits: int = 50) -> mpmath.mpc:
-    """Evaluate at an assignment with at least ``digits`` good digits.
-
-    Substitution is exact (rational/Gaussian-rational values) and precedes
-    numerical evaluation, so identically-zero denominators are caught before
-    any rounding.  Roots take the principal branch.
-    """
-    if digits < 16:
-        raise ValueError("digits must be >= 16")
-    e = parse_scalar(e)
-    subs = {}
-    for key, value in (assign or {}).items():
-        sym = key if isinstance(key, sp.Symbol) else sp.Symbol(str(key))
-        if str(sym) == "t":
-            sym = T
-        subs[sym] = _exact_value(value)
-    missing = e.free_symbols - set(subs)
-    if missing:
-        names = ", ".join(sorted(str(s) for s in missing))
-        raise UnassignedSymbolError(f"unassigned symbol: {names}")
-    sub = e.subs(subs, simultaneous=True)
-    if sub.has(sp.zoo) or sub.has(sp.nan):
-        raise NumericDivisionError("division by zero subexpression")
-    # Guard against near-zero denominators below the working precision.
-    for p in sub.atoms(sp.Pow):
-        if p.exp.is_negative:
-            b = sp.N(p.base, digits)
-            if mpmath.fabs(_to_mpc(b, digits)) < mpmath.mpf(10) ** (-digits):
-                raise NumericDivisionError("division by numerically-zero subexpression")
-    return _to_mpc(sp.N(sub, digits), digits)
-
-
-def _to_mpc(value: sp.Expr, digits: int) -> mpmath.mpc:
-    with mpmath.workdps(digits + 10):
-        re_part, im_part = value.as_real_imag()
-        return mpmath.mpc(_to_mpf(sp.N(re_part, digits)), _to_mpf(sp.N(im_part, digits)))
-
-
-def _to_mpf(x: sp.Expr) -> mpmath.mpf:
-    if x.is_Float:
-        return mpmath.mpf(x._mpf_)
-    if x.is_Rational:
-        return mpmath.mpf(x.p) / mpmath.mpf(x.q)
-    if x.is_zero:
-        return mpmath.mpf(0)
-    return mpmath.mpf(float(x))
-
-
-def free_parameters(e: ScalarLike) -> tuple[sp.Symbol, ...]:
-    """Free symbols other than t, sorted by name."""
-    e = parse_scalar(e)
-    return tuple(sorted((s for s in e.free_symbols if s != T), key=str))
-
-
 # ---------------------------------------------------------------------------
 # Substitution and sampling
 # ---------------------------------------------------------------------------
@@ -415,82 +310,3 @@ def random_rational(rng: random.Random) -> sp.Rational:
     num = rng.choice([n for n in range(-9, 10) if n != 0])
     den = rng.randint(1, 7)
     return sp.Rational(num, den)
-
-
-# ---------------------------------------------------------------------------
-# Finite Puiseux expressions in t
-# ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class PuiseuxExpr:
-    """Finite sum  sum_k c_k * t^(e_k)  with exact rational exponents.
-
-    Exponents are strictly increasing and every stored coefficient is t-free
-    and survives exact simplification of its rational-function part.
-    """
-
-    terms: tuple[tuple[sp.Rational, sp.Expr], ...]
-
-    @staticmethod
-    def from_terms(pairs: Iterable[tuple] ) -> "PuiseuxExpr":
-        merged: dict[sp.Rational, sp.Expr] = {}
-        for exponent, coeff in pairs:
-            q = sp.Rational(exponent)
-            merged[q] = merged.get(q, sp.S.Zero) + parse_scalar(coeff)
-        kept = []
-        for q in sorted(merged):
-            c = sp.cancel(merged[q])
-            if c != 0:
-                kept.append((q, c))
-        return PuiseuxExpr(tuple(kept))
-
-    def to_expr(self) -> sp.Expr:
-        return sp.Add(*(c * T ** q for q, c in self.terms))
-
-    def __add__(self, other: "PuiseuxExpr") -> "PuiseuxExpr":
-        return PuiseuxExpr.from_terms(list(self.terms) + list(other.terms))
-
-    def __neg__(self) -> "PuiseuxExpr":
-        return PuiseuxExpr(tuple((q, -c) for q, c in self.terms))
-
-    def __sub__(self, other: "PuiseuxExpr") -> "PuiseuxExpr":
-        return self + (-other)
-
-    def __mul__(self, other: "PuiseuxExpr") -> "PuiseuxExpr":
-        return PuiseuxExpr.from_terms(
-            (qa + qb, ca * cb) for qa, ca in self.terms for qb, cb in other.terms
-        )
-
-    def leading(self) -> tuple[sp.Rational, sp.Expr] | None:
-        return self.terms[0] if self.terms else None
-
-    def __str__(self) -> str:
-        if not self.terms:
-            return "0"
-        return " + ".join(f"({grammar_str(c)})*t^({q})" for q, c in self.terms)
-
-
-def puiseux_normalize(e: ScalarLike) -> PuiseuxExpr:
-    """Normalize a sum of (t-free)*t^rational products into sorted term form.
-
-    Roots whose radicand is a monomial in t are resolved by exponent
-    arithmetic (root(3, t^2) contributes exponent 2/3).  Any other appearance
-    of t inside a denominator or radicand is rejected.
-    """
-    e = sp.expand(parse_scalar(e))
-    addends = e.args if e.is_Add else (e,)
-    pairs = []
-    for term in addends:
-        if term == 0:
-            continue
-        coeff, tpart = term.as_independent(T)
-        if tpart == 1:
-            q = sp.Rational(0)
-        elif tpart == T:
-            q = sp.Rational(1)
-        elif tpart.is_Pow and tpart.base == T and tpart.exp.is_Rational:
-            q = tpart.exp
-        else:
-            raise NotPuiseuxError(f"not Puiseux-normalizable: {term}")
-        pairs.append((q, coeff))
-    return PuiseuxExpr.from_terms(pairs)

@@ -11,7 +11,9 @@ import sys
 import pytest
 
 from novikov import acceptance
+from novikov.algebras import AlgebraError, basis_vector
 from novikov.catalog import load
+from novikov.cohomology import cocycle_space
 
 
 @pytest.fixture(scope="module")
@@ -44,6 +46,17 @@ def test_criterion_2_cohomology_golden(cat):
     assert result.details["rows"] == 7
 
 
+def test_golden_failures_negative_control(cat):
+    row = next(r for r in cat.golden_cohomology if r["name"] == "N3s_02")
+    a = cat.get("N3s_02")
+    space = cocycle_space(a)
+    assert acceptance.golden_failures(a, space, row) == []
+    # D33 is no cocycle of N3s_02: the dimensions agree, the Z2 span does not
+    perturbed = dict(row, z2=row["z2"][:-1] + ["D22+D33"])
+    assert acceptance.golden_failures(a, space, perturbed) == [
+        {"algebra": "N3s_02", "problem": "Z2 span differs"}]
+
+
 def test_criterion_3_extension_witnesses(cat):
     result = acceptance.criterion_extension_witnesses(cat)
     _report(result)
@@ -59,6 +72,15 @@ def test_criterion_4_split_roundtrip(cat):
     result = acceptance.criterion_split_roundtrip(cat)
     _report(result)
     assert result.details["lines_checked"] >= 24
+
+
+def test_split_roundtrip_negative_control(cat):
+    a = cat.get("N4_09")
+    split, exact = acceptance.split_roundtrip(a, [basis_vector(4, 3)])
+    assert exact and split.quotient.dim == 3
+    # e1 is not in the annihilator of N4_09
+    with pytest.raises(AlgebraError, match="not contained in Ann"):
+        acceptance.split_roundtrip(a, [basis_vector(4, 0)])
 
 
 def test_criterion_5_derivation_dims(cat):

@@ -2,6 +2,8 @@
 
 import json
 
+import pytest
+
 from novikov.cli import main
 
 
@@ -9,6 +11,13 @@ def run(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def assert_usage_error(code, out, err, *words):
+    assert code == 2 and out == ""
+    assert err.startswith("error:") and len(err.strip().splitlines()) == 1
+    for word in words:
+        assert word in err
 
 
 def test_derivations_published_value(capsys):
@@ -97,9 +106,40 @@ def test_unknown_algebra_is_usage_error(capsys):
 
 def test_undeclared_param_is_usage_error(capsys):
     code, out, err = run(capsys, "cohomology", "N3s_01", "--param", "foo=1")
-    assert code == 2 and out == ""
-    assert err.startswith("error:") and "foo" in err
-    assert len(err.strip().splitlines()) == 1
+    assert_usage_error(code, out, err, "foo")
+
+
+@pytest.mark.parametrize("obj, word", [
+    ({"dim": 2, "products": []}, "'name'"),
+    ({"name": "x", "products": []}, "'dim'"),
+    ({"name": "x", "dim": 0}, "positive integer"),
+    ({"name": "x", "dim": "2"}, "positive integer"),
+    ({"name": "x", "dim": 2, "products": [{"i": 1, "j": 1, "k": 2}]}, "'c'"),
+    ({"name": "x", "dim": 2,
+      "products": [{"i": "1", "j": 1, "k": 2, "c": "1"}]}, "1..2"),
+])
+def test_algebra_file_schema_error_is_usage_error(capsys, tmp_path, obj, word):
+    path = tmp_path / "alg.json"
+    path.write_text(json.dumps(obj))
+    code, out, err = run(capsys, "check", str(path))
+    assert_usage_error(code, out, err, word)
+
+
+@pytest.mark.parametrize("schedule, word", [
+    ("abc", "not a rational"),
+    ("1/10,0", "not positive"),
+    ("1/100,1/10", "strictly decreasing"),
+])
+def test_bad_schedule_is_usage_error(capsys, schedule, word):
+    code, out, err = run(capsys, "degenerate", "verify", "--row", "B23",
+                         "--schedule", schedule)
+    assert_usage_error(code, out, err, word)
+
+
+def test_digits_env_not_integer_is_usage_error(capsys, monkeypatch):
+    monkeypatch.setenv("NOVIKOV_DIGITS", "abc")
+    code, out, err = run(capsys, "degenerate", "verify", "--row", "B05")
+    assert_usage_error(code, out, err, "NOVIKOV_DIGITS")
 
 
 def test_json_reports_are_deterministic(capsys):

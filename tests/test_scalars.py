@@ -1,5 +1,6 @@
-"""Exact scalar layer: grammar, canonical forms, zero tests, evaluation,
-Puiseux normal forms, and the field-axiom / cross-check properties."""
+"""Exact scalar layer: grammar, canonical forms, zero tests, the numeric
+tier's evaluation conventions, and the field-axiom / cross-check
+properties."""
 
 import random
 
@@ -7,12 +8,11 @@ import mpmath
 import pytest
 import sympy as sp
 
-from novikov.scalars import (I, NotPuiseuxError, NumericDivisionError,
-                             ParseError, PuiseuxExpr, RadicalZeroTestError,
-                             Rational, T, UnassignedSymbolError,
-                             ZeroDenominatorError, eval_scalar, gauss,
-                             grammar_str, is_root_free, is_zero, is_zero_exact,
-                             is_zero_numeric, parse_scalar, puiseux_normalize,
+from novikov.degeneration import _num
+from novikov.scalars import (I, NumericDivisionError, ParseError,
+                             RadicalZeroTestError, Rational, T,
+                             ZeroDenominatorError, gauss, grammar_str,
+                             is_root_free, is_zero_exact, parse_scalar,
                              random_rational, simplify_scalar, subs_map,
                              substitute)
 
@@ -87,12 +87,6 @@ def test_is_zero_exact():
         is_zero_exact("root(2, 2) - 1")
 
 
-def test_is_zero_numeric():
-    assert is_zero("root(2,2) - root(2,2)", mode="numeric", digits=50)
-    assert not is_zero("root(2,2) - 1", mode="numeric", digits=50)
-    assert is_zero_numeric("root(3, alpha)^3 - alpha", {"alpha": "2/7"}, 40)
-
-
 def test_is_root_free():
     assert is_root_free("(lam^2-1)/(t-2)")
     assert not is_root_free("root(2, lam)")
@@ -100,94 +94,39 @@ def test_is_root_free():
 
 
 # ---------------------------------------------------------------------------
-# Evaluation
+# Evaluation in the numeric tier: exact substitution, then degeneration._num
 # ---------------------------------------------------------------------------
 
+def _eval(text, assign, digits):
+    """Value at ``assign``; call inside ``mpmath.workdps`` above ``digits``."""
+    return _num(substitute(parse_scalar(text), subs_map(assign)), digits)
+
+
 def test_eval_examples():
-    v = eval_scalar("root(3, t/4)", {"t": Rational(1, 2)}, 30)
-    assert mpmath.fabs(v - mpmath.mpf(1) / 2) < mpmath.mpf(10) ** -25
-    assert eval_scalar("i^2", {}, 20) == -1
-    v = eval_scalar("(alpha-1)/(alpha+1)", {"alpha": 3}, 20)
-    assert mpmath.fabs(v - 0.5) < mpmath.mpf(10) ** -15
+    with mpmath.workdps(50):
+        v = _eval("root(3, t/4)", {"t": Rational(1, 2)}, 30)
+        assert mpmath.fabs(v - mpmath.mpf(1) / 2) < mpmath.mpf(10) ** -25
+        assert _eval("i^2", {}, 20) == -1
+        v = _eval("(alpha-1)/(alpha+1)", {"alpha": 3}, 20)
+        assert mpmath.fabs(v - 0.5) < mpmath.mpf(10) ** -15
 
 
 def test_eval_principal_branch():
-    v = eval_scalar("root(3, -8)", {}, 30)
-    with mpmath.workdps(40):
+    with mpmath.workdps(50):
+        v = _eval("root(3, -8)", {}, 30)
         want = mpmath.mpc(1, mpmath.sqrt(mpmath.mpf(3)))
         assert mpmath.fabs(v - want) < mpmath.mpf(10) ** -25
 
 
 def test_eval_errors():
-    with pytest.raises(UnassignedSymbolError):
-        eval_scalar("alpha + 1", {}, 20)
-    with pytest.raises(ValueError):
-        eval_scalar("1", {}, 10)
     with pytest.raises(NumericDivisionError):
-        eval_scalar("1/(t-1)", {"t": 1}, 20)
+        _eval("1/(t-1)", {"t": 1}, 20)
 
 
 def test_eval_precision_is_real():
-    v = eval_scalar("root(2, 2)", {}, 60)
-    with mpmath.workdps(70):
+    with mpmath.workdps(80):
+        v = _eval("root(2, 2)", {}, 60)
         assert mpmath.fabs(v - mpmath.sqrt(mpmath.mpf(2))) < mpmath.mpf(10) ** -55
-
-
-# ---------------------------------------------------------------------------
-# Puiseux normal forms
-# ---------------------------------------------------------------------------
-
-def test_puiseux_examples():
-    assert puiseux_normalize("t^-1*t^2 + 3").terms == \
-        ((Rational(0), sp.Integer(3)), (Rational(1), sp.Integer(1)))
-    assert puiseux_normalize("root(3, t^2)*root(3, t)").terms == \
-        ((Rational(1), sp.Integer(1)),)
-    assert puiseux_normalize("2*t^-1 - 2*t^-1 + t").terms == \
-        ((Rational(1), sp.Integer(1)),)
-
-
-def test_puiseux_fractional_exponent():
-    p = puiseux_normalize("root(3, t^2)")
-    assert p.terms == ((Rational(2, 3), sp.Integer(1)),)
-
-
-def test_puiseux_coefficient_simplification():
-    p = puiseux_normalize("((lam^2-lam)/(lam-1) - lam)*t + t^2")
-    assert p.terms == ((Rational(2), sp.Integer(1)),)
-
-
-def test_puiseux_rejects_non_monomial_t():
-    with pytest.raises(NotPuiseuxError):
-        puiseux_normalize("1/(1+t)")
-
-
-def test_puiseux_ring_homomorphism():
-    rng = random.Random(101)
-    lam = sp.Symbol("lam")
-
-    def random_expr():
-        terms = []
-        for _ in range(rng.randint(1, 3)):
-            q = Rational(rng.randint(-4, 4), rng.choice([1, 2, 3]))
-            c = Rational(rng.randint(-5, 5), rng.randint(1, 4))
-            if rng.random() < 0.4:
-                c = c * lam
-            terms.append(c * T ** q)
-        return sp.Add(*terms)
-
-    for _ in range(50):
-        e1, e2 = random_expr(), random_expr()
-        lhs = puiseux_normalize(e1 * e2)
-        rhs = puiseux_normalize(e1) * puiseux_normalize(e2)
-        assert lhs == rhs
-        assert puiseux_normalize(e1 + e2) == \
-            puiseux_normalize(e1) + puiseux_normalize(e2)
-
-
-def test_puiseux_exponents_strictly_increasing():
-    p = puiseux_normalize("t^2 + 5*t^-1 + root(3,t) + 7")
-    exps = [q for q, _ in p.terms]
-    assert exps == sorted(exps) and len(set(exps)) == len(exps)
 
 
 # ---------------------------------------------------------------------------
@@ -241,15 +180,10 @@ def test_exact_zero_matches_numeric_zero():
         for _ in range(20):
             assign = {"lam": Rational(rng.randint(1, 50), rng.randint(1, 9)),
                       "mu": Rational(rng.randint(51, 99), rng.randint(1, 9))}
-            v = eval_scalar(e, assign, 50)
-            numeric_all = numeric_all and mpmath.fabs(v) < mpmath.mpf(10) ** -25
+            with mpmath.workdps(70):
+                v = _eval(e, assign, 50)
+                numeric_all = numeric_all and mpmath.fabs(v) < mpmath.mpf(10) ** -25
         assert exact == numeric_all
-
-
-def test_puiseux_from_terms_merges_and_drops_zero():
-    p = PuiseuxExpr.from_terms([(1, "lam"), (1, "-lam"), (0, 2)])
-    assert p.terms == ((Rational(0), sp.Integer(2)),)
-    assert str(PuiseuxExpr.from_terms([])) == "0"
 
 
 # ---------------------------------------------------------------------------

@@ -6,6 +6,13 @@ parameters): e_i * e_j = sum_k c_ij^k e_k.  All decisions about parametrized
 algebras are made generically, i.e. over the rational-function field in the
 declared parameters; special parameter values are reached only through
 explicit assignments.
+
+Each operation converts the structure constants once, together with any
+vectors or basis rows it is given, into elements of one field
+(:func:`novikov.linalg.to_field`), and does every sum, product, zero test
+and elimination on those elements; :func:`multiply_table` is the one product
+kernel on them.  Only the entries an operation returns are converted back,
+with one ``cancel`` each.
 """
 
 from __future__ import annotations
@@ -242,26 +249,33 @@ def load_algebra_file(path) -> Algebra:
 # Multiplication
 # ---------------------------------------------------------------------------
 
-def multiply_table(table: Sequence, x: Sequence, y: Sequence) -> Vector:
-    n = len(table)
-    out = [sp.Integer(0)] * n
+def multiply_table(table: Sequence, x: Sequence, y: Sequence, field) -> list:
+    """x * y for a table and vectors of elements of ``field``: the one
+    product kernel.  Returns a list of field elements."""
+    out = [field.zero] * len(table)
     for i, xi in enumerate(x):
-        if xi == 0:
+        if not xi:
             continue
         for j, yj in enumerate(y):
-            if yj == 0:
+            if not yj:
                 continue
-            cij = table[i][j]
-            for k in range(n):
-                if cij[k] != 0:
-                    out[k] += xi * yj * cij[k]
-    return tuple(sp.cancel(v) for v in out)
+            xy = xi * yj
+            for k, c in enumerate(table[i][j]):
+                if c:
+                    out[k] += xy * c
+    return out
 
 
 def multiply(a: Algebra, x: Sequence, y: Sequence) -> Vector:
     if len(x) != a.dim or len(y) != a.dim:
         raise AlgebraError("dimension mismatch")
-    return multiply_table(a.table, x, y)
+    field, (table, x, y) = linalg.to_field(a.table, x, y)
+    return tuple(linalg.to_expr(field, v) for v in multiply_table(table, x, y, field))
+
+
+def _basis(n: int, field) -> list[list]:
+    return [[field.one if j == i else field.zero for j in range(n)]
+            for i in range(n)]
 
 
 def change_basis_table(table: Sequence, rows: Sequence[Sequence]) -> Table:
@@ -270,18 +284,19 @@ def change_basis_table(table: Sequence, rows: Sequence[Sequence]) -> Table:
     Requires ``rows`` invertible over the scalar field.
     """
     n = len(table)
-    inv = linalg.invert([list(r) for r in rows])
+    field, (tbl, rows) = linalg.to_field(table, rows)
+    inv = linalg.invert(rows, field)
     if inv is None:
         raise AlgebraError("singular basis matrix")
     new = []
     for i in range(n):
         plane = []
         for j in range(n):
-            v = multiply_table(table, rows[i], rows[j])
-            coords = tuple(
-                sp.cancel(sum(v[l] * inv[l][k] for l in range(n)))
-                for k in range(n))
-            plane.append(coords)
+            v = multiply_table(tbl, rows[i], rows[j], field)
+            plane.append(tuple(
+                linalg.to_expr(field, sum((v[l] * inv[l][k] for l in range(n) if v[l]),
+                                          field.zero))
+                for k in range(n)))
         new.append(tuple(plane))
     return tuple(new)
 
@@ -294,29 +309,24 @@ def check_identities(a: Algebra) -> IdentityFlags:
     """Decide the defining identities exactly, generically in the parameters.
 
     Each of the 2n^3 triple products (e_i e_j) e_k and e_i (e_j e_k) is
-    computed once; every identity is then decided from those by exact zero
-    tests.
+    computed once, on field elements; every identity is then decided from
+    those by exact zero tests.
     """
     n = a.dim
-    table = a.table
-    basis = [basis_vector(n, k) for k in range(n)]
+    field, (table,) = linalg.to_field(a.table)
+    basis = _basis(n, field)
     triples = [(i, j, k) for i in range(n) for j in range(n) for k in range(n)]
-    left = {(i, j, k): multiply_table(table, table[i][j], basis[k])
+    left = {(i, j, k): multiply_table(table, table[i][j], basis[k], field)
             for i, j, k in triples}
-    right = {(i, j, k): multiply_table(table, basis[i], table[j][k])
+    right = {(i, j, k): multiply_table(table, basis[i], table[j][k], field)
              for i, j, k in triples}
-
-    def vanishes(v: Sequence) -> bool:
-        return all(sp.cancel(x) == 0 for x in v)
-
-    right_comm = all(
-        vanishes([u - w for u, w in zip(left[i, j, k], left[i, k, j])])
-        for i, j, k in triples)
+    right_comm = all(not any(u - w for u, w in zip(left[i, j, k], left[i, k, j]))
+                     for i, j, k in triples)
     left_sym = all(
-        vanishes([p - q - r + s for p, q, r, s in zip(
-            left[i, j, k], right[i, j, k], left[j, i, k], right[j, i, k])])
+        not any(p - q - r + s for p, q, r, s in zip(
+            left[i, j, k], right[i, j, k], left[j, i, k], right[j, i, k]))
         for i, j, k in triples)
-    two_step = all(vanishes(left[t]) and vanishes(right[t]) for t in triples)
+    two_step = not any(any(left[t]) or any(right[t]) for t in triples)
     return IdentityFlags(right_comm, left_sym, right_comm and left_sym, two_step)
 
 
@@ -341,22 +351,22 @@ def derived_power_dims(a: Algebra) -> list[int]:
     Stops at the first zero power or when the dims stabilize above zero.
     """
     n = a.dim
-    powers: list[list[Vector]] = [[basis_vector(n, i) for i in range(n)]]
+    field, (table,) = linalg.to_field(a.table)
+    powers: list[list[list]] = [_basis(n, field)]
     dims = [n]
     while dims[-1] > 0:
         k = len(powers) + 1
-        candidates: list[Vector] = []
+        candidates = []
         for p in range(1, k):
             q = k - p
             for u in powers[p - 1]:
                 for v in powers[q - 1]:
-                    w = multiply_table(a.table, u, v)
-                    if any(x != 0 for x in w):
+                    w = multiply_table(table, u, v, field)
+                    if any(w):
                         candidates.append(w)
-        red, pivots = linalg.rref(candidates) if candidates else ([], [])
-        basis = [tuple(red[r]) for r in range(len(pivots))]
-        dims.append(len(basis))
-        powers.append(basis)
+        red, pivots = linalg.rref(candidates, field) if candidates else ([], [])
+        powers.append(red[:len(pivots)])
+        dims.append(len(pivots))
         if dims[-1] == dims[-2] and dims[-1] > 0:
             break
     return dims
@@ -378,7 +388,7 @@ def derivation_dim(a: Algebra, at: Mapping | None = None) -> int:
     if at:
         a = substitute(a, at)
     n = a.dim
-    c = a.table
+    field, (c,) = linalg.to_field(a.table)
 
     def idx(p, q):
         return p * n + q
@@ -387,19 +397,19 @@ def derivation_dim(a: Algebra, at: Mapping | None = None) -> int:
     for i in range(n):
         for j in range(n):
             for m in range(n):
-                row = [sp.Integer(0)] * (n * n)
+                row = [field.zero] * (n * n)
                 for k in range(n):
-                    if c[i][j][k] != 0:
+                    if c[i][j][k]:
                         row[idx(k, m)] += c[i][j][k]
                 for p in range(n):
-                    if c[p][j][m] != 0:
+                    if c[p][j][m]:
                         row[idx(i, p)] -= c[p][j][m]
                 for q in range(n):
-                    if c[i][q][m] != 0:
+                    if c[i][q][m]:
                         row[idx(j, q)] -= c[i][q][m]
-                if any(x != 0 for x in row):
+                if any(row):
                     rows.append(row)
-    return n * n - (linalg.rank(rows) if rows else 0)
+    return n * n - (linalg.rank(rows, field) if rows else 0)
 
 
 def substitute(a: Algebra, at: Mapping, name: str | None = None) -> Algebra:

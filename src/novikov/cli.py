@@ -166,8 +166,7 @@ def cmd_cohomology(args) -> int:
         row = next((r for r in cat.golden_cohomology
                     if r["name"] == canonical_name(args.name)), None)
         if row is None:
-            print(f"no golden data for {args.name}", file=sys.stderr)
-            return USAGE
+            raise AlgebraError(f"no golden data for {args.name}")
         ok = not acceptance.golden_failures(a, space, row)
         payload["golden_match"] = ok
         lines.append(f"  golden: {'match' if ok else 'MISMATCH'}")
@@ -187,8 +186,7 @@ def cmd_extend(args) -> int:
         else:
             thetas.append(cocycle_from_expr(a, spec_text))
     if args.s is not None and args.s != len(thetas):
-        print(f"--s {args.s} but {len(thetas)} cocycles given", file=sys.stderr)
-        return USAGE
+        raise ValueError(f"--s {args.s} but {len(thetas)} cocycles given")
     try:
         ext = central_extension(a, thetas)
     except CocycleError as exc:
@@ -241,13 +239,11 @@ def cmd_degenerate(args) -> int:
     if args.row:
         witnesses = [w for w in load_witnesses(cat) if w.id == args.row]
         if not witnesses:
-            print(f"unknown row {args.row!r}", file=sys.stderr)
-            return USAGE
+            raise ValueError(f"unknown row {args.row!r}")
     elif args.all:
         witnesses = load_witnesses(cat)
     else:
-        print("need --row ID or --all", file=sys.stderr)
-        return USAGE
+        raise ValueError("need --row ID or --all")
     reports = [verify_witness(w, cat, schedule, digits, args.samples, args.seed)
                for w in witnesses]
     necessary = [check_necessary(w, cat, args.samples, args.seed)

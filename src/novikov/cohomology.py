@@ -38,7 +38,6 @@ __all__ = [
     "cocycle_from_expr",
     "cocycle_to_json",
     "cocycle_from_json",
-    "cocycle_residuals",
     "is_cocycle",
     "coboundary_matrices",
     "cocycle_space",
@@ -156,57 +155,46 @@ def cocycle_from_json(a: Algebra, obj: Mapping) -> Cocycle:
 # Cocycle conditions and spaces
 # ---------------------------------------------------------------------------
 
-def cocycle_residuals(a: Algebra, theta: Cocycle) -> list[sp.Expr]:
-    """The 2*n^3 linear conditions evaluated on theta (all zero iff cocycle)."""
-    n = a.dim
-    c = a.table
-    th = theta.matrix
-    res = []
+def _condition_rows(table: Sequence, field) -> list[list]:
+    """The 2*n^3 cocycle conditions on a table of ``field`` elements, as
+    rows over vec(theta) (index (i, j) -> i*n+j); all-zero rows are left
+    out."""
+    n = len(table)
+    c = table
+    rows = []
     for i in range(n):
         for j in range(n):
             for k in range(n):
-                r1 = sum(c[i][j][l] * th[l][k] - c[i][k][l] * th[l][j]
-                         for l in range(n))
-                r2 = sum(c[i][j][l] * th[l][k] - c[j][k][l] * th[i][l]
-                         - c[j][i][l] * th[l][k] + c[i][k][l] * th[j][l]
-                         for l in range(n))
-                res.append(sp.cancel(r1))
-                res.append(sp.cancel(r2))
-    return res
+                row = [field.zero] * (n * n)
+                for l in range(n):
+                    if c[i][j][l]:
+                        row[l * n + k] += c[i][j][l]
+                    if c[i][k][l]:
+                        row[l * n + j] -= c[i][k][l]
+                if any(row):
+                    rows.append(row)
+                row = [field.zero] * (n * n)
+                for l in range(n):
+                    if c[i][j][l] or c[j][i][l]:
+                        row[l * n + k] += c[i][j][l] - c[j][i][l]
+                    if c[j][k][l]:
+                        row[i * n + l] -= c[j][k][l]
+                    if c[i][k][l]:
+                        row[j * n + l] += c[i][k][l]
+                if any(row):
+                    rows.append(row)
+    return rows
 
 
 def is_cocycle(a: Algebra, theta: Cocycle) -> bool:
+    """Whether theta satisfies every cocycle condition, decided over the
+    field of the table and theta's entries."""
     if theta.algebra.dim != a.dim:
         raise CocycleError("dimension mismatch")
-    return all(r == 0 for r in cocycle_residuals(a, theta))
-
-
-def _condition_rows(a: Algebra) -> list[list[sp.Expr]]:
-    """Stacked cocycle conditions as rows over vec(theta), index (i,j) -> i*n+j."""
-    n = a.dim
-    c = a.table
-    rows = []
-
-    def blank():
-        return [sp.Integer(0)] * (n * n)
-
-    for i in range(n):
-        for j in range(n):
-            for k in range(n):
-                row = blank()
-                for l in range(n):
-                    row[l * n + k] += c[i][j][l]
-                    row[l * n + j] -= c[i][k][l]
-                if any(x != 0 for x in row):
-                    rows.append([sp.cancel(x) for x in row])
-                row = blank()
-                for l in range(n):
-                    row[l * n + k] += c[i][j][l] - c[j][i][l]
-                    row[i * n + l] -= c[j][k][l]
-                    row[j * n + l] += c[i][k][l]
-                if any(x != 0 for x in row):
-                    rows.append([sp.cancel(x) for x in row])
-    return rows
+    field, (table, matrix) = linalg.to_field(a.table, theta.matrix)
+    vec = [x for row in matrix for x in row]
+    return not any(sum((r * x for r, x in zip(row, vec) if r), field.zero)
+                   for row in _condition_rows(table, field))
 
 
 def coboundary_matrices(a: Algebra) -> list[Cocycle]:
@@ -232,26 +220,26 @@ class CocycleSpace:
 
 
 def cocycle_space(a: Algebra) -> CocycleSpace:
-    """Z^2, B^2 and deterministic H^2 representatives, exact and generic."""
+    """Z^2, B^2 and deterministic H^2 representatives, exact and generic.
+
+    B^2 is spanned by the independent coboundary slices, and the H^2
+    representatives are the Z^2 basis vectors outside the span of the
+    slices and of the Z^2 vectors before them: both are the pivot columns
+    of one elimination on (slices | Z^2 basis).
+    """
     n = a.dim
-    rows = _condition_rows(a)
-    z2_vecs = linalg.nullspace(rows, n * n)
-    b2_vecs: list[Vector] = []
-    for slice_c in coboundary_matrices(a):
-        v = slice_c.as_vector()
-        if any(x != 0 for x in v) and not linalg.in_span(b2_vecs, v):
-            b2_vecs.append(v)
-    reps: list[Vector] = []
-    span = list(b2_vecs)
-    for v in z2_vecs:
-        if not linalg.in_span(span, v):
-            span.append(v)
-            reps.append(v)
+    field, (table,) = linalg.to_field(a.table)
+    z2 = linalg.nullspace(_condition_rows(table, field), n * n, field)
+    slices = [[table[i][j][k] for i in range(n) for j in range(n)]
+              for k in range(n)]
+    chosen = linalg.independent_indices(slices + z2, field)
+    z2_vecs = [linalg.cleared_vector(field, v) for v in z2]
+    coboundaries = coboundary_matrices(a)
     return CocycleSpace(
         a,
         tuple(_vector_cocycle(a, v) for v in z2_vecs),
-        tuple(_vector_cocycle(a, v) for v in b2_vecs),
-        tuple(_vector_cocycle(a, v) for v in reps),
+        tuple(coboundaries[c] for c in chosen if c < n),
+        tuple(_vector_cocycle(a, z2_vecs[c - n]) for c in chosen if c >= n),
     )
 
 
@@ -373,21 +361,21 @@ def is_automorphism(a: Algebra, phi: Sequence[Sequence], at: Mapping | None = No
     """
     subs = scalars.subs_map(at)
     n = a.dim
-    p = [[sp.cancel(scalars.substitute(parse_scalar(x), subs)) for x in row]
-         for row in phi]
-    table = tuple(tuple(tuple(sp.cancel(scalars.substitute(x, subs)) for x in row)
-                        for row in plane) for plane in a.table)
-    if sp.cancel(linalg.det(p)) == 0:
+    field, (table, p) = linalg.to_field(
+        [[[scalars.substitute(x, subs) for x in row] for row in plane]
+         for plane in a.table],
+        [[scalars.substitute(parse_scalar(x), subs) for x in row] for row in phi])
+    if linalg.rank(p, field) < n:
         raise SingularMatrixError("singular matrix")
-    cols = [tuple(p[r][i] for r in range(n)) for i in range(n)]
+    cols = [[p[r][i] for r in range(n)] for i in range(n)]
     for i in range(n):
         for j in range(n):
-            lhs = multiply_table(table, cols[i], cols[j])
+            lhs = multiply_table(table, cols[i], cols[j], field)
             prod = table[i][j]
-            rhs = tuple(sp.cancel(sum(p[r][k] * prod[k] for k in range(n)))
-                        for r in range(n))
-            if any(sp.cancel(u - v) != 0 for u, v in zip(lhs, rhs)):
-                return False
+            for r in range(n):
+                rhs = sum((p[r][k] * prod[k] for k in range(n) if prod[k]), field.zero)
+                if lhs[r] - rhs:
+                    return False
     return True
 
 
@@ -507,10 +495,7 @@ def verify_action_formulas(case: ActionCase, samples: int = 20,
         conj = act_on_cocycle(inst, phi, theta, check=False)
 
         b2 = [c.as_vector() for c in coboundary_matrices(inst)]
-        b2_indep = []
-        for v in b2:
-            if any(x != 0 for x in v) and not linalg.in_span(b2_indep, v):
-                b2_indep.append(v)
+        b2_indep = [b2[c] for c in linalg.independent_indices(b2)]
         cols = b2_indep + [nm.as_vector() for nm in nabla_mats]
         system = [[cols[c][r] for c in range(len(cols))] for r in range(n * n)]
         sol = linalg.solve_right(system, list(conj.as_vector()))

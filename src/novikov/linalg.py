@@ -1,15 +1,24 @@
 """Deterministic exact linear algebra over rational-function scalars.
 
-Matrices are plain lists/tuples of sympy expressions drawn from the
-root-free fragment of :mod:`novikov.scalars` (the field Q(i)(params, t)).
-Each call converts its input once to a ``DomainMatrix`` over the smallest
-field that holds every entry (``QQ``, ``QQ_I`` or a fraction field such as
-``ZZ_I(alpha, lam)``), where elimination and determinants are exact without
-any per-step simplification.  Every entry handed back is put once into the
-canonical ``cancel`` form, so equal rational functions come out
-syntactically identical.  Pivots are the lowest-index nonzero columns and
-reduction is full, so the RREF, and every basis derived from it, is unique
-and reproducible bit-for-bit.
+Scalars are sympy expressions from the root-free fragment of
+:mod:`novikov.scalars` (the field Q(i)(params, t)).  :func:`to_field`
+converts any number of nested groups of them with one
+``construct_domain(..., field=True)`` call into elements of the smallest
+field that holds every entry: ``QQ``, ``QQ_I`` or a fraction field such as
+``ZZ_I(alpha, lam)``.  Sums, products and zero tests of those elements are
+exact without any simplification step, and :func:`to_expr` brings one back
+in canonical ``cancel`` form, so equal rational functions come out
+syntactically identical.
+
+:func:`rref`, :func:`rank`, :func:`nullspace`, :func:`invert` and
+:func:`independent_indices` take an optional ``field``.  Given one, the rows
+are already its elements and so is everything returned: callers that
+convert an algebra once pass its field and skip any further conversion.
+Without one, the entries are expressions, converted once per call, and the
+entries handed back are expressions in ``cancel`` form.  Every row
+reduction runs through :func:`rref` on a ``DomainMatrix``.  Pivots are the
+lowest-index nonzero columns and reduction is full, so the RREF, and every
+basis derived from it, is unique and reproducible bit-for-bit.
 """
 
 from __future__ import annotations
@@ -17,16 +26,20 @@ from __future__ import annotations
 from typing import Sequence
 
 import sympy as sp
+from sympy.polys.constructor import construct_domain
 from sympy.polys.matrices import DomainMatrix
 
 Vector = tuple[sp.Expr, ...]
-Matrix = list[list[sp.Expr]]
 
 __all__ = [
+    "to_field",
+    "to_expr",
+    "cleared_vector",
     "entry_is_zero",
     "rref",
     "rank",
     "nullspace",
+    "independent_indices",
     "solve_right",
     "invert",
     "det",
@@ -45,42 +58,47 @@ def entry_is_zero(e) -> bool:
     return _simp(e) == 0
 
 
-def _field_matrix(rows: Sequence[Sequence]) -> DomainMatrix:
-    rows = [list(row) for row in rows]
-    ncols = len(rows[0]) if rows else 0
-    return DomainMatrix.from_list_sympy(len(rows), ncols, rows).to_field()
+def to_field(*groups) -> tuple[object, list]:
+    """Convert nested lists/tuples of scalars into elements of one field.
+
+    One ``construct_domain(..., field=True)`` call covers every entry of
+    every group.  Returns the field and the groups, same nesting, as lists
+    of field elements.
+    """
+    flat: list = []
+
+    def collect(x):
+        if isinstance(x, (list, tuple)):
+            for y in x:
+                collect(y)
+        else:
+            flat.append(x)
+
+    for g in groups:
+        collect(g)
+    field, elems = construct_domain(flat, field=True)
+    it = iter(elems)
+
+    def rebuild(x):
+        return [rebuild(y) for y in x] if isinstance(x, (list, tuple)) else next(it)
+
+    return field, [rebuild(g) for g in groups]
 
 
-def _reduce(rows: Sequence[Sequence]) -> tuple[list[list], list[int], object]:
-    """RREF entries as field elements, pivot columns, and the field."""
-    red, pivots = _field_matrix(rows).rref()
-    return red.to_list(), list(pivots), red.domain
-
-
-def _expr(field, x) -> sp.Expr:
+def to_expr(field, x) -> sp.Expr:
+    """A field element as an expression in ``cancel`` form."""
     return sp.cancel(field.to_sympy(x))
 
 
-def rref(rows: Sequence[Sequence]) -> tuple[Matrix, list[int]]:
-    """Reduced row echelon form with lowest-index pivots.
-
-    Returns the reduced matrix and the list of pivot column indices.
-    """
-    red, pivots, field = _reduce(rows)
-    return [[_expr(field, x) for x in row] for row in red], pivots
-
-
-def rank(rows: Sequence[Sequence]) -> int:
-    return len(_reduce(rows)[1])
-
-
-def _cleared(vec: list) -> Vector:
-    """Scale a vector by the lcm of its coefficient denominators.
+def cleared_vector(field, vec: Sequence) -> Vector:
+    """A vector of field elements as expressions scaled by the lcm of their
+    denominators.
 
     Keeps generic nullspace bases polynomial in the parameters instead of
     carrying spurious 1/param factors from pivot normalization.
     """
-    denominators = [sp.fraction(_simp(x))[1] for x in vec if x != 0]
+    vec = [to_expr(field, x) for x in vec]
+    denominators = [sp.fraction(x)[1] for x in vec if x != 0]
     if not denominators:
         return tuple(vec)
     scale = sp.lcm(denominators)
@@ -89,55 +107,110 @@ def _cleared(vec: list) -> Vector:
     return tuple(_simp(x * scale) for x in vec)
 
 
-def nullspace(rows: Sequence[Sequence], ncols: int | None = None) -> list[Vector]:
-    """Basis of the right nullspace {x : rows @ x = 0}, deterministic order."""
-    rows = [list(r) for r in rows]
-    if not rows:
-        if ncols is None:
-            raise ValueError("ncols required for an empty system")
-        return [tuple(sp.Integer(1) if j == k else sp.Integer(0) for j in range(ncols))
-                for k in range(ncols)]
+def rref(rows: Sequence[Sequence], field=None) -> tuple[list[list], list[int]]:
+    """Reduced row echelon form with lowest-index pivots.
+
+    Returns the reduced matrix and the list of pivot column indices.  The
+    entries are elements of ``field`` when it is given (``rows`` must be
+    too), expressions in ``cancel`` form otherwise.
+    """
+    if field is None:
+        field, (rows,) = to_field(rows)
+        red, pivots = _rref(rows, field)
+        return [[to_expr(field, x) for x in row] for row in red], pivots
+    return _rref(rows, field)
+
+
+def _rref(rows: Sequence[Sequence], field) -> tuple[list[list], list[int]]:
+    # Built sparse: DomainMatrix reduces in sparse form whatever the input,
+    # and the systems here are mostly zeros.
+    ncols = len(rows[0]) if rows else 0
+    nonzero = {i: r for i, row in enumerate(rows)
+               if (r := {j: x for j, x in enumerate(row) if x})}
+    red, pivots = DomainMatrix(nonzero, (len(rows), ncols), field).rref()
+    return red.to_list(), list(pivots)
+
+
+def rank(rows: Sequence[Sequence], field=None) -> int:
+    if field is None:
+        field, (rows,) = to_field(rows)
+    return len(rref(rows, field)[1])
+
+
+def nullspace(rows: Sequence[Sequence], ncols: int | None = None,
+              field=None) -> list:
+    """Basis of the right nullspace {x : rows @ x = 0}, deterministic order.
+
+    With ``field``, the basis vectors are lists of its elements, one per
+    free column with a 1 there.  Without, they are expression tuples put
+    through :func:`cleared_vector`.
+    """
+    if field is None:
+        field, (rows,) = to_field(rows)
+        return [cleared_vector(field, v) for v in nullspace(rows, ncols, field)]
+    if not rows and ncols is None:
+        raise ValueError("ncols required for an empty system")
     ncols = ncols if ncols is not None else len(rows[0])
-    red, pivots, field = _reduce(rows)
-    free = [c for c in range(ncols) if c not in pivots]
+    red, pivots = rref(rows, field) if rows else ([], [])
     basis = []
-    for fc in free:
-        vec = [sp.Integer(0)] * ncols
-        vec[fc] = sp.Integer(1)
+    for fc in (c for c in range(ncols) if c not in pivots):
+        vec = [field.zero] * ncols
+        vec[fc] = field.one
         for r, pc in enumerate(pivots):
-            vec[pc] = _expr(field, -red[r][fc])
-        basis.append(_cleared(vec))
+            vec[pc] = -red[r][fc]
+        basis.append(vec)
     return basis
+
+
+def independent_indices(vectors: Sequence[Sequence], field=None) -> list[int]:
+    """Indices of the vectors not in the span of the vectors before them.
+
+    These are the pivot columns of the matrix whose columns are the
+    vectors, so zero vectors are never chosen.
+    """
+    if not vectors:
+        return []
+    if field is None:
+        field, (vectors,) = to_field(vectors)
+    columns = [[v[r] for v in vectors] for r in range(len(vectors[0]))]
+    return rref(columns, field)[1] if columns else []
 
 
 def solve_right(a_rows: Sequence[Sequence], b: Sequence) -> Vector | None:
     """One solution x of A x = b, or None if inconsistent."""
     nrows = len(a_rows)
     ncols = len(a_rows[0]) if nrows else 0
-    aug = [list(row) + [bv] for row, bv in zip(a_rows, b)]
-    red, pivots, field = _reduce(aug)
+    field, (aug,) = to_field([list(row) + [bv] for row, bv in zip(a_rows, b)])
+    red, pivots = rref(aug, field)
     if ncols in pivots:
         return None
     x = [sp.Integer(0)] * ncols
     for r, pc in enumerate(pivots):
-        x[pc] = _expr(field, red[r][ncols])
+        x[pc] = to_expr(field, red[r][ncols])
     return tuple(x)
 
 
-def invert(m_rows: Sequence[Sequence]) -> Matrix | None:
-    """Inverse matrix, or None if singular."""
+def invert(m_rows: Sequence[Sequence], field=None) -> list | None:
+    """Inverse matrix, or None if singular.  Entries are elements of
+    ``field`` when it is given, expressions in ``cancel`` form otherwise."""
+    if field is None:
+        field, (m_rows,) = to_field(m_rows)
+        inv = invert(m_rows, field)
+        return None if inv is None else [[to_expr(field, x) for x in row]
+                                         for row in inv]
     n = len(m_rows)
-    aug = [list(row) + [sp.Integer(1) if j == i else sp.Integer(0) for j in range(n)]
+    aug = [list(row) + [field.one if j == i else field.zero for j in range(n)]
            for i, row in enumerate(m_rows)]
-    red, pivots, field = _reduce(aug)
+    red, pivots = rref(aug, field)
     if pivots != list(range(n)):
         return None
-    return [[_expr(field, x) for x in row[n:]] for row in red]
+    return [row[n:] for row in red]
 
 
 def det(m_rows: Sequence[Sequence]) -> sp.Expr:
-    m = _field_matrix(m_rows)
-    return _expr(m.domain, m.det())
+    field, (rows,) = to_field(m_rows)
+    n = len(rows)
+    return to_expr(field, DomainMatrix(rows, (n, n), field).det())
 
 
 def span_rank(vectors: Sequence[Sequence]) -> int:
@@ -147,8 +220,8 @@ def span_rank(vectors: Sequence[Sequence]) -> int:
 def in_span(vectors: Sequence[Sequence], v: Sequence) -> bool:
     if not vectors:
         return all(entry_is_zero(x) for x in v)
-    base = span_rank(vectors)
-    return span_rank(list(vectors) + [list(v)]) == base
+    field, (vectors, v) = to_field(vectors, v)
+    return rank(vectors + [v], field) == rank(vectors, field)
 
 
 def subspace_equal(u_vectors: Sequence[Sequence], v_vectors: Sequence[Sequence]) -> bool:
@@ -179,8 +252,4 @@ def subspace_intersection(u_vectors: Sequence[Sequence],
                 vec = [_simp(x + combo[i] * u) for x, u in zip(vec, u_vectors[i])]
         points.append(tuple(vec))
     # The combination vectors are independent but their U-parts may not be.
-    independent: list[Vector] = []
-    for p in points:
-        if not all(entry_is_zero(x) for x in p) and not in_span(independent, p):
-            independent.append(p)
-    return independent
+    return [points[i] for i in independent_indices(points)]

@@ -60,6 +60,14 @@ def table(dim, products):
     return tbl
 
 
+def random_products(rng, n):
+    """Seeded sparse 1-based products (i, j, k, coeff) of an n-dim table
+    with small rational coefficients, about a fifth of them nonzero."""
+    return [(i, j, k, Fraction(rng.choice((-2, -1, 1, 3)), rng.choice((1, 2))))
+            for i in range(1, n + 1) for j in range(1, n + 1)
+            for k in range(1, n + 1) if rng.random() < 0.2]
+
+
 def mult(tbl, x, y):
     n = len(tbl)
     out = [Fraction(0)] * n
@@ -106,9 +114,9 @@ def derived_dims(tbl):
     return dims
 
 
-def cocycle_space_dims(tbl):
-    """(dim Z2, dim B2) by literally expanding the two defining conditions
-    on every basis triple and row-reducing."""
+def _cocycle_rows(tbl):
+    """The two defining conditions on every basis triple, as rows over
+    vec(theta)."""
     n = len(tbl)
     rows = []
     for i, j, k in product(range(n), repeat=3):
@@ -121,11 +129,28 @@ def cocycle_space_dims(tbl):
             row2[i * n + l] -= tbl[j][k][l]
             row2[j * n + l] += tbl[i][k][l]
         rows.extend([row1, row2])
-    z2 = len(nullspace_frac(rows, n * n))
-    slices = [[tbl[i][j][k] for i in range(n) for j in range(n)]
-              for k in range(n)]
-    b2 = rank_frac([s for s in slices if any(s)])
+    return rows
+
+
+def _slices(tbl):
+    n = len(tbl)
+    return [[tbl[i][j][k] for i in range(n) for j in range(n)] for k in range(n)]
+
+
+def cocycle_space_dims(tbl):
+    """(dim Z2, dim B2) by literally expanding the two defining conditions
+    on every basis triple and row-reducing."""
+    z2 = len(nullspace_frac(_cocycle_rows(tbl), len(tbl) ** 2))
+    b2 = rank_frac([s for s in _slices(tbl) if any(s)])
     return z2, b2
+
+
+def h2_rep_count(tbl):
+    """Number of Z2 basis vectors outside B2: dim(Z2 + B2) - dim B2.  It is
+    dim Z2 - dim B2 when B2 lies in Z2, as it does for Novikov tables."""
+    z2 = nullspace_frac(_cocycle_rows(tbl), len(tbl) ** 2)
+    slices = [s for s in _slices(tbl) if any(s)]
+    return rank_frac(z2 + slices) - rank_frac(slices)
 
 
 def derivation_dim_frac(tbl):

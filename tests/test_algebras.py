@@ -8,15 +8,18 @@ import pytest
 import sympy as sp
 
 from novikov import algebras as alg
-from novikov.algebras import (AlgebraError, ConstraintViolation, algebra,
+from novikov import linalg
+from novikov.algebras import (Algebra, AlgebraError, ConstraintViolation, algebra,
                               algebra_from_json, algebra_to_json,
                               annihilator_basis, basis_vector, change_basis_table,
                               check_identities, derivation_dim,
                               derived_power_dims, invariant_profile, multiply,
                               parse_vector, substitute, vector_str, zero_vector)
 from novikov.catalog import _admissible_samples
+from novikov.cohomology import cocycle_space
+from novikov.scalars import random_rational
 from oracle import (annihilator_dim, derivation_dim_frac, derived_dims,
-                    identity_flags, table)
+                    identity_flags, random_products, table)
 
 
 def e(n, i):
@@ -49,6 +52,19 @@ def test_multiply_is_bilinear(cat):
 def test_multiply_dimension_mismatch(cat):
     with pytest.raises(AlgebraError):
         multiply(cat.get("N4_01"), (sp.Integer(1),), e(4, 1))
+
+
+def test_multiply_returns_cancel_form(cat):
+    # Products of rational functions come back as expressions already in
+    # canonical cancel form, however the inputs were written.
+    lam = sp.Symbol("lam")
+    a = cat.get("N4_22")
+    x = (1 / (lam + 1), lam, (lam ** 2 - 1) / (lam - 1), sp.Integer(0))
+    y = (lam, sp.Rational(1, 2) + 1 / lam, sp.Integer(1), sp.Integer(0))
+    got = multiply(a, x, y)
+    assert any(c != 0 for c in got)
+    for c in got:
+        assert isinstance(c, sp.Expr) and c == sp.cancel(c)
 
 
 # ---------------------------------------------------------------------------
@@ -109,6 +125,18 @@ def test_identities_match_oracle_on_random_tables():
         assert flags == identity_flags(table(n, products)), products
         seen.add(flags)
     assert len(seen) >= 3  # the draws exercise failing identities too
+
+
+def test_profile_matches_oracle_on_random_tables():
+    rng = random.Random(11)
+    for idx in range(40):
+        n = rng.choice((2, 3))
+        products = random_products(rng, n)
+        a = algebra(f"random_{idx}", n, [(i, j, k, str(c)) for i, j, k, c in products])
+        tbl = table(n, products)
+        assert derived_power_dims(a) == derived_dims(tbl), products
+        assert derivation_dim(a) == derivation_dim_frac(tbl), products
+        assert len(annihilator_basis(a)) == annihilator_dim(tbl), products
 
 
 # ---------------------------------------------------------------------------
@@ -258,6 +286,27 @@ def test_change_basis_singular_rejected(cat):
     with pytest.raises(AlgebraError):
         change_basis_table(a.table, [(sp.Integer(1), sp.Integer(1)),
                                      (sp.Integer(2), sp.Integer(2))])
+
+
+def _random_invertible_rows(rng, n):
+    while True:
+        rows = [[random_rational(rng) for _ in range(n)] for _ in range(n)]
+        if linalg.det(rows) != 0:
+            return rows
+
+
+def test_invariants_survive_random_change_of_basis(cat):
+    # The invariant profile (derivation dim included) and the Z2/B2/H2 dims
+    # are isomorphism invariants: a random invertible rational basis change
+    # of every catalog algebra, at an admissible point, must keep them.
+    rng = random.Random(20261018)
+    for entry in cat.entries.values():
+        [assign] = _admissible_samples(entry, rng, 1)
+        a = substitute(entry.algebra, assign) if assign else entry.algebra
+        rows = _random_invertible_rows(rng, a.dim)
+        b = Algebra(a.name + "'", a.dim, (), change_basis_table(a.table, rows))
+        assert invariant_profile(b) == invariant_profile(a), (entry.name, rows)
+        assert cocycle_space(b).dims == cocycle_space(a).dims, (entry.name, rows)
 
 
 # ---------------------------------------------------------------------------

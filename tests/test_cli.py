@@ -73,9 +73,8 @@ def test_extend_rejects_non_cocycle(capsys):
 
 
 def test_extend_s_mismatch(capsys):
-    code, _, err = run(capsys, "extend", "N3s_01", "--cocycle", "D12+D31",
-                       "--s", "2")
-    assert code == 2
+    assert_usage_error(*run(capsys, "extend", "N3s_01", "--cocycle", "D12+D31",
+                            "--s", "2"), "--s 2 but 1 cocycles given")
 
 
 def test_split_roundtrip(capsys):
@@ -89,8 +88,18 @@ def test_degenerate_single_row(capsys):
 
 
 def test_degenerate_unknown_row(capsys):
-    code, _, err = run(capsys, "degenerate", "verify", "--row", "B99")
-    assert code == 2
+    assert_usage_error(*run(capsys, "degenerate", "verify", "--row", "B99"),
+                       "unknown row 'B99'")
+
+
+def test_degenerate_without_row_or_all(capsys):
+    assert_usage_error(*run(capsys, "degenerate", "verify"),
+                       "need --row ID or --all")
+
+
+def test_cohomology_golden_without_golden_row(capsys):
+    assert_usage_error(*run(capsys, "cohomology", "N4_01", "--golden"),
+                       "no golden data for N4_01")
 
 
 def test_degenerate_reports_fallback(capsys):

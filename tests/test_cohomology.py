@@ -7,7 +7,8 @@ from dataclasses import replace
 import pytest
 import sympy as sp
 
-from novikov.algebras import (annihilator_basis, basis_vector, change_basis_table,
+from novikov.algebras import (algebra, annihilator_basis, basis_vector,
+                              change_basis_table,
                               check_identities, multiply, substitute,
                               zero_vector)
 from novikov.cohomology import (CocycleError, NotAutomorphismError,
@@ -19,7 +20,7 @@ from novikov.cohomology import (CocycleError, NotAutomorphismError,
                                 is_cocycle, split_central_extension,
                                 verify_action_formulas)
 from novikov.linalg import in_span, subspace_equal
-from oracle import cocycle_space_dims, table
+from oracle import cocycle_space_dims, h2_rep_count, random_products, table
 
 
 def vec(*xs):
@@ -81,6 +82,38 @@ def test_rank_nullity_on_golden_rows(cat):
         z2_vecs = [c.as_vector() for c in space.z2_basis]
         for b in space.b2_basis:
             assert in_span(z2_vecs, b.as_vector())
+
+
+def test_cocycle_space_dims_match_oracle_on_random_tables():
+    rng = random.Random(12)
+    for idx in range(40):
+        n = rng.choice((2, 3))
+        products = random_products(rng, n)
+        a = algebra(f"random_{idx}", n, [(i, j, k, str(c)) for i, j, k, c in products])
+        tbl = table(n, products)
+        z2, b2 = cocycle_space_dims(tbl)
+        assert cocycle_space(a).dims == (z2, b2, h2_rep_count(tbl)), products
+
+
+def test_b2_and_h2_choice_is_greedy_selection(cat):
+    # B2: each nonzero coboundary slice not in the span of those kept before
+    # it; H2: each Z2 basis vector not in the span of B2 and the
+    # representatives kept before it.
+    assert len(cat.entries) == 38
+    for name in cat.entries:
+        a = cat.get(name)
+        space = cocycle_space(a)
+        b2, reps = [], []
+        for c in coboundary_matrices(a):
+            v = c.as_vector()
+            if any(x != 0 for x in v) and not in_span(b2, v):
+                b2.append(v)
+        for c in space.z2_basis:
+            v = c.as_vector()
+            if not in_span(b2 + reps, v):
+                reps.append(v)
+        assert [c.as_vector() for c in space.b2_basis] == b2, name
+        assert [c.as_vector() for c in space.h2_reps] == reps, name
 
 
 def test_every_z2_basis_element_passes_is_cocycle(cat):

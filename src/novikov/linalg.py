@@ -173,7 +173,7 @@ def independent_indices(vectors: Sequence[Sequence], field=None) -> list[int]:
     if field is None:
         field, (vectors,) = to_field(vectors)
     columns = [[v[r] for v in vectors] for r in range(len(vectors[0]))]
-    return rref(columns, field)[1] if columns else []
+    return rref(columns, field)[1]
 
 
 def solve_right(a_rows: Sequence[Sequence], b: Sequence) -> Vector | None:

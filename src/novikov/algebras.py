@@ -283,22 +283,34 @@ def change_basis_table(table: Sequence, rows: Sequence[Sequence]) -> Table:
 
     Requires ``rows`` invertible over the scalar field.
     """
+    field, new, _ = _change_basis(table, rows)
+    if new is None:
+        raise AlgebraError("singular basis matrix")
+    return tuple(tuple(tuple(linalg.to_expr(field, x) for x in row) for row in plane)
+                 for plane in new)
+
+
+def _change_basis(table: Sequence, rows: Sequence[Sequence], *groups):
+    """:func:`change_basis_table` on field elements.
+
+    Converts ``table``, ``rows`` and any further ``groups`` of scalars into
+    one field and returns it, the new constants as its elements (``None``
+    when ``rows`` is singular) and the groups converted.
+    """
     n = len(table)
-    field, (tbl, rows) = linalg.to_field(table, rows)
+    field, (tbl, rows, *groups) = linalg.to_field(table, rows, *groups)
     inv = linalg.invert(rows, field)
     if inv is None:
-        raise AlgebraError("singular basis matrix")
+        return field, None, groups
     new = []
     for i in range(n):
         plane = []
         for j in range(n):
             v = multiply_table(tbl, rows[i], rows[j], field)
-            plane.append(tuple(
-                linalg.to_expr(field, sum((v[l] * inv[l][k] for l in range(n) if v[l]),
-                                          field.zero))
-                for k in range(n)))
-        new.append(tuple(plane))
-    return tuple(new)
+            plane.append([sum((v[l] * inv[l][k] for l in range(n) if v[l]), field.zero)
+                          for k in range(n)])
+        new.append(plane)
+    return field, new, groups
 
 
 # ---------------------------------------------------------------------------
@@ -430,11 +442,16 @@ def substitute(a: Algebra, at: Mapping, name: str | None = None) -> Algebra:
         if sp.cancel(scalars.substitute(cons, subs)) == 0:
             raise ConstraintViolation(
                 f"constraint violated: {grammar_str(cons)} = 0 for {a.name}")
-    table = tuple(tuple(tuple(sp.cancel(scalars.substitute(x, subs)) for x in row)
+    table = tuple(tuple(tuple(_cancelled(scalars.substitute(x, subs)) for x in row)
                         for row in plane) for plane in a.table)
     label = name or (a.name + "(" + ", ".join(
         f"{p}={grammar_str(subs[p])}" for p in a.params) + ")" if a.params else a.name)
     return Algebra(label, a.dim, (), table, ())
+
+
+def _cancelled(x: sp.Expr) -> sp.Expr:
+    # A Rational is already in cancel form; most values at a rational point are.
+    return x if x.is_Rational else sp.cancel(x)
 
 
 def instantiate_table(a: Algebra, at: Mapping) -> Table:

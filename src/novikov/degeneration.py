@@ -26,7 +26,7 @@ import mpmath
 import sympy as sp
 
 from . import linalg, scalars
-from .algebras import (AlgebraError, change_basis_table, derivation_dim,
+from .algebras import (AlgebraError, _change_basis, derivation_dim,
                        instantiate_table)
 from .catalog import Catalog, load as load_catalog
 from .scalars import (T, NumericDivisionError, grammar_str, is_root_free,
@@ -223,36 +223,45 @@ def verify_exact(w: DegenerationWitness,
     n = len(table)
     rows = [[parse_scalar(x) for x in row] for row in w.basis]
     report = WitnessReport(w.id, source_name, w.target, "exact", True, note=w.note)
-    if sp.cancel(linalg.det(rows)) == 0:
+    target = _target_table(cat, w)
+    K, new_table, (target_k,) = _change_basis(table, rows, target)
+    if new_table is None:
         report.passed = False
         report.failures.append({"problem": "basis matrix singular as an expression"})
         return report
-    new_table = change_basis_table(table, rows)
-    target = _target_table(cat, w)
-    at_zero = {T: sp.Integer(0)}
     for i in range(n):
         for j in range(n):
             for k in range(n):
-                r = sp.cancel(new_table[i][j][k])
-                num, den = sp.fraction(r)
-                den0 = sp.cancel(scalars.substitute(den, at_zero))
-                if den0 == 0:
+                r = new_table[i][j][k]
+                limit = _value_at_zero(K, r)
+                if limit is None:
                     report.passed = False
                     report.failures.append({
                         "at": [i + 1, j + 1, k + 1],
                         "problem": "pole at t = 0",
-                        "value": grammar_str(r)})
-                    continue
-                limit = sp.cancel(scalars.substitute(num, at_zero) / den0)
-                diff = sp.cancel(limit - target[i][j][k])
-                if diff != 0:
+                        "value": grammar_str(linalg.to_expr(K, r))})
+                elif limit - target_k[i][j][k]:
                     report.passed = False
                     report.failures.append({
                         "at": [i + 1, j + 1, k + 1],
                         "problem": "limit differs from target",
-                        "limit": grammar_str(limit),
+                        "limit": grammar_str(linalg.to_expr(K, limit)),
                         "target": grammar_str(target[i][j][k])})
     return report
+
+
+def _value_at_zero(K, x):
+    """A field element at t = 0, or None if it has a pole there.
+
+    Elements of a fraction field are reduced, so the pole test is the
+    denominator vanishing at t = 0."""
+    if not K.is_FractionField or T not in K.symbols:
+        return x
+    t = K.field.ring.gens[K.symbols.index(T)]
+    den = x.denom.subs(t, 0)
+    if not den:
+        return None
+    return K.field.new(x.numer.subs(t, 0), den)
 
 
 # ---------------------------------------------------------------------------
@@ -296,6 +305,21 @@ def _num(e: sp.Expr, digits: int) -> mpmath.mpc:
     return mpmath.mpc(to_mpf(re_part), to_mpf(im_part))
 
 
+def _num_all(nested: Sequence, subs: Mapping, digits: int) -> list:
+    """Nested lists of expressions at ``subs`` as mpmath numbers, same
+    nesting, each distinct expression evaluated once."""
+    values: dict[sp.Expr, mpmath.mpc] = {}
+
+    def convert(x):
+        if isinstance(x, (list, tuple)):
+            return [convert(y) for y in x]
+        if x not in values:
+            values[x] = _num(scalars.substitute(x, subs), digits)
+        return values[x]
+
+    return convert(nested)
+
+
 def verify_numeric(w: DegenerationWitness, catalog: Catalog | None = None,
                    schedule: Sequence = DEFAULT_SCHEDULE,
                    digits: int = DEFAULT_DIGITS, samples: int = 3,
@@ -326,54 +350,48 @@ def verify_numeric(w: DegenerationWitness, catalog: Catalog | None = None,
             assign = _sample_assignment(w, cat, rng) if syms else {}
             report.samples.append({str(k): grammar_str(v)
                                    for k, v in sorted(assign.items(), key=str)})
-            target_num = [[[_num(scalars.substitute(target[i][j][k], assign), digits)
-                            for k in range(n)] for j in range(n)]
-                          for i in range(n)]
+            target_num = _num_all(target, assign, digits)
             residuals: dict[tuple, list] = {}
             for t_val in schedule:
                 subs = dict(assign)
                 subs[T] = t_val
-                raw = [[_num(scalars.substitute(x, subs), digits) for x in row]
-                       for row in basis_rows]
+                raw = _num_all(basis_rows, subs, digits)
                 # Row-scale the basis: Laurent rows span hundreds of orders
                 # of magnitude at the final t, which would otherwise wreck
                 # the LU solve.  E_i = s_i * Ehat_i rescales the conjugated
                 # constants by the exact factor s_i s_j / s_k.
                 scales = [max((mpmath.fabs(x) for x in row), default=0)
                           for row in raw]
-                if any(s == 0 for s in scales):
+                lu = None
+                if all(s != 0 for s in scales):
+                    b_num = [[x / s for x in row] for row, s in zip(raw, scales)]
+                    c_num = _num_all(table, subs, digits)
+                    # One factorisation serves all n^2 right-hand sides, at
+                    # the 10 extra bits mpmath.lu_solve factors and solves at.
+                    with mpmath.mp.extraprec(10):
+                        try:
+                            lu, perm = mpmath.mp.LU_decomp(mpmath.matrix(b_num).T)
+                        except ZeroDivisionError:
+                            pass
+                if lu is None:
                     report.passed = False
                     report.failures.append({
                         "problem": "basis numerically singular",
                         "t": str(t_val)})
                     continue
-                b_num = mpmath.matrix([[x / s for x in row]
-                                       for row, s in zip(raw, scales)])
-                c_num = [[[_num(scalars.substitute(table[i][j][k], subs), digits)
-                           for k in range(n)] for j in range(n)]
-                         for i in range(n)]
-                b_t = b_num.T
-                try:
-                    mpmath.lu_solve(b_t, mpmath.matrix([mpmath.mpc(0)] * n))
-                except ZeroDivisionError:
-                    report.passed = False
-                    report.failures.append({
-                        "problem": "basis numerically singular",
-                        "t": str(t_val)})
-                    continue
+                support = [[(p, x) for p, x in enumerate(row) if x != 0]
+                           for row in b_num]
                 for i in range(n):
                     for j in range(n):
                         prod = [mpmath.mpc(0)] * n
-                        for p in range(n):
-                            if b_num[i, p] == 0:
-                                continue
-                            for q in range(n):
-                                if b_num[j, q] == 0:
-                                    continue
-                                f = b_num[i, p] * b_num[j, q]
+                        for p, bip in support[i]:
+                            for q, bjq in support[j]:
+                                f = bip * bjq
                                 for k in range(n):
                                     prod[k] += f * c_num[p][q][k]
-                        x = mpmath.lu_solve(b_t, mpmath.matrix(prod))
+                        with mpmath.mp.extraprec(10):
+                            x = mpmath.mp.U_solve(
+                                lu, mpmath.mp.L_solve(lu, mpmath.matrix(prod), perm))
                         for k in range(n):
                             value = x[k] * scales[i] * scales[j] / scales[k]
                             res = mpmath.fabs(value - target_num[i][j][k])

@@ -61,26 +61,26 @@ def entry_is_zero(e) -> bool:
 def to_field(*groups) -> tuple[object, list]:
     """Convert nested lists/tuples of scalars into elements of one field.
 
-    One ``construct_domain(..., field=True)`` call covers every entry of
-    every group.  Returns the field and the groups, same nesting, as lists
-    of field elements.
+    One ``construct_domain(..., field=True)`` call covers every distinct
+    entry of every group.  Returns the field and the groups, same nesting,
+    as lists of field elements.
     """
-    flat: list = []
+    index: dict = {}
 
     def collect(x):
         if isinstance(x, (list, tuple)):
             for y in x:
                 collect(y)
         else:
-            flat.append(x)
+            index.setdefault(x, len(index))
 
     for g in groups:
         collect(g)
-    field, elems = construct_domain(flat, field=True)
-    it = iter(elems)
+    field, elems = construct_domain(list(index), field=True)
 
     def rebuild(x):
-        return [rebuild(y) for y in x] if isinstance(x, (list, tuple)) else next(it)
+        return ([rebuild(y) for y in x] if isinstance(x, (list, tuple))
+                else elems[index[x]])
 
     return field, [rebuild(g) for g in groups]
 
@@ -95,16 +95,29 @@ def cleared_vector(field, vec: Sequence) -> Vector:
     denominators.
 
     Keeps generic nullspace bases polynomial in the parameters instead of
-    carrying spurious 1/param factors from pivot normalization.
+    carrying spurious 1/param factors from pivot normalization.  The scale
+    is computed on the elements and each entry is converted once.
     """
-    vec = [to_expr(field, x) for x in vec]
-    denominators = [sp.fraction(x)[1] for x in vec if x != 0]
-    if not denominators:
-        return tuple(vec)
-    scale = sp.lcm(denominators)
-    if scale == 1:
-        return tuple(vec)
-    return tuple(_simp(x * scale) for x in vec)
+    ring = field.get_ring()
+    scale = ring.one
+    for x in vec:
+        if x:
+            scale = ring.lcm(scale, _written_denominator(field, x))
+    if scale != ring.one:
+        factor = field.convert_from(scale, ring)
+        vec = [x * factor for x in vec]
+    return tuple(to_expr(field, x) for x in vec)
+
+
+def _written_denominator(field, x):
+    # The denominator sympy.fraction reads off the cancel form of x: a
+    # constant denominator under a sum is spread over the sum's
+    # coefficients, and then reads as 1.
+    den = field.denom(x)
+    constant = not field.is_FractionField or den.is_ground
+    if constant and den != 1 and field.get_ring().to_sympy(field.numer(x)).is_Add:
+        return field.get_ring().one
+    return den
 
 
 def rref(rows: Sequence[Sequence], field=None) -> tuple[list[list], list[int]]:

@@ -35,6 +35,7 @@ from __future__ import annotations
 
 import random
 import re
+from functools import lru_cache
 from typing import Mapping, Union
 
 import sympy as sp
@@ -220,7 +221,14 @@ def parse_scalar(text: ScalarLike) -> sp.Expr:
         return text
     if isinstance(text, int):
         return sp.Integer(text)
-    return _Parser(str(text)).parse()
+    return _parse_text(str(text))
+
+
+@lru_cache(maxsize=4096)
+def _parse_text(text: str) -> sp.Expr:
+    # Data files and reports repeat the same few strings thousands of times;
+    # expressions are immutable, so one parse serves every caller.
+    return _Parser(text).parse()
 
 
 # ---------------------------------------------------------------------------

@@ -4,7 +4,6 @@ import random
 import time
 
 import pytest
-import sympy as sp
 
 from novikov.algebras import (AlgebraError, ConstraintViolation, algebra,
                               annihilator_basis, check_identities,

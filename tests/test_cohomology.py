@@ -8,9 +8,7 @@ import pytest
 import sympy as sp
 
 from novikov.algebras import (algebra, annihilator_basis, basis_vector,
-                              change_basis_table,
-                              check_identities, multiply, substitute,
-                              zero_vector)
+                              change_basis_table, check_identities)
 from novikov.cohomology import (CocycleError, NotAutomorphismError,
                                 SingularMatrixError, act_on_cocycle,
                                 central_extension, coboundary_matrices, cocycle,

@@ -1,7 +1,9 @@
 """Degeneration witness verification: both tiers, the fallback protocol, the
 necessary condition, transitivity, and the reachability report."""
 
+import json
 import random
+from pathlib import Path
 
 import mpmath
 import pytest
@@ -9,11 +11,11 @@ import sympy as sp
 
 from novikov.algebras import change_basis_table
 from novikov.catalog import load
-from novikov.degeneration import (DegenerationWitness,
+from novikov.degeneration import (DEFAULT_SCHEDULE, DegenerationWitness,
                                   TierError, apply_fallback, build_reachability,
                                   check_necessary, detect_tier, free_symbols_of,
                                   load_witnesses, verify_all, verify_exact,
-                                  verify_numeric, verify_witness,
+                                  verify_numeric,
                                   witness_from_json, witness_to_json)
 from novikov.scalars import T, parse_scalar
 
@@ -183,6 +185,40 @@ def test_scaled_identity_residual_at_noise_floor(cat):
     rep = verify_numeric(w, cat, digits=60)
     assert rep.passed
     assert mpmath.mpf(rep.max_residual) < mpmath.mpf(10) ** -30
+
+
+#: verify_numeric(...).to_dict() of the radical-bearing rows at the default
+#: schedule, digits, samples and seed; "B24" is its literal row.
+NUMERIC_PINS = json.loads(
+    (Path(__file__).parent / "numeric_tier_pins.json").read_text())
+
+
+@pytest.mark.parametrize("key", sorted(NUMERIC_PINS))
+def test_numeric_tier_reports_are_pinned(cat, rows, key):
+    wid, _, form = key.partition(" ")
+    w = apply_fallback(rows[wid]) if form == "fallback" else rows[wid]
+    assert verify_numeric(w, cat).to_dict() == NUMERIC_PINS[key]
+
+
+@pytest.mark.parametrize("basis", [
+    # a zero row: its scale is 0
+    [["root(2,t)", "0", "0", "0"], ["0", "0", "0", "0"],
+     ["0", "0", "1", "0"], ["0", "0", "0", "1"]],
+    # two equal rows: the LU factorisation finds no pivot
+    [["root(2,t)", "0", "0", "0"], ["root(2,t)", "0", "0", "0"],
+     ["0", "0", "1", "0"], ["0", "0", "0", "1"]],
+])
+def test_numeric_tier_rejects_singular_basis(cat, basis):
+    w = witness_from_json({
+        "id": "sing", "source": "N4_01", "source_params": {},
+        "target": "N4_01", "target_params": {}, "tier": "numeric",
+        "basis": basis})
+    rep = verify_numeric(w, cat)
+    assert not rep.passed
+    assert [f["problem"] for f in rep.failures] == \
+        ["basis numerically singular"] * 5
+    assert [f["t"] for f in rep.failures] == \
+        [str(t) for t in DEFAULT_SCHEDULE]
 
 
 # ---------------------------------------------------------------------------

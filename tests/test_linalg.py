@@ -182,3 +182,32 @@ def test_det_gaussian(m):
 @given(_matrices(_lam_fn, square=True))
 def test_det_rational_functions(m):
     _check_det(m)
+
+
+# ---------------------------------------------------------------------------
+# cleared_vector against the expression-based reference
+# ---------------------------------------------------------------------------
+
+def _cleared_reference(vec):
+    """Each entry in cancel form, all scaled by the lcm of the denominators
+    sympy.fraction reads off them."""
+    vec = [sp.cancel(x) for x in vec]
+    denominators = [sp.fraction(x)[1] for x in vec if x != 0]
+    scale = sp.lcm(denominators) if denominators else 1
+    return tuple(vec) if scale == 1 else tuple(sp.cancel(x * scale) for x in vec)
+
+
+_rational = st.builds(sp.Rational, _small, st.integers(1, 6))
+# a constant denominator under a sum: cancel spreads it over the terms
+_lam_poly = st.builds(lambda c0, c1, d: (c0 + c1 * lam) / d,
+                      _small, _small, st.integers(1, 4))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.one_of(
+    st.lists(_rational, min_size=1, max_size=5),
+    st.lists(_gauss, min_size=1, max_size=5),
+    st.lists(st.one_of(_rational, _lam_fn, _lam_poly), min_size=1, max_size=5)))
+def test_cleared_vector_matches_expression_reference(vec):
+    field, (elems,) = linalg.to_field(vec)
+    assert linalg.cleared_vector(field, elems) == _cleared_reference(vec)

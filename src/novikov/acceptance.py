@@ -2,10 +2,11 @@
 
 Each criterion function returns a :class:`CriterionResult`; ``run_all``
 executes them in order, sharing the Table-B verification reports between the
-witness, necessary-condition and reachability suites.  Tolerances are fixed
-here and nowhere else: exact tiers are zero-tolerance, the numeric tier uses
-the default schedule down to t = 10^-30 at 120 digits with a final residual
-bound of 1e-8.
+witness, necessary-condition and reachability suites.  Exact tiers are
+zero-tolerance.  The numeric tier's settings are fixed in
+:mod:`novikov.degeneration` and cannot be overridden: ``DEFAULT_SCHEDULE``
+down to t = 10^-30, ``DEFAULT_DIGITS`` (120) and ``RESIDUAL_TOLERANCE``
+(1e-8) on the final residual.
 """
 
 from __future__ import annotations
@@ -222,16 +223,15 @@ def criterion_derivation_dims(cat: Catalog | None = None, samples: int = 5,
         time.time() - t0)
 
 
-def criterion_table_b(cat: Catalog | None = None, digits: int = DEFAULT_DIGITS,
-                      samples: int = 3, seed: int = 20260810
+def criterion_table_b(cat: Catalog | None = None, samples: int = 3,
+                      seed: int = 20260810
                       ) -> tuple[CriterionResult, list[WitnessReport]]:
     """6: all 24 degeneration rows verify (exact tier zero-tolerance, numeric
     tier at the fixed schedule/precision), with defective literal rows
     verified through their recorded corrections."""
     t0 = time.time()
     cat = cat or load_catalog()
-    reports = verify_all(cat, schedule=DEFAULT_SCHEDULE, digits=digits,
-                         samples=samples, seed=seed)
+    reports = verify_all(cat, samples=samples, seed=seed)
     failures = [{"id": r.id, "failures": r.failures[:3]} for r in reports
                 if not r.passed]
     detail_rows = []
@@ -249,7 +249,7 @@ def criterion_table_b(cat: Catalog | None = None, digits: int = DEFAULT_DIGITS,
     result = CriterionResult(
         6, "degeneration witness table (24 rows)", not failures,
         {"rows": detail_rows, "failures": failures,
-         "digits": digits, "final_t": str(DEFAULT_SCHEDULE[-1]),
+         "digits": DEFAULT_DIGITS, "final_t": str(DEFAULT_SCHEDULE[-1]),
          "tolerance": "1e-8"},
         time.time() - t0)
     return result, reports
@@ -296,8 +296,7 @@ def criterion_reachability(reports: list[WitnessReport] | None = None,
         time.time() - t0)
 
 
-def run_all(digits: int = DEFAULT_DIGITS, seed: int = 20260810,
-            echo=None) -> list[CriterionResult]:
+def run_all(seed: int = 20260810, echo=None) -> list[CriterionResult]:
     """Run the eight suites in order; prints one line per criterion via
     ``echo`` when given (e.g. ``print``)."""
     cat = load_catalog()
@@ -313,7 +312,7 @@ def run_all(digits: int = DEFAULT_DIGITS, seed: int = 20260810,
     emit(criterion_extension_witnesses(cat))
     emit(criterion_split_roundtrip(cat, seed=seed))
     emit(criterion_derivation_dims(cat, seed=seed))
-    table_b, reports = criterion_table_b(cat, digits=digits, seed=seed)
+    table_b, reports = criterion_table_b(cat, seed=seed)
     emit(table_b)
     emit(criterion_necessary(cat, seed=seed))
     emit(criterion_reachability(reports, cat))

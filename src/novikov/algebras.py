@@ -439,7 +439,7 @@ def substitute(a: Algebra, at: Mapping, name: str | None = None) -> Algebra:
     if missing:
         raise AlgebraError(f"missing assignment for {[str(m) for m in missing]}")
     for cons in a.constraints:
-        if sp.cancel(scalars.substitute(cons, subs)) == 0:
+        if scalars.vanishes(cons, subs):
             raise ConstraintViolation(
                 f"constraint violated: {grammar_str(cons)} = 0 for {a.name}")
     table = tuple(tuple(tuple(_cancelled(scalars.substitute(x, subs)) for x in row)
@@ -456,9 +456,9 @@ def _cancelled(x: sp.Expr) -> sp.Expr:
 
 def instantiate_table(a: Algebra, at: Mapping) -> Table:
     """Like :func:`substitute` but unrestricted: values may involve t or new
-    symbols (used for parametrized-index degenerations).  Checks only that
-    every parameter is assigned, no constraint: the degeneration source's
-    "not identically zero" check is done by its caller."""
+    symbols (parametrized-index degenerations, witness targets).  Checks only
+    that every parameter is assigned, no constraint: the degeneration
+    source's "not identically zero" check is done by its caller."""
     subs = scalars.subs_map(at)
     missing = [p for p in a.params if p not in subs]
     if missing:

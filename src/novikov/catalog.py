@@ -22,8 +22,8 @@ from typing import Mapping
 import sympy as sp
 
 from . import scalars
-from .algebras import (Algebra, AlgebraError, algebra_from_json, invariant_profile,
-                       substitute)
+from .algebras import (Algebra, AlgebraError, algebra_from_json, instantiate_table,
+                       invariant_profile, substitute)
 from .cohomology import (ActionCase, central_extension, cocycle_from_expr,
                          has_trivial_intersection, is_cocycle)
 from .scalars import grammar_str, parse_scalar
@@ -119,20 +119,9 @@ class Catalog:
         return out
 
     def witness_target_algebra(self, w: ExtensionWitness) -> Algebra:
-        subs = scalars.subs_map(w.target_params)
         entry = self.entry(w.target)
-        missing = [p for p in entry.algebra.params if p not in subs]
-        if missing:
-            raise AlgebraError(f"{w.id}: target params missing {missing}")
-        table = tuple(tuple(tuple(sp.cancel(scalars.substitute(x, subs)) for x in row)
-                            for row in plane) for plane in entry.algebra.table)
+        table = instantiate_table(entry.algebra, w.target_params)
         return Algebra(w.target, entry.algebra.dim, (), table, ())
-
-    def witness_base_algebra(self, w: ExtensionWitness) -> Algebra:
-        base = self.entry(w.base).algebra
-        if w.base_params:
-            base = substitute(base, w.base_params)
-        return base
 
 
 _SUPERS = str.maketrans("⁰¹²³⁴⁵⁶⁷⁸⁹", "0123456789")
@@ -248,20 +237,18 @@ def _admissible_samples(entry: CatalogEntry, rng, count: int) -> list[dict]:
     """
     if not entry.algebra.params:
         return [{}]
+    points = scalars.admissible_points(rng, entry.algebra.params,
+                                       entry.algebra.constraints, MAX_SAMPLE_ATTEMPTS)
     out = []
     seen = set()
-    attempts = 0
     while len(out) < count:
-        if attempts == MAX_SAMPLE_ATTEMPTS:
+        point = next(points, None)
+        if point is None:
             raise AlgebraError(f"{entry.name}: found {len(out)} of {count} admissible "
                                f"samples in {MAX_SAMPLE_ATTEMPTS} draws")
-        attempts += 1
-        assign = {str(p): scalars.random_rational(rng) for p in entry.algebra.params}
-        subs = scalars.subs_map(assign)
-        ok = all(sp.cancel(scalars.substitute(cons, subs)) != 0
-                 for cons in entry.algebra.constraints)
+        assign = {str(p): v for p, v in point.items()}
         key = tuple(sorted((k, str(v)) for k, v in assign.items()))
-        if ok and key not in seen:
+        if key not in seen:
             seen.add(key)
             out.append(assign)
     return out
@@ -271,7 +258,7 @@ def check_witness(cat: Catalog, w: ExtensionWitness) -> list[dict]:
     """A witness must be a cocycle with trivial annihilator intersection whose
     extension has exactly the target's structure constants."""
     failures = []
-    base = cat.witness_base_algebra(w)
+    base = cat.get(w.base, w.base_params)
     theta = cocycle_from_expr(base, w.cocycle_expr)
     if not is_cocycle(base, theta):
         failures.append({"witness": w.id, "problem": "not a cocycle"})

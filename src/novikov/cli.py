@@ -2,8 +2,7 @@
 
 Exit codes: 0 when every requested check passes, 1 on a verification
 failure, 2 on input or usage errors.  Reports are deterministic for a fixed
-seed; ``--format json`` emits sorted-key JSON suitable for diffing.  The
-environment variable NOVIKOV_DIGITS overrides the default working precision.
+seed; ``--format json`` emits sorted-key JSON suitable for diffing.
 """
 
 from __future__ import annotations
@@ -12,8 +11,6 @@ import argparse
 import json
 import os
 import sys
-
-import sympy as sp
 
 from . import acceptance
 from .algebras import (AlgebraError, check_identities, derivation_dim,
@@ -28,36 +25,6 @@ from .degeneration import (DEFAULT_DIGITS, DEFAULT_SCHEDULE, build_reachability,
 from .scalars import grammar_str, parse_scalar
 
 PASS, FAIL, USAGE = 0, 1, 2
-
-
-def _digits(args) -> int:
-    """Working precision: ``--digits``, else NOVIKOV_DIGITS, else the
-    default; at least 16.  A non-integer NOVIKOV_DIGITS is a usage error."""
-    env = os.environ.get("NOVIKOV_DIGITS")
-    digits = DEFAULT_DIGITS
-    if env:
-        try:
-            digits = int(env)
-        except ValueError:
-            raise ValueError(f"NOVIKOV_DIGITS must be an integer, got {env!r}") from None
-    return max(16, args.digits or digits)
-
-
-def _parse_schedule(text: str) -> tuple:
-    """Comma list of exact t values: positive rationals, strictly decreasing."""
-    schedule = []
-    for item in text.split(","):
-        item = item.strip()
-        try:
-            t = sp.Rational(item)
-        except (TypeError, ValueError, ZeroDivisionError):
-            raise ValueError(f"--schedule: {item!r} is not a rational") from None
-        if t <= 0:
-            raise ValueError(f"--schedule: {item} is not positive")
-        if schedule and t >= schedule[-1]:
-            raise ValueError("--schedule must be strictly decreasing")
-        schedule.append(t)
-    return tuple(schedule)
 
 
 def _parse_params(pairs) -> dict:
@@ -234,8 +201,6 @@ def cmd_derivations(args) -> int:
 
 def cmd_degenerate(args) -> int:
     cat = load_catalog()
-    digits = _digits(args)
-    schedule = _parse_schedule(args.schedule) if args.schedule else DEFAULT_SCHEDULE
     if args.row:
         witnesses = [w for w in load_witnesses(cat) if w.id == args.row]
         if not witnesses:
@@ -244,13 +209,12 @@ def cmd_degenerate(args) -> int:
         witnesses = load_witnesses(cat)
     else:
         raise ValueError("need --row ID or --all")
-    reports = [verify_witness(w, cat, schedule, digits, args.samples, args.seed)
-               for w in witnesses]
+    reports = [verify_witness(w, cat, args.samples, args.seed) for w in witnesses]
     necessary = [check_necessary(w, cat, args.samples, args.seed)
                  for w in witnesses]
-    payload = {"config": {"digits": digits, "samples": args.samples,
+    payload = {"config": {"digits": DEFAULT_DIGITS, "samples": args.samples,
                           "seed": args.seed,
-                          "schedule": [str(t) for t in schedule]},
+                          "schedule": [str(t) for t in DEFAULT_SCHEDULE]},
                "rows": [r.to_dict() for r in sorted(reports, key=lambda r: r.id)],
                "necessary": [n.to_dict() for n in
                              sorted(necessary, key=lambda n: n.id)]}
@@ -273,8 +237,7 @@ def cmd_degenerate(args) -> int:
 
 def cmd_graph(args) -> int:
     cat = load_catalog()
-    reports = verify_all(cat, digits=_digits(args),
-                         samples=args.samples, seed=args.seed)
+    reports = verify_all(cat, samples=args.samples, seed=args.seed)
     reach = build_reachability(reports, cat)
     dot = reach.to_dot()
     if args.dot:
@@ -295,10 +258,9 @@ def cmd_graph(args) -> int:
 
 
 def cmd_report(args) -> int:
-    digits = _digits(args)
-    results = acceptance.run_all(digits=digits, seed=args.seed,
+    results = acceptance.run_all(seed=args.seed,
                                  echo=None if args.format == "json" else print)
-    payload = {"config": {"digits": digits, "seed": args.seed},
+    payload = {"config": {"digits": DEFAULT_DIGITS, "seed": args.seed},
                "criteria": [r.to_dict() for r in results],
                "passed": all(r.passed for r in results)}
     if args.format == "json":
@@ -376,23 +338,19 @@ def build_parser() -> argparse.ArgumentParser:
     p_ver = seeded(deg_sub.add_parser("verify"))
     p_ver.add_argument("--row", help="witness id, e.g. B05")
     p_ver.add_argument("--all", action="store_true")
-    p_ver.add_argument("--digits", type=int)
     p_ver.add_argument("--samples", type=int, default=3)
-    p_ver.add_argument("--schedule", help="comma list of exact t values")
     p_deg.set_defaults(func=cmd_degenerate)
 
     p_graph = sub.add_parser("graph", help="reachability report and DOT graph")
     graph_sub = p_graph.add_subparsers(dest="action", required=True)
     p_comp = seeded(graph_sub.add_parser("components"))
     p_comp.add_argument("--dot", metavar="PATH", help="write DOT to a file")
-    p_comp.add_argument("--digits", type=int)
     p_comp.add_argument("--samples", type=int, default=3)
     p_graph.set_defaults(func=cmd_graph)
 
     p_rep = sub.add_parser("report", help="run acceptance suites")
     rep_sub = p_rep.add_subparsers(dest="action", required=True)
-    p_full = seeded(rep_sub.add_parser("full"))
-    p_full.add_argument("--digits", type=int)
+    seeded(rep_sub.add_parser("full"))
     p_rep.set_defaults(func=cmd_report)
 
     return parser
@@ -402,8 +360,10 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        if getattr(args, "samples", 1) < 1:
+            raise ValueError(f"--samples must be at least 1, got {args.samples}")
         return args.func(args)
-    except (AlgebraError, CocycleError, ValueError) as exc:
+    except (AlgebraError, CocycleError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return USAGE
 

@@ -21,9 +21,9 @@ from typing import Mapping, Sequence
 import sympy as sp
 
 from . import linalg, scalars
-from .algebras import (Algebra, AlgebraError, Vector, annihilator_basis,
-                       basis_vector, change_basis_table, multiply_table,
-                       substitute)
+from .algebras import (Algebra, AlgebraError, Vector, _json_field,
+                       annihilator_basis, basis_vector, change_basis_table,
+                       multiply_table, substitute)
 from .scalars import T, grammar_str, parse_scalar
 
 __all__ = [
@@ -107,8 +107,9 @@ def cocycle(a: Algebra, entries: Sequence[tuple]) -> Cocycle:
     n = a.dim
     grid = [[sp.Integer(0)] * n for _ in range(n)]
     for i, j, c in entries:
-        if not (1 <= i <= n and 1 <= j <= n):
-            raise CocycleError(f"entry index ({i},{j}) out of range")
+        if not all(isinstance(x, int) and 1 <= x <= n for x in (i, j)):
+            raise CocycleError(f"entry index ({i!r},{j!r}) is not an integer "
+                               f"in 1..{n}")
         grid[i - 1][j - 1] += parse_scalar(c)
     return Cocycle(a, tuple(tuple(row) for row in grid))
 
@@ -148,7 +149,18 @@ def cocycle_to_json(c: Cocycle) -> dict:
 
 
 def cocycle_from_json(a: Algebra, obj: Mapping) -> Cocycle:
-    return cocycle(a, [(e["i"], e["j"], e["c"]) for e in obj.get("entries", [])])
+    """Cocycle from its JSON object.  An object without an ``entries`` list,
+    an entry without ``i``, ``j`` or ``c``, or an index that is not an
+    integer in range raises :class:`CocycleError`."""
+    try:
+        entries = _json_field(obj, "entries", "cocycle JSON")
+        if not isinstance(entries, list):
+            raise CocycleError(f"cocycle JSON: 'entries' must be a list, got {entries!r}")
+        entries = [tuple(_json_field(e, key, "cocycle JSON: entry") for key in "ijc")
+                   for e in entries]
+    except AlgebraError as exc:
+        raise CocycleError(str(exc)) from None
+    return cocycle(a, entries)
 
 
 # ---------------------------------------------------------------------------
@@ -352,19 +364,15 @@ def split_central_extension(a: Algebra, w_vectors: Sequence[Sequence]) -> SplitE
 # Automorphism action on cocycles
 # ---------------------------------------------------------------------------
 
-def is_automorphism(a: Algebra, phi: Sequence[Sequence], at: Mapping | None = None) -> bool:
+def is_automorphism(a: Algebra, phi: Sequence[Sequence]) -> bool:
     """Check phi(e_i) phi(e_j) = phi(e_i e_j); columns of phi are the images.
 
     Symbols in phi (and remaining algebra parameters) are treated
-    generically; ``at`` pins any of them to exact values.  Raises
-    :class:`SingularMatrixError` if phi is singular at the assignment.
+    generically.  Raises :class:`SingularMatrixError` if phi is singular.
     """
-    subs = scalars.subs_map(at)
     n = a.dim
     field, (table, p) = linalg.to_field(
-        [[[scalars.substitute(x, subs) for x in row] for row in plane]
-         for plane in a.table],
-        [[scalars.substitute(parse_scalar(x), subs) for x in row] for row in phi])
+        a.table, [[parse_scalar(x) for x in row] for row in phi])
     if linalg.rank(p, field) < n:
         raise SingularMatrixError("singular matrix")
     cols = [[p[r][i] for r in range(n)] for i in range(n)]
@@ -462,26 +470,20 @@ def verify_action_formulas(case: ActionCase, samples: int = 20,
     a = case.base
     n = a.dim
     free_syms = list(case.template_vars) + list(case.coeff_vars) + list(a.params)
+    # The template is polynomial, so its determinant at a point is the
+    # generic determinant evaluated there.
+    nonzero = [*case.invertibility, *a.constraints, linalg.det(case.template)]
     counterexample = None
     matrix_checked = bool(case.matrix_reading)
     matrix_ok = True if matrix_checked else None
     class_ok = True
 
     for _ in range(samples):
-        for _attempt in range(200):
-            assign = {s: scalars.random_rational(rng) for s in free_syms}
-            ok = all(sp.cancel(scalars.substitute(g, assign)) != 0
-                     for g in case.invertibility)
-            ok = ok and all(sp.cancel(scalars.substitute(g, assign)) != 0
-                            for g in a.constraints)
-            if not ok:
-                continue
-            phi = [[sp.cancel(scalars.substitute(x, assign)) for x in row]
-                   for row in case.template]
-            if sp.cancel(linalg.det(phi)) != 0:
-                break
-        else:
+        assign = next(scalars.admissible_points(rng, free_syms, nonzero, 200), None)
+        if assign is None:
             raise AlgebraError(f"{case.case_id}: could not sample an invertible template")
+        phi = [[sp.cancel(scalars.substitute(x, assign)) for x in row]
+               for row in case.template]
 
         inst = substitute(a, {p: assign[p] for p in a.params}) if a.params else a
         nabla_mats = [
@@ -494,14 +496,18 @@ def verify_action_formulas(case: ActionCase, samples: int = 20,
                   for j in range(n)) for i in range(n)))
         conj = act_on_cocycle(inst, phi, theta, check=False)
 
-        b2 = [c.as_vector() for c in coboundary_matrices(inst)]
-        b2_indep = [b2[c] for c in linalg.independent_indices(b2)]
-        cols = b2_indep + [nm.as_vector() for nm in nabla_mats]
-        system = [[cols[c][r] for c in range(len(cols))] for r in range(n * n)]
-        sol = linalg.solve_right(system, list(conj.as_vector()))
-        if sol is None or linalg.rank(system) != len(cols):
+        # One elimination of (coboundary slices | nablas | conj): the pivot
+        # slices span B^2, every nabla must be a pivot and conj must not be,
+        # and conj's reduced column holds the coordinates.
+        cols = ([c.as_vector() for c in coboundary_matrices(inst)]
+                + [nm.as_vector() for nm in nabla_mats] + [conj.as_vector()])
+        field, (system,) = linalg.to_field(
+            [[col[r] for col in cols] for r in range(n * n)])
+        red, pivots = linalg.rref(system, field)
+        nabla_cols = range(n, n + len(nabla_mats))
+        if len(cols) - 1 in pivots or any(c not in pivots for c in nabla_cols):
             raise AlgebraError(f"{case.case_id}: conjugated form left span(B2 | nablas)")
-        got = sol[len(b2_indep):]
+        got = [linalg.to_expr(field, red[pivots.index(c)][-1]) for c in nabla_cols]
         expected = [sp.cancel(scalars.substitute(f, assign)) for f in case.alpha_star]
         for idx, (g, e) in enumerate(zip(got, expected)):
             if sp.cancel(g - e) != 0:

@@ -8,9 +8,10 @@ stated basis E_i^t.  Verification has two tiers:
   conjugated constants are rational functions of t over Q(i)(params), and
   the check is "no pole at t = 0 and value at 0 equals the target", with
   zero tolerance;
-* numeric: radical-bearing rows are evaluated on a shrinking t-schedule at
-  high precision; each conjugated constant must approach its target
-  monotonically and land within tolerance at the final t.
+* numeric: radical-bearing rows are evaluated on the fixed shrinking
+  t-schedule :data:`DEFAULT_SCHEDULE` at :data:`DEFAULT_DIGITS` digits; each
+  conjugated constant must approach its target monotonically and land
+  within tolerance at the final t.
 
 The tier is chosen automatically by expression inspection and can be forced
 through the witness's ``tier`` field.
@@ -192,7 +193,7 @@ def _source_table(cat: Catalog, w: DegenerationWitness):
     source = entry.algebra
     subs = scalars.subs_map(param_map)
     for cons in source.constraints:
-        if sp.cancel(scalars.substitute(cons, subs)) == 0:
+        if scalars.vanishes(cons, subs):
             raise AlgebraError(
                 f"{w.id}: source constraint {grammar_str(cons)} vanishes identically")
     return instantiate_table(source, subs), name
@@ -268,24 +269,17 @@ def _value_at_zero(K, x):
 # Numeric tier
 # ---------------------------------------------------------------------------
 
-def _sample_assignment(w: DegenerationWitness, cat: Catalog,
-                       rng: random.Random) -> dict[sp.Symbol, sp.Rational]:
-    syms = free_symbols_of(w)
-    avoid = [parse_scalar(x) for x in w.avoid]
-    target_cons = cat.entry(w.target).algebra.constraints
+#: Draws for one admissible parameter point before giving up.
+SAMPLE_ATTEMPTS = 500
+
+
+def _sample_conditions(w: DegenerationWitness, cat: Catalog) -> list[sp.Expr]:
+    """What a sampled parameter point must keep nonzero: the row's ``avoid``
+    list and the target's constraints at the row's target parameters."""
     target_vals = _target_values(w)
-    for _ in range(500):
-        assign = {s: scalars.random_rational(rng) for s in syms}
-        if any(sp.cancel(scalars.substitute(g, assign)) == 0 for g in avoid):
-            continue
-        ok = True
-        for cons in target_cons:
-            value = scalars.substitute(scalars.substitute(cons, target_vals), assign)
-            if sp.cancel(value) == 0:
-                ok = False
-        if ok:
-            return assign
-    raise AlgebraError(f"{w.id}: failed to sample admissible parameters")
+    return [parse_scalar(x) for x in w.avoid] + [
+        scalars.substitute(cons, target_vals)
+        for cons in cat.entry(w.target).algebra.constraints]
 
 
 def _num(e: sp.Expr, digits: int) -> mpmath.mpc:
@@ -321,10 +315,10 @@ def _num_all(nested: Sequence, subs: Mapping, digits: int) -> list:
 
 
 def verify_numeric(w: DegenerationWitness, catalog: Catalog | None = None,
-                   schedule: Sequence = DEFAULT_SCHEDULE,
                    digits: int = DEFAULT_DIGITS, samples: int = 3,
                    seed: int = 20260810) -> WitnessReport:
-    """High-precision schedule verification for radical-bearing witnesses.
+    """High-precision verification of radical-bearing witnesses on
+    :data:`DEFAULT_SCHEDULE`.
 
     Residuals must be non-increasing along the schedule (up to the numeric
     noise floor) and at most 1e-8 at the final t.  Verdicts from this tier
@@ -336,23 +330,26 @@ def verify_numeric(w: DegenerationWitness, catalog: Catalog | None = None,
     target = _target_table(cat, w)
     n = len(table)
     basis_rows = [[parse_scalar(x) for x in row] for row in w.basis]
-    schedule = [sp.Rational(tv) for tv in schedule]
     report = WitnessReport(w.id, source_name, w.target, "numeric", True,
                            heuristic=True, note=w.note)
     syms = free_symbols_of(w)
     sample_count = samples if syms else 1
+    nonzero = _sample_conditions(w, cat)
     floor = mpmath.mpf(10) ** (-sp.Rational(digits, 2))
     max_residual = mpmath.mpf(0)
     decay = None
 
     with mpmath.workdps(digits + 20):
         for _ in range(sample_count):
-            assign = _sample_assignment(w, cat, rng) if syms else {}
+            assign = next(scalars.admissible_points(
+                rng, syms, nonzero, SAMPLE_ATTEMPTS), None) if syms else {}
+            if assign is None:
+                raise AlgebraError(f"{w.id}: failed to sample admissible parameters")
             report.samples.append({str(k): grammar_str(v)
                                    for k, v in sorted(assign.items(), key=str)})
             target_num = _num_all(target, assign, digits)
             residuals: dict[tuple, list] = {}
-            for t_val in schedule:
+            for t_val in DEFAULT_SCHEDULE:
                 subs = dict(assign)
                 subs[T] = t_val
                 raw = _num_all(basis_rows, subs, digits)
@@ -397,7 +394,7 @@ def verify_numeric(w: DegenerationWitness, catalog: Catalog | None = None,
                             res = mpmath.fabs(value - target_num[i][j][k])
                             residuals.setdefault((i, j, k), []).append(res)
             for key, series in sorted(residuals.items()):
-                if len(series) != len(schedule):
+                if len(series) != len(DEFAULT_SCHEDULE):
                     continue
                 eff = [max(r, floor) for r in series]
                 if any(eff[m + 1] > eff[m] * (1 + mpmath.mpf(10) ** -6)
@@ -418,7 +415,7 @@ def verify_numeric(w: DegenerationWitness, catalog: Catalog | None = None,
                     max_residual = final
                     if series[-2] > floor and final > floor:
                         ratio_r = mpmath.log(final / series[-2])
-                        ratio_t = mpmath.log(schedule[-1] / schedule[-2])
+                        ratio_t = mpmath.log(DEFAULT_SCHEDULE[-1] / DEFAULT_SCHEDULE[-2])
                         decay = float(ratio_r / ratio_t)
     report.max_residual = mpmath.nstr(max_residual, 8)
     report.decay_exponent = decay
@@ -443,9 +440,7 @@ def apply_fallback(w: DegenerationWitness) -> DegenerationWitness:
 
 
 def verify_witness(w: DegenerationWitness, catalog: Catalog | None = None,
-                   schedule: Sequence = DEFAULT_SCHEDULE,
-                   digits: int = DEFAULT_DIGITS, samples: int = 3,
-                   seed: int = 20260810) -> WitnessReport:
+                   samples: int = 3, seed: int = 20260810) -> WitnessReport:
     """Verify one witness, honoring the tier hint and the fallback protocol.
 
     A witness with a recorded fallback is always run literally first; only
@@ -458,7 +453,7 @@ def verify_witness(w: DegenerationWitness, catalog: Catalog | None = None,
         tier = detect_tier(witness)
         if tier == "exact":
             return verify_exact(witness, cat)
-        return verify_numeric(witness, cat, schedule, digits, samples, seed)
+        return verify_numeric(witness, cat, samples=samples, seed=seed)
 
     report = run(w)
     if not report.passed and w.fallback:
@@ -481,14 +476,13 @@ def verify_witness(w: DegenerationWitness, catalog: Catalog | None = None,
 
 
 def verify_all(catalog: Catalog | None = None, ids: Sequence[str] | None = None,
-               schedule: Sequence = DEFAULT_SCHEDULE, digits: int = DEFAULT_DIGITS,
                samples: int = 3, seed: int = 20260810) -> list[WitnessReport]:
     cat = catalog or load_catalog()
     reports = []
     for w in load_witnesses(cat):
         if ids and w.id not in ids:
             continue
-        reports.append(verify_witness(w, cat, schedule, digits, samples, seed))
+        reports.append(verify_witness(w, cat, samples, seed))
     return sorted(reports, key=lambda r: r.id)
 
 
@@ -539,12 +533,16 @@ def check_necessary(w: DegenerationWitness, catalog: Catalog | None = None,
     t_pool = [sp.Rational(x) for x in (w.necessary_t or _DEFAULT_T_POOL)]
     mode = "weak-family-index" if uses_t else "strict"
     report = NecessaryReport(w.id, w.source, w.target, False, True, mode)
+    nonzero = _sample_conditions(w, cat)
 
     made = 0
     attempt = 0
     while made < samples and attempt < 200:
         attempt += 1
-        assign = _sample_assignment(w, cat, rng) if syms else {}
+        assign = next(scalars.admissible_points(
+            rng, syms, nonzero, SAMPLE_ATTEMPTS), None) if syms else {}
+        if assign is None:
+            raise AlgebraError(f"{w.id}: failed to sample admissible parameters")
         t_val = t_pool[made % len(t_pool)] if uses_t else None
 
         src_vals = {}
@@ -561,14 +559,12 @@ def check_necessary(w: DegenerationWitness, catalog: Catalog | None = None,
         if not ok:
             continue
         try:
-            d_src = derivation_dim(source, src_vals) if source.params else \
-                derivation_dim(source)
+            d_src = derivation_dim(source, src_vals)
             tgt_vals = {p: (assign.get(sp.Symbol(p), sp.Symbol(p))
                             if v == "free" else
                             scalars.substitute(parse_scalar(v), assign))
                         for p, v in w.target_params.items()}
-            d_tgt = derivation_dim(target, tgt_vals) if target.params else \
-                derivation_dim(target)
+            d_tgt = derivation_dim(target, tgt_vals)
         except AlgebraError:
             continue
         made += 1

@@ -40,7 +40,6 @@ __all__ = [
     "rank",
     "nullspace",
     "independent_indices",
-    "solve_right",
     "invert",
     "det",
     "span_rank",
@@ -187,20 +186,6 @@ def independent_indices(vectors: Sequence[Sequence], field=None) -> list[int]:
         field, (vectors,) = to_field(vectors)
     columns = [[v[r] for v in vectors] for r in range(len(vectors[0]))]
     return rref(columns, field)[1]
-
-
-def solve_right(a_rows: Sequence[Sequence], b: Sequence) -> Vector | None:
-    """One solution x of A x = b, or None if inconsistent."""
-    nrows = len(a_rows)
-    ncols = len(a_rows[0]) if nrows else 0
-    field, (aug,) = to_field([list(row) + [bv] for row, bv in zip(a_rows, b)])
-    red, pivots = rref(aug, field)
-    if ncols in pivots:
-        return None
-    x = [sp.Integer(0)] * ncols
-    for r, pc in enumerate(pivots):
-        x[pc] = to_expr(field, red[r][ncols])
-    return tuple(x)
 
 
 def invert(m_rows: Sequence[Sequence], field=None) -> list | None:

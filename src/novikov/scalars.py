@@ -36,7 +36,7 @@ from __future__ import annotations
 import random
 import re
 from functools import lru_cache
-from typing import Mapping, Union
+from typing import Iterator, Mapping, Sequence, Union
 
 import sympy as sp
 
@@ -57,7 +57,9 @@ __all__ = [
     "is_zero_exact",
     "subs_map",
     "substitute",
+    "vanishes",
     "random_rational",
+    "admissible_points",
 ]
 
 #: The distinguished degeneration variable.  Positive: t -> 0+ along the reals.
@@ -313,8 +315,25 @@ def substitute(e: sp.Expr, m: Mapping[sp.Symbol, sp.Expr]) -> sp.Expr:
     return e.xreplace(m)
 
 
+def vanishes(e: sp.Expr, m: Mapping[sp.Symbol, sp.Expr]) -> bool:
+    """Whether the root-free ``e`` is exactly zero at the assignment ``m``."""
+    return sp.cancel(substitute(e, m)) == 0
+
+
 def random_rational(rng: random.Random) -> sp.Rational:
     """num/den with num in +-1..9 and den in 1..7, drawn in that order."""
     num = rng.choice([n for n in range(-9, 10) if n != 0])
     den = rng.randint(1, 7)
     return sp.Rational(num, den)
+
+
+def admissible_points(rng: random.Random, syms: Sequence[sp.Symbol],
+                      nonzero: Sequence[sp.Expr],
+                      attempts: int) -> Iterator[dict[sp.Symbol, sp.Rational]]:
+    """Random rational points ``{s: value}``, drawn in the order of ``syms``
+    at most ``attempts`` times; yields each draw at which no ``nonzero``
+    expression vanishes.  Callers give up when it runs dry."""
+    for _ in range(attempts):
+        point = {s: random_rational(rng) for s in syms}
+        if not any(vanishes(g, point) for g in nonzero):
+            yield point

@@ -1,5 +1,6 @@
 """CLI surface: subcommands, exit codes, report determinism."""
 
+import hashlib
 import json
 
 import pytest
@@ -134,21 +135,20 @@ def test_algebra_file_schema_error_is_usage_error(capsys, tmp_path, obj, word):
     assert_usage_error(code, out, err, word)
 
 
-@pytest.mark.parametrize("schedule, word", [
-    ("abc", "not a rational"),
-    ("1/10,0", "not positive"),
-    ("1/100,1/10", "strictly decreasing"),
-])
-def test_bad_schedule_is_usage_error(capsys, schedule, word):
-    code, out, err = run(capsys, "degenerate", "verify", "--row", "B23",
-                         "--schedule", schedule)
-    assert_usage_error(code, out, err, word)
+@pytest.mark.parametrize("command", [
+    ("degenerate", "verify", "--row", "B23"),
+    ("graph", "components"),
+], ids=["degenerate", "graph"])
+@pytest.mark.parametrize("samples", ["0", "-1"])
+def test_samples_below_one_is_usage_error(capsys, command, samples):
+    code, out, err = run(capsys, *command, "--samples", samples)
+    assert_usage_error(code, out, err, "--samples must be at least 1")
 
 
-def test_digits_env_not_integer_is_usage_error(capsys, monkeypatch):
-    monkeypatch.setenv("NOVIKOV_DIGITS", "abc")
-    code, out, err = run(capsys, "degenerate", "verify", "--row", "B05")
-    assert_usage_error(code, out, err, "NOVIKOV_DIGITS")
+def test_graph_dot_into_missing_directory_is_usage_error(capsys, tmp_path):
+    path = tmp_path / "missing" / "graph.dot"
+    code, out, err = run(capsys, "graph", "components", "--dot", str(path))
+    assert_usage_error(code, out, err, "No such file or directory")
 
 
 def test_json_reports_are_deterministic(capsys):
@@ -157,14 +157,6 @@ def test_json_reports_are_deterministic(capsys):
     code2, out2, _ = run(capsys, *args)
     assert code1 == code2 == 0
     assert out1 == out2
-
-
-def test_digits_env_override(capsys, monkeypatch):
-    monkeypatch.setenv("NOVIKOV_DIGITS", "140")
-    code, out, _ = run(capsys, "--format", "json", "degenerate", "verify",
-                       "--row", "B05")
-    assert code == 0
-    assert json.loads(out)["config"]["digits"] == 140
 
 
 def test_check_accepts_algebra_file(capsys, tmp_path):
@@ -185,13 +177,21 @@ def test_extend_accepts_cocycle_file(capsys, tmp_path):
     assert code == 0 and "e3*e1 = e4" in out
 
 
-def test_degenerate_custom_schedule(capsys):
-    schedule = "1/10000,1/100000000,1/1000000000000"
-    code, out, _ = run(capsys, "--format", "json", "degenerate", "verify",
-                       "--row", "B23", "--schedule", schedule, "--digits", "80")
-    assert code == 0
-    payload = json.loads(out)
-    assert payload["config"]["schedule"] == schedule.split(",")
+@pytest.mark.parametrize("obj, word", [
+    ([{"i": 1, "j": 2, "c": "1"}], "'entries'"),
+    ({"entries": 5}, "must be a list"),
+    ({"entries": [{"i": 1, "j": 2}]}, "'c'"),
+    ({"entries": [{"i": "1", "j": 2, "c": "1"}]}, "not an integer"),
+], ids=["list", "entries-not-list", "entry-without-c", "string-index"])
+def test_malformed_cocycle_file_is_usage_error(capsys, tmp_path, obj, word):
+    from novikov.catalog import load
+    from novikov.cohomology import CocycleError, cocycle_from_json
+    with pytest.raises(CocycleError, match=word):
+        cocycle_from_json(load().get("N3s_01"), obj)
+    path = tmp_path / "cocycle.json"
+    path.write_text(json.dumps(obj))
+    code, out, err = run(capsys, "extend", "N3s_01", "--cocycle", str(path))
+    assert_usage_error(code, out, err, word)
 
 
 def test_graph_components(capsys, tmp_path):
@@ -202,3 +202,19 @@ def test_graph_components(capsys, tmp_path):
     dot = dot_path.read_text()
     assert dot.startswith("digraph degenerations {")
     assert '"N4_20" -> "N4_04";' in dot
+
+
+#: sha256 of ``novikov --format json report full`` per seed: any change to a
+#: verdict, a sampled point or the report layout shows here.
+REPORT_SHA256 = {
+    None: "067bf27c7c244869b61e049e97d84748414609f26546452376ef49fa88c5b8ae",
+    "20260811": "27054bef1d69dd6346c58be6a3b9941d57b01c0750f3945b4a34c343f83e2280",
+}
+
+
+@pytest.mark.parametrize("seed", sorted(REPORT_SHA256, key=str))
+def test_report_full_json_is_pinned(capsys, seed):
+    argv = ["--format", "json", "report", "full"] + (["--seed", seed] if seed else [])
+    code, out, _ = run(capsys, *argv)
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == REPORT_SHA256[seed]

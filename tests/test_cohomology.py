@@ -191,7 +191,7 @@ def test_extension_rejects_non_cocycle(cat):
 def test_new_vectors_are_central_and_ann_formula_holds(cat):
     for wid in ("X02", "X08", "X16"):
         w = next(x for x in cat.witnesses if x.id == wid)
-        base = cat.witness_base_algebra(w)
+        base = cat.get(w.base, w.base_params)
         theta = cocycle_from_expr(base, w.cocycle_expr)
         ext = central_extension(base, [theta])
         n = base.dim

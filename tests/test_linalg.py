@@ -50,15 +50,12 @@ def test_parametric_rank_is_generic():
 
 def test_solve_and_invert():
     a = [[sp.Integer(2), sp.Integer(1)], [sp.Integer(1), sp.Integer(1)]]
-    x = linalg.solve_right(a, [sp.Integer(3), sp.Integer(2)])
-    assert x == (sp.Integer(1), sp.Integer(1))
     inv = linalg.invert(a)
     prod = [[sp.cancel(sum(a[i][k] * inv[k][j] for k in range(2)))
              for j in range(2)] for i in range(2)]
     assert prod == [[1, 0], [0, 1]]
     assert linalg.invert([[sp.Integer(1), sp.Integer(2)],
                           [sp.Integer(2), sp.Integer(4)]]) is None
-    assert linalg.solve_right([[sp.Integer(0)]], [sp.Integer(1)]) is None
 
 
 def test_det_parametric():

@@ -7,18 +7,23 @@ algebras are made generically, i.e. over the rational-function field in the
 declared parameters; special parameter values are reached only through
 explicit assignments.
 
-Each operation converts the structure constants once, together with any
-vectors or basis rows it is given, into elements of one field
-(:func:`novikov.linalg.to_field`), and does every sum, product, zero test
-and elimination on those elements; :func:`multiply_table` is the one product
-kernel on them.  Only the entries an operation returns are converted back,
-with one ``cancel`` each.
+Each algebra converts its structure constants once, into elements of one
+field (:func:`novikov.linalg.to_field`), and keeps the nonzero ones as
+``(i, j, k, c)`` tuples (:attr:`Algebra.constants`).  Every operation works
+from those: identities accumulate the coefficients of (e_i e_j) e_k and
+e_i (e_j e_k) over pairs of nonzero constants, and the derivation and
+annihilator systems are sparse ``{column: element}`` rows built from them
+and handed to :mod:`novikov.linalg` as they are.  :func:`multiply_table` is
+the one product kernel; it runs over the nonzero constants.  Only the
+entries an operation returns are converted back, with one ``cancel`` each
+(none over ``QQ``, where the converted ``Rational`` already is canonical).
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterable, Mapping, Sequence
 
 import sympy as sp
@@ -44,6 +49,7 @@ __all__ = [
     "parse_vector",
     "multiply",
     "multiply_table",
+    "nonzero_constants",
     "change_basis_table",
     "check_identities",
     "annihilator_basis",
@@ -77,6 +83,14 @@ class Algebra:
     def product(self, i: int, j: int) -> Vector:
         """e_i * e_j in coordinates (0-based indices)."""
         return self.table[i][j]
+
+    @cached_property
+    def constants(self) -> tuple:
+        """``(field, nonzero)``: the field of the structure constants and the
+        nonzero ones as ``(i, j, k, c)`` with ``c`` its element, in index
+        order.  Converted once per instance; ``table`` is left as it is."""
+        field, (table,) = linalg.to_field(self.table)
+        return field, nonzero_constants(table)
 
     def __repr__(self) -> str:  # params shown for instantiated families
         ps = f"({', '.join(map(str, self.params))})" if self.params else ""
@@ -249,20 +263,31 @@ def load_algebra_file(path) -> Algebra:
 # Multiplication
 # ---------------------------------------------------------------------------
 
-def multiply_table(table: Sequence, x: Sequence, y: Sequence, field) -> list:
-    """x * y for a table and vectors of elements of ``field``: the one
-    product kernel.  Returns a list of field elements."""
-    out = [field.zero] * len(table)
-    for i, xi in enumerate(x):
-        if not xi:
-            continue
-        for j, yj in enumerate(y):
-            if not yj:
-                continue
-            xy = xi * yj
-            for k, c in enumerate(table[i][j]):
-                if c:
-                    out[k] += xy * c
+def nonzero_constants(table: Sequence) -> tuple:
+    """The nonzero entries of a table of field elements as ``(i, j, k, c)``
+    tuples, in index order."""
+    return tuple((i, j, k, c) for i, plane in enumerate(table)
+                 for j, row in enumerate(plane) for k, c in enumerate(row) if c)
+
+
+def multiply_table(constants: Sequence, x: Sequence, y: Sequence, field) -> list:
+    """x * y for dense vectors of elements of ``field``: the one product
+    kernel, a single pass over the nonzero constants ``(i, j, k, c)``.
+
+    The constants are an algebra's :attr:`Algebra.constants`, converted once
+    per algebra, or :func:`nonzero_constants` of a converted table.  The
+    result is a list of field elements; nothing is converted here.  The
+    systems built from the same constants are sparse ``{column: element}``
+    rows, and results go back to expressions through
+    :func:`novikov.linalg.to_expr`, which skips ``cancel`` over ``QQ``.
+    """
+    out = [field.zero] * len(x)
+    for i, j, k, c in constants:
+        xi = x[i]
+        if xi:
+            yj = y[j]
+            if yj:
+                out[k] += xi * yj * c
     return out
 
 
@@ -270,12 +295,8 @@ def multiply(a: Algebra, x: Sequence, y: Sequence) -> Vector:
     if len(x) != a.dim or len(y) != a.dim:
         raise AlgebraError("dimension mismatch")
     field, (table, x, y) = linalg.to_field(a.table, x, y)
-    return tuple(linalg.to_expr(field, v) for v in multiply_table(table, x, y, field))
-
-
-def _basis(n: int, field) -> list[list]:
-    return [[field.one if j == i else field.zero for j in range(n)]
-            for i in range(n)]
+    return tuple(linalg.to_expr(field, v)
+                 for v in multiply_table(nonzero_constants(table), x, y, field))
 
 
 def change_basis_table(table: Sequence, rows: Sequence[Sequence]) -> Table:
@@ -302,11 +323,12 @@ def _change_basis(table: Sequence, rows: Sequence[Sequence], *groups):
     inv = linalg.invert(rows, field)
     if inv is None:
         return field, None, groups
+    constants = nonzero_constants(tbl)
     new = []
     for i in range(n):
         plane = []
         for j in range(n):
-            v = multiply_table(tbl, rows[i], rows[j], field)
+            v = multiply_table(constants, rows[i], rows[j], field)
             plane.append([sum((v[l] * inv[l][k] for l in range(n) if v[l]), field.zero)
                           for k in range(n)])
         new.append(plane)
@@ -317,28 +339,52 @@ def _change_basis(table: Sequence, rows: Sequence[Sequence], *groups):
 # Identities
 # ---------------------------------------------------------------------------
 
+def _add(d: dict, key, x) -> None:
+    prev = d.get(key)
+    d[key] = x if prev is None else prev + x
+
+
+def _sparse_rows(entries: dict) -> list[dict]:
+    """Sparse rows from accumulated entries ``{(row, column): element}``,
+    without the entries that cancelled to zero and without empty rows: the
+    form :mod:`novikov.linalg` takes."""
+    rows: dict = {}
+    for (row, col), x in entries.items():
+        if x:
+            rows.setdefault(row, {})[col] = x
+    return list(rows.values())
+
+
 def check_identities(a: Algebra) -> IdentityFlags:
     """Decide the defining identities exactly, generically in the parameters.
 
-    Each of the 2n^3 triple products (e_i e_j) e_k and e_i (e_j e_k) is
-    computed once, on field elements; every identity is then decided from
+    The coefficients of (e_i e_j) e_k and e_i (e_j e_k) on e_m are
+    accumulated, keyed (i, j, k, m), over the pairs of nonzero constants
+    c_ij^l c_lk^m and c_jk^l c_il^m; every identity is then decided from
     those by exact zero tests.
     """
-    n = a.dim
-    field, (table,) = linalg.to_field(a.table)
-    basis = _basis(n, field)
-    triples = [(i, j, k) for i in range(n) for j in range(n) for k in range(n)]
-    left = {(i, j, k): multiply_table(table, table[i][j], basis[k], field)
-            for i, j, k in triples}
-    right = {(i, j, k): multiply_table(table, basis[i], table[j][k], field)
-             for i, j, k in triples}
-    right_comm = all(not any(u - w for u, w in zip(left[i, j, k], left[i, k, j]))
-                     for i, j, k in triples)
-    left_sym = all(
-        not any(p - q - r + s for p, q, r, s in zip(
-            left[i, j, k], right[i, j, k], left[j, i, k], right[j, i, k]))
-        for i, j, k in triples)
-    two_step = not any(any(left[t]) or any(right[t]) for t in triples)
+    field, constants = a.constants
+    zero = field.zero
+    by_first: dict[int, list] = {}
+    by_second: dict[int, list] = {}
+    for i, j, k, c in constants:
+        by_first.setdefault(i, []).append((j, k, c))
+        by_second.setdefault(j, []).append((i, k, c))
+    left: dict = {}    # (e_i e_j) e_k = sum_l c_ij^l e_l e_k
+    right: dict = {}   # e_h (e_i e_j) = sum_l c_ij^l e_h e_l
+    for i, j, l, c in constants:
+        for k, m, d in by_first.get(l, ()):
+            _add(left, (i, j, k, m), c * d)
+        for h, m, d in by_second.get(l, ()):
+            _add(right, (h, i, j, m), c * d)
+    right_comm = not any(v - left.get((i, k, j, m), zero)
+                         for (i, j, k, m), v in left.items())
+    assoc = dict(left)   # (e_i, e_j, e_k) = (e_i e_j) e_k - e_i (e_j e_k)
+    for key, v in right.items():
+        _add(assoc, key, -v)
+    left_sym = not any(v - assoc.get((j, i, k, m), zero)
+                       for (i, j, k, m), v in assoc.items())
+    two_step = not any(left.values()) and not any(right.values())
     return IdentityFlags(right_comm, left_sym, right_comm and left_sym, two_step)
 
 
@@ -348,13 +394,13 @@ def check_identities(a: Algebra) -> IdentityFlags:
 
 def annihilator_basis(a: Algebra) -> list[Vector]:
     """Basis of Ann(A) = {x : xA = Ax = 0}, exact and deterministic."""
-    n = a.dim
-    rows = []
-    for j in range(n):
-        for k in range(n):
-            rows.append([a.table[i][j][k] for i in range(n)])  # (x e_j)_k
-            rows.append([a.table[j][i][k] for i in range(n)])  # (e_j x)_k
-    return linalg.nullspace(rows, n)
+    field, constants = a.constants
+    entries: dict = {}
+    for i, j, k, c in constants:
+        _add(entries, ((0, j, k), i), c)   # (x e_j)_k
+        _add(entries, ((1, i, k), j), c)   # (e_i x)_k
+    return [linalg.cleared_vector(field, v)
+            for v in linalg.nullspace(_sparse_rows(entries), a.dim, field)]
 
 
 def derived_power_dims(a: Algebra) -> list[int]:
@@ -363,8 +409,10 @@ def derived_power_dims(a: Algebra) -> list[int]:
     Stops at the first zero power or when the dims stabilize above zero.
     """
     n = a.dim
-    field, (table,) = linalg.to_field(a.table)
-    powers: list[list[list]] = [_basis(n, field)]
+    field, constants = a.constants
+    zero = field.zero
+    powers: list[list[list]] = [[[field.one if j == i else zero for j in range(n)]
+                                 for i in range(n)]]
     dims = [n]
     while dims[-1] > 0:
         k = len(powers) + 1
@@ -373,11 +421,12 @@ def derived_power_dims(a: Algebra) -> list[int]:
             q = k - p
             for u in powers[p - 1]:
                 for v in powers[q - 1]:
-                    w = multiply_table(table, u, v, field)
-                    if any(w):
+                    w = {c: x for c, x in enumerate(multiply_table(constants, u, v, field))
+                         if x}
+                    if w:
                         candidates.append(w)
-        red, pivots = linalg.rref(candidates, field) if candidates else ([], [])
-        powers.append(red[:len(pivots)])
+        red, pivots = linalg.rref(candidates, n, field) if candidates else ([], [])
+        powers.append([[row.get(c, zero) for c in range(n)] for row in red])
         dims.append(len(pivots))
         if dims[-1] == dims[-2] and dims[-1] > 0:
             break
@@ -400,28 +449,20 @@ def derivation_dim(a: Algebra, at: Mapping | None = None) -> int:
     if at:
         a = substitute(a, at)
     n = a.dim
-    field, (c,) = linalg.to_field(a.table)
-
-    def idx(p, q):
-        return p * n + q
-
-    rows = []
-    for i in range(n):
-        for j in range(n):
-            for m in range(n):
-                row = [field.zero] * (n * n)
-                for k in range(n):
-                    if c[i][j][k]:
-                        row[idx(k, m)] += c[i][j][k]
-                for p in range(n):
-                    if c[p][j][m]:
-                        row[idx(i, p)] -= c[p][j][m]
-                for q in range(n):
-                    if c[i][q][m]:
-                        row[idx(j, q)] -= c[i][q][m]
-                if any(row):
-                    rows.append(row)
-    return n * n - (linalg.rank(rows, field) if rows else 0)
+    field, constants = a.constants
+    # Row (i, j, m) is the e_m coefficient of D(e_i e_j) - D(e_i) e_j - e_i D(e_j),
+    # over the unknowns d_pq (D e_p = sum_q d_pq e_q) at column p*n + q.
+    entries: dict = {}
+    for i, j, k, c in constants:
+        for m in range(n):        # D(e_i e_j) = sum_k c_ij^k D(e_k)
+            _add(entries, ((i, j, m), k * n + m), c)
+    for p, j, m, c in constants:
+        for i in range(n):        # D(e_i) e_j = sum_p d_ip e_p e_j
+            _add(entries, ((i, j, m), i * n + p), -c)
+    for i, q, m, c in constants:
+        for j in range(n):        # e_i D(e_j) = sum_q d_jq e_i e_q
+            _add(entries, ((i, j, m), j * n + q), -c)
+    return n * n - linalg.rank(_sparse_rows(entries), n * n, field)
 
 
 def substitute(a: Algebra, at: Mapping, name: str | None = None) -> Algebra:

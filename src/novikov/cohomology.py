@@ -21,9 +21,10 @@ from typing import Mapping, Sequence
 import sympy as sp
 
 from . import linalg, scalars
-from .algebras import (Algebra, AlgebraError, Vector, _json_field,
-                       annihilator_basis, basis_vector, change_basis_table,
-                       multiply_table, substitute)
+from .algebras import (Algebra, AlgebraError, Vector, _add, _json_field,
+                       _sparse_rows, annihilator_basis, basis_vector,
+                       change_basis_table, multiply_table, nonzero_constants,
+                       substitute)
 from .scalars import T, grammar_str, parse_scalar
 
 __all__ = [
@@ -114,14 +115,9 @@ def cocycle(a: Algebra, entries: Sequence[tuple]) -> Cocycle:
     return Cocycle(a, tuple(tuple(row) for row in grid))
 
 
-def _matrix_cocycle(a: Algebra, rows: Sequence[Sequence]) -> Cocycle:
-    return Cocycle(a, tuple(tuple(sp.sympify(x) for x in row) for row in rows))
-
-
-def _vector_cocycle(a: Algebra, vec: Sequence) -> Cocycle:
+def _vector_cocycle(a: Algebra, vec: Sequence[sp.Expr]) -> Cocycle:
     n = a.dim
-    return Cocycle(a, tuple(tuple(sp.sympify(vec[i * n + j]) for j in range(n))
-                            for i in range(n)))
+    return Cocycle(a, tuple(tuple(vec[i * n:(i + 1) * n]) for i in range(n)))
 
 
 def cocycle_from_expr(a: Algebra, text: str) -> Cocycle:
@@ -167,35 +163,30 @@ def cocycle_from_json(a: Algebra, obj: Mapping) -> Cocycle:
 # Cocycle conditions and spaces
 # ---------------------------------------------------------------------------
 
-def _condition_rows(table: Sequence, field) -> list[list]:
-    """The 2*n^3 cocycle conditions on a table of ``field`` elements, as
+def _condition_rows(n: int, constants: Sequence) -> list[dict]:
+    """The 2*n^3 cocycle conditions of an n-dimensional algebra with the
+    given nonzero constants ``(i, j, k, c)``, as sparse ``{column: element}``
     rows over vec(theta) (index (i, j) -> i*n+j); all-zero rows are left
-    out."""
-    n = len(table)
-    c = table
-    rows = []
-    for i in range(n):
-        for j in range(n):
-            for k in range(n):
-                row = [field.zero] * (n * n)
-                for l in range(n):
-                    if c[i][j][l]:
-                        row[l * n + k] += c[i][j][l]
-                    if c[i][k][l]:
-                        row[l * n + j] -= c[i][k][l]
-                if any(row):
-                    rows.append(row)
-                row = [field.zero] * (n * n)
-                for l in range(n):
-                    if c[i][j][l] or c[j][i][l]:
-                        row[l * n + k] += c[i][j][l] - c[j][i][l]
-                    if c[j][k][l]:
-                        row[i * n + l] -= c[j][k][l]
-                    if c[i][k][l]:
-                        row[j * n + l] += c[i][k][l]
-                if any(row):
-                    rows.append(row)
-    return rows
+    out.
+
+    Condition (0, i, j, k) is theta(e_i e_j, e_k) - theta(e_i e_k, e_j) and
+    (1, i, j, k) is theta(e_i e_j - e_j e_i, e_k) - theta(e_i, e_j e_k)
+    + theta(e_j, e_i e_k); each constant adds to the rows it appears in.
+    """
+    entries: dict = {}
+
+    def add(row, col, x):
+        _add(entries, (row, col), x)
+
+    for a, b, l, c in constants:           # e_a e_b has c on e_l
+        for m in range(n):
+            add((0, a, b, m), l * n + m, c)    # theta(e_i e_j, e_k) in (0, i, j, k)
+            add((1, a, b, m), l * n + m, c)    # and in (1, i, j, k)
+            add((0, a, m, b), l * n + m, -c)   # -theta(e_i e_k, e_j) in (0, i, j, k)
+            add((1, b, a, m), l * n + m, -c)   # -theta(e_j e_i, e_k) in (1, i, j, k)
+            add((1, m, a, b), m * n + l, -c)   # -theta(e_i, e_j e_k) in (1, i, j, k)
+            add((1, a, m, b), m * n + l, c)    # theta(e_j, e_i e_k) in (1, i, j, k)
+    return _sparse_rows(entries)
 
 
 def is_cocycle(a: Algebra, theta: Cocycle) -> bool:
@@ -205,8 +196,8 @@ def is_cocycle(a: Algebra, theta: Cocycle) -> bool:
         raise CocycleError("dimension mismatch")
     field, (table, matrix) = linalg.to_field(a.table, theta.matrix)
     vec = [x for row in matrix for x in row]
-    return not any(sum((r * x for r, x in zip(row, vec) if r), field.zero)
-                   for row in _condition_rows(table, field))
+    return not any(sum((x * vec[col] for col, x in row.items()), field.zero)
+                   for row in _condition_rows(a.dim, nonzero_constants(table)))
 
 
 def coboundary_matrices(a: Algebra) -> list[Cocycle]:
@@ -240,10 +231,11 @@ def cocycle_space(a: Algebra) -> CocycleSpace:
     of one elimination on (slices | Z^2 basis).
     """
     n = a.dim
-    field, (table,) = linalg.to_field(a.table)
-    z2 = linalg.nullspace(_condition_rows(table, field), n * n, field)
-    slices = [[table[i][j][k] for i in range(n) for j in range(n)]
-              for k in range(n)]
+    field, constants = a.constants
+    z2 = linalg.nullspace(_condition_rows(n, constants), n * n, field)
+    slices = [[field.zero] * (n * n) for _ in range(n)]
+    for i, j, k, c in constants:
+        slices[k][i * n + j] = c
     chosen = linalg.independent_indices(slices + z2, field)
     z2_vecs = [linalg.cleared_vector(field, v) for v in z2]
     coboundaries = coboundary_matrices(a)
@@ -373,12 +365,13 @@ def is_automorphism(a: Algebra, phi: Sequence[Sequence]) -> bool:
     n = a.dim
     field, (table, p) = linalg.to_field(
         a.table, [[parse_scalar(x) for x in row] for row in phi])
-    if linalg.rank(p, field) < n:
+    if linalg.invert(p, field) is None:
         raise SingularMatrixError("singular matrix")
     cols = [[p[r][i] for r in range(n)] for i in range(n)]
+    constants = nonzero_constants(table)
     for i in range(n):
         for j in range(n):
-            lhs = multiply_table(table, cols[i], cols[j], field)
+            lhs = multiply_table(constants, cols[i], cols[j], field)
             prod = table[i][j]
             for r in range(n):
                 rhs = sum((p[r][k] * prod[k] for k in range(n) if prod[k]), field.zero)
@@ -501,13 +494,15 @@ def verify_action_formulas(case: ActionCase, samples: int = 20,
         # and conj's reduced column holds the coordinates.
         cols = ([c.as_vector() for c in coboundary_matrices(inst)]
                 + [nm.as_vector() for nm in nabla_mats] + [conj.as_vector()])
-        field, (system,) = linalg.to_field(
-            [[col[r] for col in cols] for r in range(n * n)])
-        red, pivots = linalg.rref(system, field)
+        field, (cols,) = linalg.to_field(cols)
+        system = [{c: col[r] for c, col in enumerate(cols) if col[r]}
+                  for r in range(n * n)]
+        red, pivots = linalg.rref(system, len(cols), field)
         nabla_cols = range(n, n + len(nabla_mats))
         if len(cols) - 1 in pivots or any(c not in pivots for c in nabla_cols):
             raise AlgebraError(f"{case.case_id}: conjugated form left span(B2 | nablas)")
-        got = [linalg.to_expr(field, red[pivots.index(c)][-1]) for c in nabla_cols]
+        got = [linalg.to_expr(field, red[pivots.index(c)].get(len(cols) - 1, field.zero))
+               for c in nabla_cols]
         expected = [sp.cancel(scalars.substitute(f, assign)) for f in case.alpha_star]
         for idx, (g, e) in enumerate(zip(got, expected)):
             if sp.cancel(g - e) != 0:

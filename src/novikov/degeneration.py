@@ -273,6 +273,12 @@ def _value_at_zero(K, x):
 SAMPLE_ATTEMPTS = 500
 
 
+def _check_samples(samples: int) -> None:
+    """Reject a sample count below 1: no sampled point would be checked."""
+    if samples < 1:
+        raise AlgebraError(f"samples must be at least 1, got {samples}")
+
+
 def _sample_conditions(w: DegenerationWitness, cat: Catalog) -> list[sp.Expr]:
     """What a sampled parameter point must keep nonzero: the row's ``avoid``
     list and the target's constraints at the row's target parameters."""
@@ -322,8 +328,10 @@ def verify_numeric(w: DegenerationWitness, catalog: Catalog | None = None,
 
     Residuals must be non-increasing along the schedule (up to the numeric
     noise floor) and at most 1e-8 at the final t.  Verdicts from this tier
-    are flagged heuristic in the report.
+    are flagged heuristic in the report.  Raises :class:`AlgebraError` when
+    ``samples`` is below 1.
     """
+    _check_samples(samples)
     cat = catalog or load_catalog()
     rng = random.Random(seed)
     table, source_name = _source_table(cat, w)
@@ -446,7 +454,9 @@ def verify_witness(w: DegenerationWitness, catalog: Catalog | None = None,
     A witness with a recorded fallback is always run literally first; only
     if the literal run fails is the fallback patch applied, and both
     outcomes are kept in the report.  Nothing is substituted silently.
+    Raises :class:`AlgebraError` when ``samples`` is below 1.
     """
+    _check_samples(samples)
     cat = catalog or load_catalog()
 
     def run(witness):
@@ -477,6 +487,7 @@ def verify_witness(w: DegenerationWitness, catalog: Catalog | None = None,
 
 def verify_all(catalog: Catalog | None = None, ids: Sequence[str] | None = None,
                samples: int = 3, seed: int = 20260810) -> list[WitnessReport]:
+    _check_samples(samples)
     cat = catalog or load_catalog()
     reports = []
     for w in load_witnesses(cat):
@@ -520,8 +531,10 @@ def check_necessary(w: DegenerationWitness, catalog: Catalog | None = None,
     dimension: there the necessary condition is the weak inequality
     dim Der(source) <= dim Der(target) (equality occurs, e.g. when the
     target also realizes the minimal derivation dimension).  Identical
-    source and target are skipped.
+    source and target are skipped.  Raises :class:`AlgebraError` when
+    ``samples`` is below 1.
     """
+    _check_samples(samples)
     cat = catalog or load_catalog()
     if w.source == w.target and not w.source_params:
         return NecessaryReport(w.id, w.source, w.target, True, True)

@@ -8,15 +8,19 @@ field that holds every entry: ``QQ``, ``QQ_I`` or a fraction field such as
 ``ZZ_I(alpha, lam)``.  Sums, products and zero tests of those elements are
 exact without any simplification step, and :func:`to_expr` brings one back
 in canonical ``cancel`` form, so equal rational functions come out
-syntactically identical.
+syntactically identical.  Over ``QQ`` the converted value already is the
+canonical ``Rational``, and :func:`to_expr` skips ``cancel``.
 
-:func:`rref`, :func:`rank`, :func:`nullspace`, :func:`invert` and
-:func:`independent_indices` take an optional ``field``.  Given one, the rows
-are already its elements and so is everything returned: callers that
-convert an algebra once pass its field and skip any further conversion.
-Without one, the entries are expressions, converted once per call, and the
-entries handed back are expressions in ``cancel`` form.  Every row
-reduction runs through :func:`rref` on a ``DomainMatrix``.  Pivots are the
+:func:`rref`, :func:`rank` and :func:`nullspace` take an optional ``field``.
+Given one, a system is a list of sparse ``{column: element}`` rows of that
+field holding no zero entries, with ``ncols`` columns, exactly as the
+algebra layer builds it from an algebra's nonzero structure constants
+(converted once per algebra); nothing is converted and nothing dense is
+built.  :func:`invert` and :func:`independent_indices` take dense rows of
+field elements and reduce them the same way.  Without a field, the entries
+are dense rows of expressions, converted once per call, and the entries
+handed back are expressions in ``cancel`` form.  Every row reduction runs
+through :func:`rref` on a sparse ``DomainMatrix``.  Pivots are the
 lowest-index nonzero columns and reduction is full, so the RREF, and every
 basis derived from it, is unique and reproducible bit-for-bit.
 """
@@ -85,8 +89,10 @@ def to_field(*groups) -> tuple[object, list]:
 
 
 def to_expr(field, x) -> sp.Expr:
-    """A field element as an expression in ``cancel`` form."""
-    return sp.cancel(field.to_sympy(x))
+    """A field element as an expression in ``cancel`` form (over ``QQ`` the
+    converted ``Rational`` already is)."""
+    e = field.to_sympy(x)
+    return e if field.is_QQ else sp.cancel(e)
 
 
 def cleared_vector(field, vec: Sequence) -> Vector:
@@ -119,57 +125,75 @@ def _written_denominator(field, x):
     return den
 
 
-def rref(rows: Sequence[Sequence], field=None) -> tuple[list[list], list[int]]:
+def rref(rows: Sequence, ncols: int | None = None, field=None) -> tuple[list, list[int]]:
     """Reduced row echelon form with lowest-index pivots.
 
-    Returns the reduced matrix and the list of pivot column indices.  The
-    entries are elements of ``field`` when it is given (``rows`` must be
-    too), expressions in ``cancel`` form otherwise.
+    Returns the reduced rows and the list of pivot column indices.  With
+    ``field``, ``rows`` are sparse ``{column: element}`` rows without zero
+    entries and ``ncols`` columns, and the result is the nonzero reduced
+    rows, one per pivot, in the same form.  Without, ``rows`` are dense rows
+    of expressions and the result is the whole reduced matrix, dense, in
+    ``cancel`` form.
     """
     if field is None:
+        ncols = len(rows[0]) if rows else 0
         field, (rows,) = to_field(rows)
-        red, pivots = _rref(rows, field)
-        return [[to_expr(field, x) for x in row] for row in red], pivots
-    return _rref(rows, field)
+        red, pivots = _rref(_sparse(rows), ncols, field)
+        zero = field.zero
+        red = [[to_expr(field, row.get(c, zero)) for c in range(ncols)] for row in red]
+        return red + [[to_expr(field, zero)] * ncols for _ in rows[len(red):]], pivots
+    if ncols is None:
+        raise ValueError("ncols required for sparse rows")
+    return _rref(rows, ncols, field)
 
 
-def _rref(rows: Sequence[Sequence], field) -> tuple[list[list], list[int]]:
-    # Built sparse: DomainMatrix reduces in sparse form whatever the input,
-    # and the systems here are mostly zeros.
-    ncols = len(rows[0]) if rows else 0
-    nonzero = {i: r for i, row in enumerate(rows)
-               if (r := {j: x for j, x in enumerate(row) if x})}
+def _rref(rows: Sequence[dict], ncols: int, field) -> tuple[list[dict], list[int]]:
+    # The elimination behind rref; DomainMatrix reduces sparse rows in
+    # sparse form.
+    nonzero = {i: row for i, row in enumerate(rows) if row}
     red, pivots = DomainMatrix(nonzero, (len(rows), ncols), field).rref()
-    return red.to_list(), list(pivots)
+    red = red.to_dod()
+    return [red[r] for r in range(len(pivots))], list(pivots)
 
 
-def rank(rows: Sequence[Sequence], field=None) -> int:
+def _sparse(rows: Sequence[Sequence]) -> list[dict]:
+    """Dense rows of field elements as ``{column: element}`` rows."""
+    return [{c: x for c, x in enumerate(row) if x} for row in rows]
+
+
+def rank(rows: Sequence, ncols: int | None = None, field=None) -> int:
+    """Rank of dense expression rows, or, with ``field``, of sparse rows of
+    ``ncols`` columns."""
     if field is None:
+        ncols = len(rows[0]) if rows else 0
         field, (rows,) = to_field(rows)
-    return len(rref(rows, field)[1])
+        rows = _sparse(rows)
+    return len(rref(rows, ncols, field)[1]) if rows else 0
 
 
-def nullspace(rows: Sequence[Sequence], ncols: int | None = None,
-              field=None) -> list:
+def nullspace(rows: Sequence, ncols: int | None = None, field=None) -> list:
     """Basis of the right nullspace {x : rows @ x = 0}, deterministic order.
 
-    With ``field``, the basis vectors are lists of its elements, one per
-    free column with a 1 there.  Without, they are expression tuples put
-    through :func:`cleared_vector`.
+    With ``field``, ``rows`` are sparse rows and the basis vectors are dense
+    lists of its elements, one per free column with a 1 there.  Without,
+    ``rows`` are dense expression rows and the vectors are expression tuples
+    put through :func:`cleared_vector`.
     """
-    if field is None:
-        field, (rows,) = to_field(rows)
-        return [cleared_vector(field, v) for v in nullspace(rows, ncols, field)]
     if not rows and ncols is None:
         raise ValueError("ncols required for an empty system")
-    ncols = ncols if ncols is not None else len(rows[0])
-    red, pivots = rref(rows, field) if rows else ([], [])
+    if field is None:
+        ncols = ncols if ncols is not None else len(rows[0])
+        field, (rows,) = to_field(rows)
+        return [cleared_vector(field, v) for v in nullspace(_sparse(rows), ncols, field)]
+    red, pivots = rref(rows, ncols, field) if rows else ([], [])
     basis = []
     for fc in (c for c in range(ncols) if c not in pivots):
         vec = [field.zero] * ncols
         vec[fc] = field.one
-        for r, pc in enumerate(pivots):
-            vec[pc] = -red[r][fc]
+        for row, pc in zip(red, pivots):
+            x = row.get(fc)
+            if x is not None:
+                vec[pc] = -x
         basis.append(vec)
     return basis
 
@@ -178,14 +202,16 @@ def independent_indices(vectors: Sequence[Sequence], field=None) -> list[int]:
     """Indices of the vectors not in the span of the vectors before them.
 
     These are the pivot columns of the matrix whose columns are the
-    vectors, so zero vectors are never chosen.
+    vectors, so zero vectors are never chosen.  With ``field`` the vectors
+    are dense lists of its elements, without they are expressions.
     """
     if not vectors:
         return []
     if field is None:
         field, (vectors,) = to_field(vectors)
-    columns = [[v[r] for v in vectors] for r in range(len(vectors[0]))]
-    return rref(columns, field)[1]
+    columns = [{i: v[r] for i, v in enumerate(vectors) if v[r]}
+               for r in range(len(vectors[0]))]
+    return rref(columns, len(vectors), field)[1]
 
 
 def invert(m_rows: Sequence[Sequence], field=None) -> list | None:
@@ -197,12 +223,13 @@ def invert(m_rows: Sequence[Sequence], field=None) -> list | None:
         return None if inv is None else [[to_expr(field, x) for x in row]
                                          for row in inv]
     n = len(m_rows)
-    aug = [list(row) + [field.one if j == i else field.zero for j in range(n)]
-           for i, row in enumerate(m_rows)]
-    red, pivots = rref(aug, field)
+    aug = _sparse(m_rows)
+    for i, row in enumerate(aug):
+        row[n + i] = field.one
+    red, pivots = rref(aug, 2 * n, field)
     if pivots != list(range(n)):
         return None
-    return [row[n:] for row in red]
+    return [[row.get(n + c, field.zero) for c in range(n)] for row in red]
 
 
 def det(m_rows: Sequence[Sequence]) -> sp.Expr:
@@ -218,8 +245,10 @@ def span_rank(vectors: Sequence[Sequence]) -> int:
 def in_span(vectors: Sequence[Sequence], v: Sequence) -> bool:
     if not vectors:
         return all(entry_is_zero(x) for x in v)
+    ncols = len(v)
     field, (vectors, v) = to_field(vectors, v)
-    return rank(vectors + [v], field) == rank(vectors, field)
+    vectors = _sparse(vectors)
+    return rank(vectors + _sparse([v]), ncols, field) == rank(vectors, ncols, field)
 
 
 def subspace_equal(u_vectors: Sequence[Sequence], v_vectors: Sequence[Sequence]) -> bool:

@@ -190,3 +190,11 @@ def identity_flags(tbl):
         for i, j, k in triples)
     two_step = all(not any(left(*t)) and not any(right(*t)) for t in triples)
     return right_comm, left_sym, right_comm and left_sym, two_step
+
+
+def is_cocycle_frac(tbl, theta):
+    """Whether the bilinear form with matrix ``theta`` satisfies both
+    defining conditions on every basis triple."""
+    n = len(tbl)
+    vec = [Fraction(theta[i][j]) for i in range(n) for j in range(n)]
+    return all(sum(r * v for r, v in zip(row, vec)) == 0 for row in _cocycle_rows(tbl))

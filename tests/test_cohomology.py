@@ -9,7 +9,7 @@ import sympy as sp
 
 from novikov.algebras import (algebra, annihilator_basis, basis_vector,
                               change_basis_table, check_identities)
-from novikov.cohomology import (CocycleError, NotAutomorphismError,
+from novikov.cohomology import (Cocycle, CocycleError, NotAutomorphismError,
                                 SingularMatrixError, act_on_cocycle,
                                 central_extension, coboundary_matrices, cocycle,
                                 cocycle_annihilator, cocycle_from_expr,
@@ -115,10 +115,30 @@ def test_b2_and_h2_choice_is_greedy_selection(cat):
 
 
 def test_every_z2_basis_element_passes_is_cocycle(cat):
-    for name in ("N3s_01", "N3s_04_0", "N3_02"):
+    for name in cat.entries:
         a = cat.get(name)
         for c in cocycle_space(a).z2_basis:
-            assert is_cocycle(a, c)
+            assert is_cocycle(a, c), name
+
+
+def test_is_cocycle_rejects_a_perturbed_z2_vector(cat):
+    # Add 1 at the first entry whose elementary form D_ij lies outside Z2;
+    # only an algebra with zero product has none.
+    for name in cat.entries:
+        a = cat.get(name)
+        n = a.dim
+        z2 = cocycle_space(a).z2_basis
+        vectors = [c.as_vector() for c in z2]
+        outside = [(i, j) for i in range(n) for j in range(n)
+                   if not in_span(vectors, basis_vector(n * n, i * n + j))]
+        if not outside:
+            assert len(z2) == n * n, name
+            continue
+        i, j = outside[0]
+        base = z2[0].matrix if z2 else ((sp.Integer(0),) * n,) * n
+        bumped = tuple(tuple(x + 1 if (r, s) == (i, j) else x for s, x in enumerate(row))
+                       for r, row in enumerate(base))
+        assert not is_cocycle(a, Cocycle(a, bumped)), name
 
 
 # ---------------------------------------------------------------------------

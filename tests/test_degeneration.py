@@ -9,13 +9,13 @@ import mpmath
 import pytest
 import sympy as sp
 
-from novikov.algebras import change_basis_table
+from novikov.algebras import AlgebraError, change_basis_table
 from novikov.catalog import load
 from novikov.degeneration import (DEFAULT_SCHEDULE, DegenerationWitness,
                                   TierError, apply_fallback, build_reachability,
                                   check_necessary, detect_tier, free_symbols_of,
                                   load_witnesses, verify_all, verify_exact,
-                                  verify_numeric,
+                                  verify_numeric, verify_witness,
                                   witness_from_json, witness_to_json)
 from novikov.scalars import T, parse_scalar
 
@@ -172,6 +172,20 @@ def test_numeric_catches_wrong_target(cat, rows):
     broken = dataclasses.replace(rows["B23"], target="Ntriv_3")
     rep = verify_numeric(broken, cat, samples=1)
     assert not rep.passed
+
+
+@pytest.mark.parametrize("check", [
+    lambda w, cat, n: verify_numeric(w, cat, samples=n),
+    lambda w, cat, n: verify_witness(w, cat, samples=n),
+    lambda w, cat, n: verify_all(cat, ids=[w.id], samples=n),
+    lambda w, cat, n: check_necessary(w, cat, samples=n),
+], ids=["verify_numeric", "verify_witness", "verify_all", "check_necessary"])
+@pytest.mark.parametrize("samples", [0, -1])
+def test_sample_count_below_one_is_rejected(cat, rows, check, samples):
+    # Zero points would pass B23 on nothing; every entry point refuses.
+    with pytest.raises(AlgebraError, match="samples must be at least 1") as exc:
+        check(rows["B23"], cat, samples)
+    assert "\n" not in str(exc.value)
 
 
 def test_scaled_identity_residual_at_noise_floor(cat):

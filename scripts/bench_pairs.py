@@ -1,15 +1,16 @@
 """Compare two checkouts on the benchmark in alternating pairs.
 
     python3 scripts/bench_pairs.py PARENT_CHECKOUT CHANGE_CHECKOUT \\
-        [--workloads sampled gate] [--pairs 10] [--first-seed 1] \\
-        [--seconds 20] [--out BENCH_<n>.json]
+        --out BENCH_<n>.json [--first-seed 1]
 
-Each pair runs ``perfbench/run.py --trace 0`` of both checkouts, each with
-its own ``perfbench/`` and ``src/``, on one workload at one seed; which side
-runs first alternates from pair to pair, so a slow spell of the host does
-not fall on one side only.  Pair k uses seed ``first_seed + k`` on both
-sides.  A run that exits non-zero or does not print ``correct: true`` stops
-the script.
+The workloads and the run length are the ones the change checkout's
+``BENCHMARK.json`` declares (``workloads`` and ``run_seconds``).  Each of
+the ten pairs per workload runs ``perfbench/run.py --trace 0`` of both
+checkouts, each with its own ``perfbench/`` and ``src/``, at one seed;
+which side runs first alternates from pair to pair, so a slow spell of the
+host does not fall on one side only.  Pair k uses seed ``first_seed + k``
+on both sides.  A run that exits non-zero or does not print
+``correct: true`` stops the script.
 
 The output JSON holds, per workload and end-to-end metric, each side's
 values, median and quartiles, the change's wins (pairs where it reads
@@ -29,6 +30,7 @@ import time
 from pathlib import Path
 
 SIDES = ("parent", "change")
+PAIRS = 10
 
 
 def run_once(checkout: Path, workload: str, seed: int, seconds: float) -> dict:
@@ -69,30 +71,26 @@ def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("parent", type=Path)
     ap.add_argument("change", type=Path)
-    ap.add_argument("--workloads", nargs="+", default=["sampled", "gate"])
-    ap.add_argument("--pairs", type=int, default=10)
     ap.add_argument("--first-seed", type=int, default=1)
-    ap.add_argument("--seconds", type=float, default=20)
     ap.add_argument("--out", type=Path, required=True)
     args = ap.parse_args(argv)
-    if args.pairs < 2:
-        ap.error("--pairs must be at least 2")
     checkouts = {"parent": args.parent.resolve(), "change": args.change.resolve()}
-    seeds = [args.first_seed + k for k in range(args.pairs)]
-    report = {"pairs": args.pairs, "seeds": seeds, "seconds": args.seconds,
-              "workloads": {}}
+    bench = json.loads((checkouts["change"] / "BENCHMARK.json").read_text(encoding="utf-8"))
+    seconds = bench["run_seconds"]
+    seeds = [args.first_seed + k for k in range(PAIRS)]
+    report = {"pairs": PAIRS, "seeds": seeds, "seconds": seconds, "workloads": {}}
     started = time.time()
-    for workload in args.workloads:
+    for workload in (w["name"] for w in bench["workloads"]):
         runs = {side: [] for side in SIDES}
         for k, seed in enumerate(seeds):
             for side in (SIDES if k % 2 == 0 else SIDES[::-1]):
-                runs[side].append(run_once(checkouts[side], workload, seed, args.seconds))
-            print(f"{workload} pair {k + 1}/{args.pairs} (seed {seed}): " + ", ".join(
+                runs[side].append(run_once(checkouts[side], workload, seed, seconds))
+            print(f"{workload} pair {k + 1}/{PAIRS} (seed {seed}): " + ", ".join(
                 f"{side} wall_s {runs[side][-1]['metrics']['wall_s']:.3f}"
                 for side in SIDES), file=sys.stderr)
         report["workloads"][workload] = {
             "metrics": compare(runs),
-            "first": [SIDES[k % 2] for k in range(args.pairs)],
+            "first": [SIDES[k % 2] for k in range(PAIRS)],
             "env": {side: runs[side][0]["env"] for side in SIDES},
             "attempted": {side: sum(r["attempted"] for r in runs[side]) for side in SIDES},
             "failed": {side: sum(r["failed"] for r in runs[side]) for side in SIDES},
@@ -106,7 +104,7 @@ def main(argv=None) -> int:
             print(f"{workload:8s} {name:12s} parent {p['median']:.4g} "
                   f"[{p['q1']:.4g}, {p['q3']:.4g}]  change {c['median']:.4g} "
                   f"[{c['q1']:.4g}, {c['q3']:.4g}]  change wins "
-                  f"{m['change_wins']}/{args.pairs}")
+                  f"{m['change_wins']}/{PAIRS}")
     return 0
 
 

@@ -12,8 +12,9 @@ field (:func:`novikov.linalg.to_field`), and keeps the nonzero ones as
 ``(i, j, k, c)`` tuples (:attr:`Algebra.constants`).  Every operation works
 from those: identities accumulate the coefficients of (e_i e_j) e_k and
 e_i (e_j e_k) over pairs of nonzero constants, and the derivation and
-annihilator systems are sparse ``{column: element}`` rows built from them
-and handed to :mod:`novikov.linalg` as they are.  :func:`multiply_table` is
+annihilator systems are sparse ``{column: element}`` rows that
+:func:`novikov.linalg.sparse_rows` builds from them and the rest of
+:mod:`novikov.linalg` takes as they are.  :func:`multiply_table` is
 the one product kernel; it runs over the nonzero constants.  Only the
 entries an operation returns are converted back, with one ``cancel`` each
 (none over ``QQ``, where the converted ``Rational`` already is canonical).
@@ -22,6 +23,7 @@ entries an operation returns are converted back, with one ``cancel`` each
 from __future__ import annotations
 
 import json
+from collections import defaultdict
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Mapping, Sequence
@@ -320,7 +322,7 @@ def _change_basis(table: Sequence, rows: Sequence[Sequence], *groups):
     """
     n = len(table)
     field, (tbl, rows, *groups) = linalg.to_field(table, rows, *groups)
-    inv = linalg.invert(rows, field)
+    inv = linalg.invert(linalg.sparse(rows), field)
     if inv is None:
         return field, None, groups
     constants = nonzero_constants(tbl)
@@ -329,8 +331,12 @@ def _change_basis(table: Sequence, rows: Sequence[Sequence], *groups):
         plane = []
         for j in range(n):
             v = multiply_table(constants, rows[i], rows[j], field)
-            plane.append([sum((v[l] * inv[l][k] for l in range(n) if v[l]), field.zero)
-                          for k in range(n)])
+            w = [field.zero] * n
+            for l, x in enumerate(v):
+                if x:
+                    for k, y in inv[l].items():
+                        w[k] += x * y
+            plane.append(w)
         new.append(plane)
     return field, new, groups
 
@@ -338,22 +344,6 @@ def _change_basis(table: Sequence, rows: Sequence[Sequence], *groups):
 # ---------------------------------------------------------------------------
 # Identities
 # ---------------------------------------------------------------------------
-
-def _add(d: dict, key, x) -> None:
-    prev = d.get(key)
-    d[key] = x if prev is None else prev + x
-
-
-def _sparse_rows(entries: dict) -> list[dict]:
-    """Sparse rows from accumulated entries ``{(row, column): element}``,
-    without the entries that cancelled to zero and without empty rows: the
-    form :mod:`novikov.linalg` takes."""
-    rows: dict = {}
-    for (row, col), x in entries.items():
-        if x:
-            rows.setdefault(row, {})[col] = x
-    return list(rows.values())
-
 
 def check_identities(a: Algebra) -> IdentityFlags:
     """Decide the defining identities exactly, generically in the parameters.
@@ -370,18 +360,18 @@ def check_identities(a: Algebra) -> IdentityFlags:
     for i, j, k, c in constants:
         by_first.setdefault(i, []).append((j, k, c))
         by_second.setdefault(j, []).append((i, k, c))
-    left: dict = {}    # (e_i e_j) e_k = sum_l c_ij^l e_l e_k
-    right: dict = {}   # e_h (e_i e_j) = sum_l c_ij^l e_h e_l
+    left = defaultdict(lambda: zero)    # (e_i e_j) e_k = sum_l c_ij^l e_l e_k
+    right = defaultdict(lambda: zero)   # e_h (e_i e_j) = sum_l c_ij^l e_h e_l
     for i, j, l, c in constants:
         for k, m, d in by_first.get(l, ()):
-            _add(left, (i, j, k, m), c * d)
+            left[i, j, k, m] += c * d
         for h, m, d in by_second.get(l, ()):
-            _add(right, (h, i, j, m), c * d)
+            right[h, i, j, m] += c * d
     right_comm = not any(v - left.get((i, k, j, m), zero)
                          for (i, j, k, m), v in left.items())
-    assoc = dict(left)   # (e_i, e_j, e_k) = (e_i e_j) e_k - e_i (e_j e_k)
+    assoc = defaultdict(lambda: zero, left)   # (e_i e_j) e_k - e_i (e_j e_k)
     for key, v in right.items():
-        _add(assoc, key, -v)
+        assoc[key] -= v
     left_sym = not any(v - assoc.get((j, i, k, m), zero)
                        for (i, j, k, m), v in assoc.items())
     two_step = not any(left.values()) and not any(right.values())
@@ -395,12 +385,11 @@ def check_identities(a: Algebra) -> IdentityFlags:
 def annihilator_basis(a: Algebra) -> list[Vector]:
     """Basis of Ann(A) = {x : xA = Ax = 0}, exact and deterministic."""
     field, constants = a.constants
-    entries: dict = {}
-    for i, j, k, c in constants:
-        _add(entries, ((0, j, k), i), c)   # (x e_j)_k
-        _add(entries, ((1, i, k), j), c)   # (e_i x)_k
-    return [linalg.cleared_vector(field, v)
-            for v in linalg.nullspace(_sparse_rows(entries), a.dim, field)]
+    terms = [t for i, j, k, c in constants
+             for t in (((0, j, k), i, c),     # (x e_j)_k
+                       ((1, i, k), j, c))]    # (e_i x)_k
+    return [linalg.cleared_vector(field, v, a.dim)
+            for v in linalg.nullspace(linalg.sparse_rows(terms), a.dim, field)]
 
 
 def derived_power_dims(a: Algebra) -> list[int]:
@@ -416,15 +405,9 @@ def derived_power_dims(a: Algebra) -> list[int]:
     dims = [n]
     while dims[-1] > 0:
         k = len(powers) + 1
-        candidates = []
-        for p in range(1, k):
-            q = k - p
-            for u in powers[p - 1]:
-                for v in powers[q - 1]:
-                    w = {c: x for c, x in enumerate(multiply_table(constants, u, v, field))
-                         if x}
-                    if w:
-                        candidates.append(w)
+        candidates = linalg.sparse(multiply_table(constants, u, v, field)
+                                   for p in range(1, k)
+                                   for u in powers[p - 1] for v in powers[k - p - 1])
         red, pivots = linalg.rref(candidates, n, field) if candidates else ([], [])
         powers.append([[row.get(c, zero) for c in range(n)] for row in red])
         dims.append(len(pivots))
@@ -452,17 +435,17 @@ def derivation_dim(a: Algebra, at: Mapping | None = None) -> int:
     field, constants = a.constants
     # Row (i, j, m) is the e_m coefficient of D(e_i e_j) - D(e_i) e_j - e_i D(e_j),
     # over the unknowns d_pq (D e_p = sum_q d_pq e_q) at column p*n + q.
-    entries: dict = {}
+    terms = []
     for i, j, k, c in constants:
         for m in range(n):        # D(e_i e_j) = sum_k c_ij^k D(e_k)
-            _add(entries, ((i, j, m), k * n + m), c)
+            terms.append(((i, j, m), k * n + m, c))
     for p, j, m, c in constants:
         for i in range(n):        # D(e_i) e_j = sum_p d_ip e_p e_j
-            _add(entries, ((i, j, m), i * n + p), -c)
+            terms.append(((i, j, m), i * n + p, -c))
     for i, q, m, c in constants:
         for j in range(n):        # e_i D(e_j) = sum_q d_jq e_i e_q
-            _add(entries, ((i, j, m), j * n + q), -c)
-    return n * n - linalg.rank(_sparse_rows(entries), n * n, field)
+            terms.append(((i, j, m), j * n + q, -c))
+    return n * n - linalg.rank(linalg.sparse_rows(terms), n * n, field)
 
 
 def substitute(a: Algebra, at: Mapping, name: str | None = None) -> Algebra:

@@ -21,10 +21,9 @@ from typing import Mapping, Sequence
 import sympy as sp
 
 from . import linalg, scalars
-from .algebras import (Algebra, AlgebraError, Vector, _add, _json_field,
-                       _sparse_rows, annihilator_basis, basis_vector,
-                       change_basis_table, multiply_table, nonzero_constants,
-                       substitute)
+from .algebras import (Algebra, AlgebraError, Vector, _json_field,
+                       annihilator_basis, basis_vector, change_basis_table,
+                       multiply_table, nonzero_constants, substitute)
 from .scalars import T, grammar_str, parse_scalar
 
 __all__ = [
@@ -173,20 +172,16 @@ def _condition_rows(n: int, constants: Sequence) -> list[dict]:
     (1, i, j, k) is theta(e_i e_j - e_j e_i, e_k) - theta(e_i, e_j e_k)
     + theta(e_j, e_i e_k); each constant adds to the rows it appears in.
     """
-    entries: dict = {}
-
-    def add(row, col, x):
-        _add(entries, (row, col), x)
-
+    terms = []
     for a, b, l, c in constants:           # e_a e_b has c on e_l
         for m in range(n):
-            add((0, a, b, m), l * n + m, c)    # theta(e_i e_j, e_k) in (0, i, j, k)
-            add((1, a, b, m), l * n + m, c)    # and in (1, i, j, k)
-            add((0, a, m, b), l * n + m, -c)   # -theta(e_i e_k, e_j) in (0, i, j, k)
-            add((1, b, a, m), l * n + m, -c)   # -theta(e_j e_i, e_k) in (1, i, j, k)
-            add((1, m, a, b), m * n + l, -c)   # -theta(e_i, e_j e_k) in (1, i, j, k)
-            add((1, a, m, b), m * n + l, c)    # theta(e_j, e_i e_k) in (1, i, j, k)
-    return _sparse_rows(entries)
+            terms += [((0, a, b, m), l * n + m, c),    # theta(e_i e_j, e_k) in (0, i, j, k)
+                      ((1, a, b, m), l * n + m, c),    # and in (1, i, j, k)
+                      ((0, a, m, b), l * n + m, -c),   # -theta(e_i e_k, e_j) in (0, i, j, k)
+                      ((1, b, a, m), l * n + m, -c),   # -theta(e_j e_i, e_k) in (1, i, j, k)
+                      ((1, m, a, b), m * n + l, -c),   # -theta(e_i, e_j e_k) in (1, i, j, k)
+                      ((1, a, m, b), m * n + l, c)]    # theta(e_j, e_i e_k) in (1, i, j, k)
+    return linalg.sparse_rows(terms)
 
 
 def is_cocycle(a: Algebra, theta: Cocycle) -> bool:
@@ -233,11 +228,11 @@ def cocycle_space(a: Algebra) -> CocycleSpace:
     n = a.dim
     field, constants = a.constants
     z2 = linalg.nullspace(_condition_rows(n, constants), n * n, field)
-    slices = [[field.zero] * (n * n) for _ in range(n)]
+    slices: list[dict] = [{} for _ in range(n)]   # C^(k) as a sparse vector
     for i, j, k, c in constants:
         slices[k][i * n + j] = c
     chosen = linalg.independent_indices(slices + z2, field)
-    z2_vecs = [linalg.cleared_vector(field, v) for v in z2]
+    z2_vecs = [linalg.cleared_vector(field, v, n * n) for v in z2]
     coboundaries = coboundary_matrices(a)
     return CocycleSpace(
         a,
@@ -365,7 +360,7 @@ def is_automorphism(a: Algebra, phi: Sequence[Sequence]) -> bool:
     n = a.dim
     field, (table, p) = linalg.to_field(
         a.table, [[parse_scalar(x) for x in row] for row in phi])
-    if linalg.invert(p, field) is None:
+    if linalg.rank(linalg.sparse(p), n, field) < n:
         raise SingularMatrixError("singular matrix")
     cols = [[p[r][i] for r in range(n)] for i in range(n)]
     constants = nonzero_constants(table)
@@ -495,9 +490,7 @@ def verify_action_formulas(case: ActionCase, samples: int = 20,
         cols = ([c.as_vector() for c in coboundary_matrices(inst)]
                 + [nm.as_vector() for nm in nabla_mats] + [conj.as_vector()])
         field, (cols,) = linalg.to_field(cols)
-        system = [{c: col[r] for c, col in enumerate(cols) if col[r]}
-                  for r in range(n * n)]
-        red, pivots = linalg.rref(system, len(cols), field)
+        red, pivots = linalg.rref(linalg.sparse(zip(*cols)), len(cols), field)
         nabla_cols = range(n, n + len(nabla_mats))
         if len(cols) - 1 in pivots or any(c not in pivots for c in nabla_cols):
             raise AlgebraError(f"{case.case_id}: conjugated form left span(B2 | nablas)")

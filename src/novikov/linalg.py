@@ -11,23 +11,26 @@ in canonical ``cancel`` form, so equal rational functions come out
 syntactically identical.  Over ``QQ`` the converted value already is the
 canonical ``Rational``, and :func:`to_expr` skips ``cancel``.
 
-:func:`rref`, :func:`rank` and :func:`nullspace` take an optional ``field``.
-Given one, a system is a list of sparse ``{column: element}`` rows of that
-field holding no zero entries, with ``ncols`` columns, exactly as the
-algebra layer builds it from an algebra's nonzero structure constants
-(converted once per algebra); nothing is converted and nothing dense is
-built.  :func:`invert` and :func:`independent_indices` take dense rows of
-field elements and reduce them the same way.  Without a field, the entries
-are dense rows of expressions, converted once per call, and the entries
-handed back are expressions in ``cancel`` form.  Every row reduction runs
-through :func:`rref` on a sparse ``DomainMatrix``.  Pivots are the
-lowest-index nonzero columns and reduction is full, so the RREF, and every
-basis derived from it, is unique and reproducible bit-for-bit.
+:func:`rref`, :func:`rank`, :func:`nullspace`, :func:`independent_indices`
+and :func:`invert` take an optional ``field``.  Given one, every row they
+take and every row or vector they hand back is a sparse ``{column:
+element}`` dict of that field holding no zero entries, and nothing is
+converted.  :func:`sparse_rows` builds such rows by summing
+``(row, column, element)`` terms, and :func:`sparse` turns dense rows of
+field elements into them.  The algebra layer builds its systems with
+:func:`sparse_rows` straight from an algebra's nonzero structure constants
+(converted once per algebra), so nothing dense is built.  Without a field,
+the entries are
+dense rows of expressions, converted once per call, and the entries handed
+back are expressions in ``cancel`` form.  Every row reduction runs through
+:func:`rref` on a sparse ``DomainMatrix``.  Pivots are the lowest-index
+nonzero columns and reduction is full, so the RREF, and every basis derived
+from it, is unique and reproducible bit-for-bit.
 """
 
 from __future__ import annotations
 
-from typing import Sequence
+from typing import Iterable, Sequence
 
 import sympy as sp
 from sympy.polys.constructor import construct_domain
@@ -40,6 +43,8 @@ __all__ = [
     "to_expr",
     "cleared_vector",
     "entry_is_zero",
+    "sparse_rows",
+    "sparse",
     "rref",
     "rank",
     "nullspace",
@@ -95,9 +100,9 @@ def to_expr(field, x) -> sp.Expr:
     return e if field.is_QQ else sp.cancel(e)
 
 
-def cleared_vector(field, vec: Sequence) -> Vector:
-    """A vector of field elements as expressions scaled by the lcm of their
-    denominators.
+def cleared_vector(field, vec: dict, n: int) -> Vector:
+    """A sparse vector of field elements as ``n`` expressions scaled by the
+    lcm of their denominators.
 
     Keeps generic nullspace bases polynomial in the parameters instead of
     carrying spurious 1/param factors from pivot normalization.  The scale
@@ -105,13 +110,13 @@ def cleared_vector(field, vec: Sequence) -> Vector:
     """
     ring = field.get_ring()
     scale = ring.one
-    for x in vec:
-        if x:
-            scale = ring.lcm(scale, _written_denominator(field, x))
+    for x in vec.values():
+        scale = ring.lcm(scale, _written_denominator(field, x))
     if scale != ring.one:
         factor = field.convert_from(scale, ring)
-        vec = [x * factor for x in vec]
-    return tuple(to_expr(field, x) for x in vec)
+        vec = {c: x * factor for c, x in vec.items()}
+    zero = to_expr(field, field.zero)
+    return tuple(to_expr(field, vec[c]) if c in vec else zero for c in range(n))
 
 
 def _written_denominator(field, x):
@@ -125,71 +130,94 @@ def _written_denominator(field, x):
     return den
 
 
+def sparse_rows(terms: Iterable[tuple]) -> list[dict]:
+    """The sparse rows of a system given as ``(row, column, element)`` terms.
+
+    Row labels are any hashable keys.  Terms at one place are summed; the
+    entries that sum to zero and the rows left empty are dropped.
+    """
+    entries: dict = {}
+    for r, c, x in terms:
+        prev = entries.get((r, c))
+        entries[(r, c)] = x if prev is None else prev + x
+    rows: dict = {}
+    for (r, c), x in entries.items():
+        if x:
+            rows.setdefault(r, {})[c] = x
+    return list(rows.values())
+
+
+def sparse(rows: Iterable[Sequence]) -> list[dict]:
+    """Dense rows of field elements as sparse rows, one each, in order (an
+    all-zero row becomes ``{}``)."""
+    return [{c: x for c, x in enumerate(row) if x} for row in rows]
+
+
+def _width(rows: Sequence[Sequence], ncols: int | None) -> int:
+    """The number of columns of dense rows; a given ``ncols`` must agree."""
+    if not rows:
+        return ncols or 0
+    if ncols is not None and ncols != len(rows[0]):
+        raise ValueError(f"ncols={ncols} given for rows of {len(rows[0])} columns")
+    return len(rows[0])
+
+
 def rref(rows: Sequence, ncols: int | None = None, field=None) -> tuple[list, list[int]]:
     """Reduced row echelon form with lowest-index pivots.
 
     Returns the reduced rows and the list of pivot column indices.  With
-    ``field``, ``rows`` are sparse ``{column: element}`` rows without zero
-    entries and ``ncols`` columns, and the result is the nonzero reduced
-    rows, one per pivot, in the same form.  Without, ``rows`` are dense rows
-    of expressions and the result is the whole reduced matrix, dense, in
-    ``cancel`` form.
+    ``field``, ``rows`` are sparse rows of ``ncols`` columns and the result
+    is the nonzero reduced rows, one per pivot, sparse.  Without, ``rows``
+    are dense rows of expressions and the result is the whole reduced
+    matrix, dense, in ``cancel`` form.
     """
     if field is None:
-        ncols = len(rows[0]) if rows else 0
+        ncols = _width(rows, ncols)
         field, (rows,) = to_field(rows)
-        red, pivots = _rref(_sparse(rows), ncols, field)
-        zero = field.zero
-        red = [[to_expr(field, row.get(c, zero)) for c in range(ncols)] for row in red]
-        return red + [[to_expr(field, zero)] * ncols for _ in rows[len(red):]], pivots
+        red, pivots = rref(sparse(rows), ncols, field)
+        zero = to_expr(field, field.zero)
+        red = [[to_expr(field, row[c]) if c in row else zero for c in range(ncols)]
+               for row in red]
+        return red + [[zero] * ncols for _ in rows[len(red):]], pivots
     if ncols is None:
         raise ValueError("ncols required for sparse rows")
-    return _rref(rows, ncols, field)
-
-
-def _rref(rows: Sequence[dict], ncols: int, field) -> tuple[list[dict], list[int]]:
-    # The elimination behind rref; DomainMatrix reduces sparse rows in
-    # sparse form.
+    # DomainMatrix reduces sparse rows in sparse form.
     nonzero = {i: row for i, row in enumerate(rows) if row}
     red, pivots = DomainMatrix(nonzero, (len(rows), ncols), field).rref()
     red = red.to_dod()
     return [red[r] for r in range(len(pivots))], list(pivots)
 
 
-def _sparse(rows: Sequence[Sequence]) -> list[dict]:
-    """Dense rows of field elements as ``{column: element}`` rows."""
-    return [{c: x for c, x in enumerate(row) if x} for row in rows]
-
-
 def rank(rows: Sequence, ncols: int | None = None, field=None) -> int:
     """Rank of dense expression rows, or, with ``field``, of sparse rows of
     ``ncols`` columns."""
     if field is None:
-        ncols = len(rows[0]) if rows else 0
+        ncols = _width(rows, ncols)
         field, (rows,) = to_field(rows)
-        rows = _sparse(rows)
+        rows = sparse(rows)
     return len(rref(rows, ncols, field)[1]) if rows else 0
 
 
 def nullspace(rows: Sequence, ncols: int | None = None, field=None) -> list:
     """Basis of the right nullspace {x : rows @ x = 0}, deterministic order.
 
-    With ``field``, ``rows`` are sparse rows and the basis vectors are dense
-    lists of its elements, one per free column with a 1 there.  Without,
-    ``rows`` are dense expression rows and the vectors are expression tuples
-    put through :func:`cleared_vector`.
+    One basis vector per free column, with a 1 there.  With ``field``,
+    ``rows`` are sparse rows of ``ncols`` columns and the vectors are sparse
+    too.  Without, ``rows`` are dense expression rows and the vectors are
+    expression tuples put through :func:`cleared_vector`.
     """
     if not rows and ncols is None:
         raise ValueError("ncols required for an empty system")
     if field is None:
-        ncols = ncols if ncols is not None else len(rows[0])
+        ncols = _width(rows, ncols)
         field, (rows,) = to_field(rows)
-        return [cleared_vector(field, v) for v in nullspace(_sparse(rows), ncols, field)]
+        return [cleared_vector(field, v, ncols)
+                for v in nullspace(sparse(rows), ncols, field)]
     red, pivots = rref(rows, ncols, field) if rows else ([], [])
+    bound = set(pivots)
     basis = []
-    for fc in (c for c in range(ncols) if c not in pivots):
-        vec = [field.zero] * ncols
-        vec[fc] = field.one
+    for fc in (c for c in range(ncols) if c not in bound):
+        vec = {fc: field.one}
         for row, pc in zip(red, pivots):
             x = row.get(fc)
             if x is not None:
@@ -198,38 +226,42 @@ def nullspace(rows: Sequence, ncols: int | None = None, field=None) -> list:
     return basis
 
 
-def independent_indices(vectors: Sequence[Sequence], field=None) -> list[int]:
+def independent_indices(vectors: Sequence, field=None) -> list[int]:
     """Indices of the vectors not in the span of the vectors before them.
 
     These are the pivot columns of the matrix whose columns are the
     vectors, so zero vectors are never chosen.  With ``field`` the vectors
-    are dense lists of its elements, without they are expressions.
+    are sparse, without they are dense vectors of expressions.
     """
     if not vectors:
         return []
     if field is None:
         field, (vectors,) = to_field(vectors)
-    columns = [{i: v[r] for i, v in enumerate(vectors) if v[r]}
-               for r in range(len(vectors[0]))]
-    return rref(columns, len(vectors), field)[1]
+        vectors = sparse(vectors)
+    columns = sparse_rows((r, i, x) for i, v in enumerate(vectors) for r, x in v.items())
+    return rref(columns, len(vectors), field)[1] if columns else []
 
 
-def invert(m_rows: Sequence[Sequence], field=None) -> list | None:
-    """Inverse matrix, or None if singular.  Entries are elements of
-    ``field`` when it is given, expressions in ``cancel`` form otherwise."""
+def invert(m_rows: Sequence, field=None) -> list | None:
+    """Inverse matrix, or None if singular.
+
+    With ``field``, ``m_rows`` are the n sparse rows of an n x n matrix, in
+    order (``{}`` for a zero row), and so are the rows returned.  Without,
+    rows are dense and the entries are expressions in ``cancel`` form.
+    """
     if field is None:
+        n = len(m_rows)
         field, (m_rows,) = to_field(m_rows)
-        inv = invert(m_rows, field)
-        return None if inv is None else [[to_expr(field, x) for x in row]
-                                         for row in inv]
+        inv = invert(sparse(m_rows), field)
+        zero = to_expr(field, field.zero)
+        return None if inv is None else [
+            [to_expr(field, row[c]) if c in row else zero for c in range(n)] for row in inv]
     n = len(m_rows)
-    aug = _sparse(m_rows)
-    for i, row in enumerate(aug):
-        row[n + i] = field.one
+    aug = [{**row, n + i: field.one} for i, row in enumerate(m_rows)]
     red, pivots = rref(aug, 2 * n, field)
     if pivots != list(range(n)):
         return None
-    return [[row.get(n + c, field.zero) for c in range(n)] for row in red]
+    return [{c - n: x for c, x in row.items() if c >= n} for row in red]
 
 
 def det(m_rows: Sequence[Sequence]) -> sp.Expr:
@@ -247,8 +279,8 @@ def in_span(vectors: Sequence[Sequence], v: Sequence) -> bool:
         return all(entry_is_zero(x) for x in v)
     ncols = len(v)
     field, (vectors, v) = to_field(vectors, v)
-    vectors = _sparse(vectors)
-    return rank(vectors + _sparse([v]), ncols, field) == rank(vectors, ncols, field)
+    vectors = sparse(vectors)
+    return rank(vectors + sparse([v]), ncols, field) == rank(vectors, ncols, field)
 
 
 def subspace_equal(u_vectors: Sequence[Sequence], v_vectors: Sequence[Sequence]) -> bool:

@@ -18,8 +18,9 @@ from novikov.algebras import (Algebra, AlgebraError, ConstraintViolation, algebr
 from novikov.catalog import _admissible_samples
 from novikov.cohomology import cocycle_space
 from novikov.scalars import random_rational
-from oracle import (annihilator_dim, derivation_dim_frac, derived_dims,
-                    identity_flags, random_products, table)
+from oracle import (annihilator_dim, cocycle_space_dims, derivation_dim_frac,
+                    derived_dims, h2_rep_count, identity_flags, random_products,
+                    table)
 
 
 def e(n, i):
@@ -104,19 +105,25 @@ def _frac_table(a):
 
 
 def test_identities_match_oracle_on_catalog(cat):
+    # With the cocycle space and the derivations at the same random
+    # admissible point of each family.
     rng = random.Random(20260810)
     assert len(cat.entries) == 38
     for entry in cat.entries.values():
         [assign] = _admissible_samples(entry, rng, 1)
         a = substitute(entry.algebra, assign) if assign else entry.algebra
-        assert _flags(a) == identity_flags(_frac_table(a)), (entry.name, assign)
+        tbl = _frac_table(a)
+        assert _flags(a) == identity_flags(tbl), (entry.name, assign)
+        z2, b2 = cocycle_space_dims(tbl)
+        assert cocycle_space(a).dims == (z2, b2, h2_rep_count(tbl)), (entry.name, assign)
+        assert derivation_dim(a) == derivation_dim_frac(tbl), (entry.name, assign)
 
 
 def test_identities_match_oracle_on_random_tables():
     rng = random.Random(4)
     seen = set()
     for idx in range(40):
-        n = rng.choice((2, 3))
+        n = rng.choice((2, 3, 4, 5))
         products = [(i, j, k, rng.choice((-1, 1, 2)))
                     for i in range(1, n + 1) for j in range(1, n + 1)
                     for k in range(1, n + 1) if rng.random() < 0.15]
@@ -130,7 +137,7 @@ def test_identities_match_oracle_on_random_tables():
 def test_profile_matches_oracle_on_random_tables():
     rng = random.Random(11)
     for idx in range(40):
-        n = rng.choice((2, 3))
+        n = rng.choice((2, 3, 4, 5))
         products = random_products(rng, n)
         a = algebra(f"random_{idx}", n, [(i, j, k, str(c)) for i, j, k, c in products])
         tbl = table(n, products)

@@ -85,7 +85,7 @@ def test_rank_nullity_on_golden_rows(cat):
 def test_cocycle_space_dims_match_oracle_on_random_tables():
     rng = random.Random(12)
     for idx in range(40):
-        n = rng.choice((2, 3))
+        n = rng.choice((2, 3, 4, 5))
         products = random_products(rng, n)
         a = algebra(f"random_{idx}", n, [(i, j, k, str(c)) for i, j, k, c in products])
         tbl = table(n, products)

@@ -2,41 +2,27 @@
 
 Every algebra converts its nonzero constants once (``Algebra.constants``)
 and builds the identity, derivation, annihilator and cocycle systems from
-them as sparse rows.  These tests compare each decision with the dense,
-from-scratch oracle in ``tests/oracle.py``: on random sparse rational tables
-of dimensions 4 and 5 (most of them not Novikov) and at random admissible
-points of every catalog family, with ``is_cocycle`` and ``multiply`` at
-random inputs.  The last test checks that the per-instance cache changes
-nothing.
+them as sparse rows; the oracle comparisons of those systems on random
+tables and catalog points live with the other oracle tests.  Here:
+``multiply`` and ``is_cocycle`` at random inputs on random sparse tables of
+dimensions 4 and 5, one fixed table per outcome of the identity checks, and
+that the per-instance cache changes nothing.
 """
 
-import random
 from fractions import Fraction
 
 import pytest
 import sympy as sp
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from novikov.algebras import (algebra, algebra_from_json, algebra_to_json,
                               annihilator_basis, check_identities, derivation_dim,
                               derived_power_dims, multiply, substitute)
-from novikov.catalog import _admissible_samples
 from novikov.cohomology import Cocycle, cocycle_space, is_cocycle
-from oracle import (annihilator_dim, cocycle_space_dims, derivation_dim_frac,
-                    derived_dims, h2_rep_count, identity_flags,
-                    is_cocycle_frac, mult, table)
+from oracle import identity_flags, is_cocycle_frac, mult, table
 
 
-def _flags(a):
-    f = check_identities(a)
-    return f.right_commutative, f.left_symmetric, f.novikov, f.two_step
-
-
-def _frac_table(a):
-    return [[[Fraction(str(x)) for x in row] for row in plane] for plane in a.table]
-
-
-def _sympy(n, products):
+def _sympy(products):
     return [(i, j, k, str(c)) for i, j, k, c in products]
 
 
@@ -58,31 +44,12 @@ def _vectors(n):
                     min_size=n, max_size=n)
 
 
-# One table per outcome of the identity checks (right-commutative,
-# left-symmetric, Novikov, two-step), so each is always exercised.
 @settings(max_examples=30, deadline=None)
 @given(_sparse_tables(), st.data())
-@example((4, [(1, 4, 2, 1)]), None)                                     # two-step
-@example((4, [(3, 3, 3, 2), (2, 4, 4, -1)]), None)                       # Novikov
-@example((4, [(1, 3, 1, 1), (4, 4, 4, -1), (1, 4, 1, 1), (4, 1, 4, 1),
-              (2, 1, 3, -1)]), None)                                     # RC only
-@example((5, [(2, 2, 3, 2), (2, 3, 4, 2), (3, 1, 5, 1)]), None)          # LS only
-@example((4, [(2, 4, 4, 2), (2, 3, 2, 2), (2, 4, 3, -1), (4, 1, 2, 2),
-              (3, 1, 3, 2)]), None)                                      # neither
-def test_kernel_matches_oracle_on_random_tables(drawn, data):
+def test_multiply_and_is_cocycle_match_oracle_on_random_tables(drawn, data):
     n, products = drawn
-    a = algebra("random", n, _sympy(n, products))
+    a = algebra("random", n, _sympy(products))
     tbl = table(n, products)
-    assert _flags(a) == identity_flags(tbl)
-    assert derived_power_dims(a) == derived_dims(tbl)
-    assert derivation_dim(a) == derivation_dim_frac(tbl)
-    assert len(annihilator_basis(a)) == annihilator_dim(tbl)
-    z2, b2 = cocycle_space_dims(tbl)
-    space = cocycle_space(a)
-    assert space.dims == (z2, b2, h2_rep_count(tbl))
-    assert all(is_cocycle(a, c) for c in space.z2_basis)
-    if data is None:
-        return
     x, y = data.draw(_vectors(n)), data.draw(_vectors(n))
     got = multiply(a, [sp.Rational(v) for v in x], [sp.Rational(v) for v in y])
     assert [Fraction(str(v)) for v in got] == mult(tbl, x, y)
@@ -91,20 +58,22 @@ def test_kernel_matches_oracle_on_random_tables(drawn, data):
     assert is_cocycle(a, cocycle) == is_cocycle_frac(tbl, theta)
 
 
-def test_kernel_matches_oracle_at_catalog_points(cat):
-    # Two admissible points of every parametrized family, the constant
-    # algebras as they are.
-    rng = random.Random(20261018)
-    checked = 0
-    for entry in cat.entries.values():
-        for assign in _admissible_samples(entry, rng, 2):
-            a = substitute(entry.algebra, assign) if assign else entry.algebra
-            tbl = _frac_table(a)
-            z2, b2 = cocycle_space_dims(tbl)
-            assert cocycle_space(a).dims == (z2, b2, h2_rep_count(tbl)), (entry.name, assign)
-            assert derivation_dim(a) == derivation_dim_frac(tbl), (entry.name, assign)
-            checked += bool(assign)
-    assert checked >= 2 * sum(bool(e.algebra.params) for e in cat.entries.values())
+# One table per outcome of the identity checks: (right-commutative,
+# left-symmetric, Novikov, two-step).
+@pytest.mark.parametrize("n, products, flags", [
+    (4, [(1, 4, 2, 1)], (True, True, True, True)),
+    (4, [(3, 3, 3, 2), (2, 4, 4, -1)], (True, True, True, False)),
+    (4, [(1, 3, 1, 1), (4, 4, 4, -1), (1, 4, 1, 1), (4, 1, 4, 1), (2, 1, 3, -1)],
+     (True, False, False, False)),
+    (5, [(2, 2, 3, 2), (2, 3, 4, 2), (3, 1, 5, 1)], (False, True, False, False)),
+    (4, [(2, 4, 4, 2), (2, 3, 2, 2), (2, 4, 3, -1), (4, 1, 2, 2), (3, 1, 3, 2)],
+     (False, False, False, False)),
+], ids=["two_step", "novikov", "right_commutative_only", "left_symmetric_only",
+        "neither"])
+def test_identity_outcomes_match_oracle(n, products, flags):
+    f = check_identities(algebra("fixed", n, _sympy(products)))
+    got = (f.right_commutative, f.left_symmetric, f.novikov, f.two_step)
+    assert got == identity_flags(table(n, products)) == flags
 
 
 def _profile(a):

@@ -207,4 +207,41 @@ _lam_poly = st.builds(lambda c0, c1, d: (c0 + c1 * lam) / d,
     st.lists(st.one_of(_rational, _lam_fn, _lam_poly), min_size=1, max_size=5)))
 def test_cleared_vector_matches_expression_reference(vec):
     field, (elems,) = linalg.to_field(vec)
-    assert linalg.cleared_vector(field, elems) == _cleared_reference(vec)
+    [sparse] = linalg.sparse([elems])
+    assert linalg.cleared_vector(field, sparse, len(vec)) == _cleared_reference(vec)
+
+
+# ---------------------------------------------------------------------------
+# Sparse rows over a field
+# ---------------------------------------------------------------------------
+
+def test_sparse_rows_sum_terms_and_drop_zeros():
+    field, ([one, two, three],) = linalg.to_field([1, 2, 3])
+    rows = linalg.sparse_rows([("a", 0, one), ("b", 1, two), ("a", 0, two),
+                               ("b", 1, -two), ("c", 2, three)])
+    assert rows == [{0: three}, {2: three}]
+    assert linalg.sparse([[one, field.zero], [field.zero, field.zero]]) == [{0: one}, {}]
+
+
+def test_field_entry_points_take_and_give_sparse_rows():
+    m = [[sp.Integer(1), sp.Integer(2)], [sp.Integer(3), sp.Integer(4)]]
+    field, (elems,) = linalg.to_field(m)
+    rows = linalg.sparse(elems)
+    inv = linalg.invert(rows, field)
+    dense_inv = linalg.invert(m)
+    assert [[linalg.to_expr(field, row.get(c, field.zero)) for c in range(2)]
+            for row in inv] == dense_inv
+    singular = linalg.sparse([elems[0], [field.zero, field.zero]])
+    assert linalg.invert(singular, field) is None
+    assert linalg.rank(singular, 2, field) == 1
+    [null] = linalg.nullspace(singular, 2, field)
+    assert set(null) == {0, 1} and null[1] == field.one
+    assert linalg.independent_indices([{}, rows[0], {1: field.one}, rows[1]], field) == [1, 2]
+
+
+def test_dense_rows_reject_a_conflicting_column_count():
+    m = [[sp.Integer(1), sp.Integer(2)]]
+    for f in (linalg.rref, linalg.rank, linalg.nullspace):
+        with pytest.raises(ValueError, match="ncols=3"):
+            f(m, 3)
+    assert linalg.rank(m, 2) == 1

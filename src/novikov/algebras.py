@@ -405,9 +405,10 @@ def derived_power_dims(a: Algebra) -> list[int]:
     dims = [n]
     while dims[-1] > 0:
         k = len(powers) + 1
-        candidates = linalg.sparse(multiply_table(constants, u, v, field)
-                                   for p in range(1, k)
-                                   for u in powers[p - 1] for v in powers[k - p - 1])
+        candidates = [w for w in linalg.sparse(multiply_table(constants, u, v, field)
+                                               for p in range(1, k)
+                                               for u in powers[p - 1]
+                                               for v in powers[k - p - 1]) if w]
         red, pivots = linalg.rref(candidates, n, field) if candidates else ([], [])
         powers.append([[row.get(c, zero) for c in range(n)] for row in red])
         dims.append(len(pivots))

@@ -174,14 +174,19 @@ def rref(rows: Sequence, ncols: int | None = None, field=None) -> tuple[list, li
     if field is None:
         ncols = _width(rows, ncols)
         field, (rows,) = to_field(rows)
-        red, pivots = rref(sparse(rows), ncols, field)
+        red, pivots = _rref(sparse(rows), ncols, field)
         zero = to_expr(field, field.zero)
         red = [[to_expr(field, row[c]) if c in row else zero for c in range(ncols)]
                for row in red]
         return red + [[zero] * ncols for _ in rows[len(red):]], pivots
     if ncols is None:
         raise ValueError("ncols required for sparse rows")
-    # DomainMatrix reduces sparse rows in sparse form.
+    return _rref(rows, ncols, field)
+
+
+def _rref(rows: Sequence[dict], ncols: int, field) -> tuple[list[dict], list[int]]:
+    # The elimination behind rref, reached once per reduction from either
+    # path; DomainMatrix reduces sparse rows in sparse form.
     nonzero = {i: row for i, row in enumerate(rows) if row}
     red, pivots = DomainMatrix(nonzero, (len(rows), ncols), field).rref()
     red = red.to_dod()

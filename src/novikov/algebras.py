@@ -369,7 +369,7 @@ def check_identities(a: Algebra) -> IdentityFlags:
             right[h, i, j, m] += c * d
     right_comm = not any(v - left.get((i, k, j, m), zero)
                          for (i, j, k, m), v in left.items())
-    assoc = defaultdict(lambda: zero, left)   # (e_i e_j) e_k - e_i (e_j e_k)
+    assoc = defaultdict(lambda: zero, left)   # (e_i, e_j, e_k) = (e_i e_j) e_k - e_i (e_j e_k)
     for key, v in right.items():
         assoc[key] -= v
     left_sym = not any(v - assoc.get((j, i, k, m), zero)

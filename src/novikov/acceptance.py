@@ -137,8 +137,10 @@ def criterion_cohomology_golden(cat: Catalog | None = None) -> CriterionResult:
 
 def criterion_extension_witnesses(cat: Catalog | None = None) -> CriterionResult:
     """3: every recorded representative is a cocycle with trivial annihilator
-    intersection whose extension equals its named target exactly; the
-    published action formulas (both readings) verify by sampling."""
+    intersection whose extension equals its named target exactly; each
+    action template is an automorphism generically, and the published
+    action formulas (both readings) match the conjugated cocycle, formed
+    once over the parameter field and evaluated at each sampled point."""
     t0 = time.time()
     cat = cat or load_catalog()
     failures = []

@@ -23,7 +23,7 @@ import sympy as sp
 from . import linalg, scalars
 from .algebras import (Algebra, AlgebraError, Vector, _json_field,
                        annihilator_basis, basis_vector, change_basis_table,
-                       multiply_table, nonzero_constants, substitute)
+                       multiply_table, nonzero_constants)
 from .scalars import T, grammar_str, parse_scalar
 
 __all__ = [
@@ -448,78 +448,72 @@ def verify_action_formulas(case: ActionCase, samples: int = 20,
                            seed: int = 20260810) -> ActionCaseReport:
     """Check the published alpha -> alpha* formulas against direct conjugation.
 
-    For each sampled assignment of the template entries (kept invertible) and
-    the tracked coefficients, the conjugated cocycle is decomposed exactly in
-    the basis (B^2 | nablas); the nabla coordinates must match the published
-    class formulas, and any recorded raw matrix entries must match the
-    conjugated matrix entry-for-entry.
+    The template must be an automorphism of the base, generically.  The
+    template, the nablas, alpha*, the recorded matrix entries and the
+    base's coboundary slices are converted to one field once, and
+    theta = sum a^c nabla^c and its conjugate phi^T theta phi are formed
+    once on those elements.  Each sampled assignment of the template
+    entries (kept invertible), the tracked coefficients and the base's
+    parameters only evaluates them: the conjugated cocycle is decomposed
+    exactly in the basis (B^2 | nablas), the nabla coordinates must match
+    the published class formulas, and any recorded raw matrix entries must
+    match the conjugated matrix entry-for-entry.
     """
-    rng = random.Random(seed)
     a = case.base
     n = a.dim
+    if not is_automorphism(a, case.template):
+        raise AlgebraError(f"{case.case_id}: template is not an automorphism")
+    rng = random.Random(seed)
     free_syms = list(case.template_vars) + list(case.coeff_vars) + list(a.params)
     # The template is polynomial, so its determinant at a point is the
     # generic determinant evaluated there.
     nonzero = [*case.invertibility, *a.constraints, linalg.det(case.template)]
+    field, (phi, nablas, coeffs, alpha, reading, slices) = linalg.to_field(
+        case.template, [nab.matrix for nab in case.nablas], case.coeff_vars,
+        case.alpha_star, [entry for _, _, entry in case.matrix_reading],
+        [c.matrix for c in coboundary_matrices(a)])
+    theta = [[sum((c * nab[i][j] for c, nab in zip(coeffs, nablas)), field.zero)
+              for j in range(n)] for i in range(n)]
+    conj = [[sum((phi[p][l] * theta[p][q] * phi[q][m]
+                  for p in range(n) for q in range(n) if theta[p][q]), field.zero)
+             for m in range(n)] for l in range(n)]
     counterexample = None
-    matrix_checked = bool(case.matrix_reading)
-    matrix_ok = True if matrix_checked else None
+    matrix_ok = True if case.matrix_reading else None
     class_ok = True
 
     for _ in range(samples):
         assign = next(scalars.admissible_points(rng, free_syms, nonzero, 200), None)
         if assign is None:
             raise AlgebraError(f"{case.case_id}: could not sample an invertible template")
-        phi = [[sp.cancel(scalars.substitute(x, assign)) for x in row]
-               for row in case.template]
-
-        inst = substitute(a, {p: assign[p] for p in a.params}) if a.params else a
-        nabla_mats = [
-            Cocycle(inst, tuple(tuple(sp.cancel(scalars.substitute(x, assign))
-                                      for x in row) for row in nab.matrix))
-            for nab in case.nablas]
-        theta = Cocycle(inst, tuple(
-            tuple(sp.cancel(sum(assign[c] * nab.matrix[i][j]
-                                for c, nab in zip(case.coeff_vars, nabla_mats)))
-                  for j in range(n)) for i in range(n)))
-        conj = act_on_cocycle(inst, phi, theta, check=False)
+        const, (slices_at, nablas_at, conj_at, alpha_at, reading_at) = linalg.evaluate(
+            field, assign, slices, nablas, conj, alpha, reading)
 
         # One elimination of (coboundary slices | nablas | conj): the pivot
         # slices span B^2, every nabla must be a pivot and conj must not be,
         # and conj's reduced column holds the coordinates.
-        cols = ([c.as_vector() for c in coboundary_matrices(inst)]
-                + [nm.as_vector() for nm in nabla_mats] + [conj.as_vector()])
-        field, (cols,) = linalg.to_field(cols)
-        red, pivots = linalg.rref(linalg.sparse(zip(*cols)), len(cols), field)
-        nabla_cols = range(n, n + len(nabla_mats))
-        if len(cols) - 1 in pivots or any(c not in pivots for c in nabla_cols):
+        cols = [[x for row in m for x in row] for m in (*slices_at, *nablas_at, conj_at)]
+        last = len(cols) - 1
+        red, pivots = linalg.rref(linalg.sparse(zip(*cols)), len(cols), const)
+        nabla_cols = range(n, last)
+        if last in pivots or any(c not in pivots for c in nabla_cols):
             raise AlgebraError(f"{case.case_id}: conjugated form left span(B2 | nablas)")
-        got = [linalg.to_expr(field, red[pivots.index(c)].get(len(cols) - 1, field.zero))
-               for c in nabla_cols]
-        expected = [sp.cancel(scalars.substitute(f, assign)) for f in case.alpha_star]
-        for idx, (g, e) in enumerate(zip(got, expected)):
-            if sp.cancel(g - e) != 0:
-                class_ok = False
-                if counterexample is None:
-                    counterexample = {
-                        "assignment": {str(k): grammar_str(v) for k, v in assign.items()},
-                        "formula_index": idx,
-                        "expected": grammar_str(e),
-                        "actual": grammar_str(sp.cancel(g)),
-                        "reading": "class",
-                    }
-        for (i, j, entry) in case.matrix_reading:
-            want = sp.cancel(scalars.substitute(entry, assign))
-            have = conj.matrix[i - 1][j - 1]
-            if sp.cancel(want - have) != 0:
-                matrix_ok = False
-                if counterexample is None:
-                    counterexample = {
-                        "assignment": {str(k): grammar_str(v) for k, v in assign.items()},
-                        "entry": [i, j],
-                        "expected": grammar_str(want),
-                        "actual": grammar_str(sp.cancel(have)),
-                        "reading": "matrix",
-                    }
+        got = [red[pivots.index(c)].get(last, const.zero) for c in nabla_cols]
+        wrong_class = [({"formula_index": idx}, want, have, "class")
+                       for idx, (want, have) in enumerate(zip(alpha_at, got))
+                       if want != have]
+        wrong_entries = [({"entry": [i, j]}, want, conj_at[i - 1][j - 1], "matrix")
+                         for (i, j, _), want in zip(case.matrix_reading, reading_at)
+                         if want != conj_at[i - 1][j - 1]]
+        class_ok = class_ok and not wrong_class
+        matrix_ok = matrix_ok and not wrong_entries
+        if counterexample is None and (wrong_class or wrong_entries):
+            where, want, have, reading_kind = (wrong_class + wrong_entries)[0]
+            counterexample = {
+                "assignment": {str(k): grammar_str(v) for k, v in assign.items()},
+                **where,
+                "expected": grammar_str(linalg.to_expr(const, want)),
+                "actual": grammar_str(linalg.to_expr(const, have)),
+                "reading": reading_kind,
+            }
     return ActionCaseReport(case.case_id, samples, class_ok, matrix_ok,
                             counterexample, case.note)

@@ -27,8 +27,8 @@ import mpmath
 import sympy as sp
 
 from . import linalg, scalars
-from .algebras import (AlgebraError, _change_basis, derivation_dim,
-                       instantiate_table)
+from .algebras import (AlgebraError, _change_basis, _json_field,
+                       derivation_dim, instantiate_table)
 from .catalog import Catalog, load as load_catalog
 from .scalars import (T, NumericDivisionError, grammar_str, is_root_free,
                       parse_scalar)
@@ -84,13 +84,22 @@ class DegenerationWitness:
 
 
 def witness_from_json(obj: Mapping) -> DegenerationWitness:
+    """Witness from its JSON object.  A missing ``id``, ``source``,
+    ``target`` or ``basis``, or a ``basis`` that is not a list of rows,
+    raises :class:`AlgebraError` naming it."""
+    wid = _json_field(obj, "id", "witness JSON")
+    source, target, basis = (_json_field(obj, key, f"witness {wid!r}")
+                             for key in ("source", "target", "basis"))
+    if not isinstance(basis, list) or not all(isinstance(row, list) for row in basis):
+        raise AlgebraError(f"witness {wid!r}: 'basis' must be a list of rows, "
+                           f"got {basis!r}")
     return DegenerationWitness(
-        id=obj["id"],
-        source=obj["source"],
+        id=wid,
+        source=source,
         source_params=dict(obj.get("source_params", {})),
-        target=obj["target"],
+        target=target,
         target_params=dict(obj.get("target_params", {})),
-        basis=tuple(tuple(row) for row in obj["basis"]),
+        basis=tuple(tuple(row) for row in basis),
         tier=obj.get("tier", "auto"),
         avoid=tuple(obj.get("avoid", ())),
         symbols=tuple(obj.get("symbols", ())),

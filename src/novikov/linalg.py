@@ -10,6 +10,8 @@ exact without any simplification step, and :func:`to_expr` brings one back
 in canonical ``cancel`` form, so equal rational functions come out
 syntactically identical.  Over ``QQ`` the converted value already is the
 canonical ``Rational``, and :func:`to_expr` skips ``cancel``.
+:func:`evaluate` gives the values of elements at a rational point, in the
+constant field ``QQ`` or ``QQ_I``, with no expression work.
 
 :func:`rref`, :func:`rank`, :func:`nullspace`, :func:`independent_indices`
 and :func:`invert` take an optional ``field``.  Given one, every row they
@@ -41,6 +43,7 @@ Vector = tuple[sp.Expr, ...]
 __all__ = [
     "to_field",
     "to_expr",
+    "evaluate",
     "cleared_vector",
     "entry_is_zero",
     "sparse_rows",
@@ -66,6 +69,11 @@ def entry_is_zero(e) -> bool:
     return _simp(e) == 0
 
 
+def _nested(f, x):
+    # f applied to every scalar of nested lists/tuples, same nesting, as lists.
+    return [_nested(f, y) for y in x] if isinstance(x, (list, tuple)) else f(x)
+
+
 def to_field(*groups) -> tuple[object, list]:
     """Convert nested lists/tuples of scalars into elements of one field.
 
@@ -74,23 +82,42 @@ def to_field(*groups) -> tuple[object, list]:
     as lists of field elements.
     """
     index: dict = {}
-
-    def collect(x):
-        if isinstance(x, (list, tuple)):
-            for y in x:
-                collect(y)
-        else:
-            index.setdefault(x, len(index))
-
     for g in groups:
-        collect(g)
+        _nested(lambda x: index.setdefault(x, len(index)), g)
     field, elems = construct_domain(list(index), field=True)
+    return field, [_nested(lambda x: elems[index[x]], g) for g in groups]
 
-    def rebuild(x):
-        return ([rebuild(y) for y in x] if isinstance(x, (list, tuple))
-                else elems[index[x]])
 
-    return field, [rebuild(g) for g in groups]
+def evaluate(field, point, *groups) -> tuple[object, list]:
+    """The elements of ``field`` in nested ``groups`` at ``point``, a map
+    ``{symbol: rational}`` that gives every generator of ``field`` a value.
+
+    Returns the constant field (``QQ`` or ``QQ_I``) and the values, in the
+    groups' nesting.  Each numerator and denominator is summed term by term,
+    its ground coefficients (``ZZ`` or ``ZZ_I``) times values of the
+    constant field: ``PolyElement.evaluate`` wants values in the ground
+    domain, so it fails for ``ZZ(x)`` at 1/2.  A pole at ``point`` raises
+    ``ZeroDivisionError``.
+    """
+    if not field.is_FractionField:
+        return field, [_nested(lambda x: x, g) for g in groups]
+    const = field.domain.get_field()
+    missing = [s for s in field.symbols if s not in point]
+    if missing:
+        raise ValueError(f"no value for {', '.join(map(str, missing))}")
+    values = [const.from_sympy(point[s]) for s in field.symbols]
+
+    def at(poly):
+        total = const.zero
+        for monom, term in poly.items():
+            for v, e in zip(values, monom):
+                if e:
+                    term *= v if e == 1 else v ** e
+            total += term
+        return total
+
+    return const, [_nested(lambda x: at(x.numer) / at(x.denom) if x else const.zero, g)
+                   for g in groups]
 
 
 def to_expr(field, x) -> sp.Expr:

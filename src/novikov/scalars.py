@@ -40,6 +40,8 @@ from typing import Iterator, Mapping, Sequence, Union
 
 import sympy as sp
 
+from . import linalg
+
 __all__ = [
     "T",
     "I",
@@ -332,8 +334,20 @@ def admissible_points(rng: random.Random, syms: Sequence[sp.Symbol],
                       attempts: int) -> Iterator[dict[sp.Symbol, sp.Rational]]:
     """Random rational points ``{s: value}``, drawn in the order of ``syms``
     at most ``attempts`` times; yields each draw at which no ``nonzero``
-    expression vanishes.  Callers give up when it runs dry."""
+    expression vanishes.  Callers give up when it runs dry.
+
+    The conditions are polynomials in ``syms``; they are converted to field
+    elements once and only evaluated at each draw."""
+    field, conditions = _condition_field(tuple(nonzero))
     for _ in range(attempts):
         point = {s: random_rational(rng) for s in syms}
-        if not any(vanishes(g, point) for g in nonzero):
+        _, (values,) = linalg.evaluate(field, point, conditions)
+        if all(values):
             yield point
+
+
+@lru_cache(maxsize=256)
+def _condition_field(nonzero: tuple[sp.Expr, ...]) -> tuple[object, tuple]:
+    # Samplers restart with the same conditions for every point they need.
+    field, (conditions,) = linalg.to_field(nonzero)
+    return field, tuple(conditions)

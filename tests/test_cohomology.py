@@ -6,8 +6,10 @@ from dataclasses import replace
 
 import pytest
 import sympy as sp
+from hypothesis import given, settings, strategies as st
 
-from novikov.algebras import (algebra, annihilator_basis, basis_vector,
+from novikov import algebras, cohomology, scalars
+from novikov.algebras import (AlgebraError, algebra, annihilator_basis, basis_vector,
                               change_basis_table, check_identities)
 from novikov.cohomology import (Cocycle, CocycleError, NotAutomorphismError,
                                 SingularMatrixError, act_on_cocycle,
@@ -17,6 +19,7 @@ from novikov.cohomology import (Cocycle, CocycleError, NotAutomorphismError,
                                 cocycle_to_json, has_trivial_intersection,
                                 is_cocycle, split_central_extension,
                                 verify_action_formulas)
+from novikov.catalog import load
 from novikov.linalg import in_span, subspace_equal
 from oracle import cocycle_space_dims, h2_rep_count, random_products, table
 
@@ -384,3 +387,95 @@ def test_verify_action_formulas_detects_corruption(cat):
     assert not rep.class_formulas_ok
     assert rep.counterexample is not None
     assert rep.counterexample["reading"] == "class"
+
+
+def _act_n3s_01(cat):
+    return next(c for c in cat.action_cases if c.case_id == "act-N3s_01")
+
+
+# The first admissible draw of the default seed for act-N3s_01.
+_FIRST_POINT = {"x": "2", "u": "3", "w": "7", "z": "5", "y": "-9/4", "a1": "-3/2",
+                "a2": "-1/7", "a3": "-8/3", "a4": "8/5", "a5": "7/2"}
+
+
+def test_action_counterexamples_are_pinned(cat):
+    case = _act_n3s_01(cat)
+    wrong_class = replace(case, alpha_star=(case.alpha_star[0] + 1,)
+                          + case.alpha_star[1:])
+    rep = verify_action_formulas(wrong_class, samples=4)
+    assert (rep.class_formulas_ok, rep.matrix_entries_ok) == (False, True)
+    assert list(rep.counterexample) == ["assignment", "formula_index", "expected",
+                                        "actual", "reading"]
+    assert rep.counterexample == {"assignment": _FIRST_POINT, "formula_index": 0,
+                                  "expected": "-11", "actual": "-12",
+                                  "reading": "class"}
+
+    (i, j, entry), *rest = case.matrix_reading
+    wrong_entry = replace(case, matrix_reading=((i, j, entry + sp.Symbol("x")), *rest))
+    rep = verify_action_formulas(wrong_entry, samples=4)
+    assert (rep.class_formulas_ok, rep.matrix_entries_ok) == (True, False)
+    assert rep.counterexample == {"assignment": _FIRST_POINT, "entry": [1, 2],
+                                  "expected": "-10", "actual": "-12",
+                                  "reading": "matrix"}
+
+
+def test_verify_action_formulas_rejects_a_non_automorphism_template(cat):
+    case = _act_n3s_01(cat)
+    rows = [list(row) for row in case.template]
+    rows[1][1] = sp.Symbol("x") ** 3          # was x^2; still invertible
+    bad = replace(case, template=tuple(tuple(row) for row in rows))
+    with pytest.raises(AlgebraError,
+                       match="act-N3s_01: template is not an automorphism"):
+        verify_action_formulas(bad, samples=1)
+
+
+def test_action_samples_only_evaluate(cat, monkeypatch):
+    # Expression work is done once per case: more samples make no more
+    # substitutions, cancels, algebra instances or conjugations.
+    calls = []
+
+    def counting(module, name):
+        fn = getattr(module, name)
+
+        def wrapped(*args, **kwargs):
+            calls.append(name)
+            return fn(*args, **kwargs)
+        monkeypatch.setattr(module, name, wrapped)
+
+    counting(sp, "cancel")
+    counting(scalars, "substitute")
+    counting(algebras, "substitute")
+    counting(cohomology, "act_on_cocycle")
+    counts = []
+    for samples in (1, 5):
+        calls.clear()
+        for case in cat.action_cases:
+            verify_action_formulas(case, samples=samples)
+        counts.append(len(calls))
+    assert counts[0] == counts[1]
+
+
+_THREE_DIM = sorted(e.name for e in load().list_entries() if e.algebra.dim == 3)
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.sampled_from(_THREE_DIM), st.data())
+def test_random_central_extension_splits_and_re_extends(cat, name, data):
+    # Extend by a random cocycle, split along the new line, extend again:
+    # the constants, the quotient and the cocycle all come back.
+    a = cat.get(name)
+    n = a.dim
+    z2 = cocycle_space(a).z2_basis
+    coeffs = data.draw(st.lists(st.integers(-3, 3), min_size=len(z2), max_size=len(z2)))
+    theta = Cocycle(a, tuple(tuple(sp.cancel(sum(c * z.matrix[i][j]
+                                                 for c, z in zip(coeffs, z2)))
+                                   for j in range(n)) for i in range(n)))
+    ext = central_extension(a, [theta]).result
+    split = split_central_extension(ext, [basis_vector(n + 1, n)])
+    rebuilt = central_extension(split.quotient, split.cocycles).result
+    assert all(sp.cancel(rebuilt.table[i][j][k] - ext.table[i][j][k]) == 0
+               for i in range(n + 1) for j in range(n + 1) for k in range(n + 1))
+    assert all(sp.cancel(split.quotient.table[i][j][k] - a.table[i][j][k]) == 0
+               for i in range(n) for j in range(n) for k in range(n))
+    assert all(sp.cancel(split.cocycles[0].matrix[i][j] - theta.matrix[i][j]) == 0
+               for i in range(n) for j in range(n))

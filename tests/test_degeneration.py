@@ -303,6 +303,25 @@ def test_witness_json_roundtrip(rows):
         assert witness_from_json(witness_to_json(w)) == w
 
 
+_WITNESS = {"id": "W", "source": "N4_09", "target": "zero_4",
+            "basis": [["t", "0", "0", "0"], ["0", "t", "0", "0"],
+                      ["0", "0", "t", "0"], ["0", "0", "0", "t"]]}
+
+
+@pytest.mark.parametrize("key", ["id", "source", "target", "basis"])
+def test_witness_json_missing_key_is_named(key):
+    obj = {k: v for k, v in _WITNESS.items() if k != key}
+    with pytest.raises(AlgebraError, match=f"missing key '{key}'") as info:
+        witness_from_json(obj)
+    assert "\n" not in str(info.value)
+
+
+@pytest.mark.parametrize("basis", ["t", [["t"], "0"], {"row": ["t"]}])
+def test_witness_json_basis_must_be_a_list_of_rows(basis):
+    with pytest.raises(AlgebraError, match="witness 'W': 'basis' must be a list of rows"):
+        witness_from_json({**_WITNESS, "basis": basis})
+
+
 def test_free_symbols(rows):
     assert [str(s) for s in free_symbols_of(rows["B04"])] == ["alpha"]
     assert [str(s) for s in free_symbols_of(rows["B24"])] == ["u"]

@@ -8,7 +8,7 @@ import pytest
 import sympy as sp
 from hypothesis import given, settings, strategies as st
 
-from novikov import linalg
+from novikov import linalg, scalars
 from oracle import nullspace_frac, rank_frac, rref_frac
 
 lam = sp.Symbol("lam")
@@ -245,3 +245,59 @@ def test_dense_rows_reject_a_conflicting_column_count():
         with pytest.raises(ValueError, match="ncols=3"):
             f(m, 3)
     assert linalg.rank(m, 2) == 1
+
+
+# ---------------------------------------------------------------------------
+# Evaluating field elements at a point
+# ---------------------------------------------------------------------------
+
+a_sym, b_sym = sp.symbols("a b")
+
+
+def _poly(coeff, gens):
+    """Up to three terms coeff * monomial in ``gens`` (degrees 0..2)."""
+    degrees = st.tuples(*[st.integers(0, 2) for _ in gens])
+    return st.lists(st.tuples(coeff, degrees), min_size=1, max_size=3).map(
+        lambda terms: sum(c * sp.Mul(*[g ** d for g, d in zip(gens, ds)])
+                          for c, ds in terms))
+
+
+def _fractions(coeff, gens):
+    return st.builds(lambda p, q: p / q if q != 0 else p, _poly(coeff, gens),
+                     _poly(coeff, gens))
+
+
+_KINDS = {                                 # field -> strategy for its elements
+    "QQ": _rational,
+    "QQ_I": _gauss.filter(lambda x: x.has(sp.I)),
+    "ZZ(a)": _fractions(_rational, [a_sym]).filter(lambda x: x.has(a_sym)),
+    "ZZ_I(a,b)": _fractions(_gauss, [a_sym, b_sym]).filter(
+        lambda x: x.has(sp.I) and x.has(a_sym) and x.has(b_sym)),
+}
+_point = st.fixed_dictionaries({a_sym: _rational.filter(bool),
+                                b_sym: _rational.filter(bool)})
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.sampled_from(sorted(_KINDS)).flatmap(
+    lambda kind: st.tuples(st.just(kind), st.lists(_KINDS[kind], min_size=1,
+                                                   max_size=4))), _point)
+def test_evaluate_matches_substitute_and_cancel(drawn, point):
+    kind, exprs = drawn
+    want = [sp.cancel(scalars.substitute(e, point)) for e in exprs]
+    field, (elems,) = linalg.to_field(exprs)
+    assert str(field) == kind
+    if any(w.has(sp.zoo, sp.nan) for w in want):
+        return                             # a pole of the unreduced form
+    const, (got,) = linalg.evaluate(field, point, elems)
+    assert str(const) == ("QQ_I" if "I" in kind else "QQ")
+    assert all(sp.expand(linalg.to_expr(const, g) - w) == 0 for g, w in zip(got, want))
+
+
+def test_evaluate_needs_every_generator():
+    field, (elems,) = linalg.to_field([a_sym + b_sym])
+    with pytest.raises(ValueError, match="no value for b"):
+        linalg.evaluate(field, {a_sym: sp.Integer(1)}, elems)
+    field, (elems,) = linalg.to_field([1 / a_sym])
+    with pytest.raises(ZeroDivisionError):
+        linalg.evaluate(field, {a_sym: sp.Integer(0)}, elems)

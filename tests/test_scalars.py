@@ -8,13 +8,15 @@ import mpmath
 import pytest
 import sympy as sp
 
-from novikov.degeneration import _num
+from novikov import linalg
+from novikov.degeneration import (_num, _sample_conditions, free_symbols_of,
+                                  load_witnesses)
 from novikov.scalars import (I, NumericDivisionError, ParseError,
                              RadicalZeroTestError, Rational, T,
-                             ZeroDenominatorError, gauss, grammar_str,
-                             is_root_free, is_zero_exact, parse_scalar,
-                             random_rational, simplify_scalar, subs_map,
-                             substitute)
+                             ZeroDenominatorError, admissible_points, gauss,
+                             grammar_str, is_root_free, is_zero_exact,
+                             parse_scalar, random_rational, simplify_scalar,
+                             subs_map, substitute)
 
 
 # ---------------------------------------------------------------------------
@@ -208,3 +210,37 @@ def test_random_rational_draw_order():
     for _ in range(20):
         num = replay.choice([n for n in range(-9, 10) if n != 0])
         assert random_rational(rng) == sp.Rational(num, replay.randint(1, 7))
+
+
+def _reference_points(rng, syms, nonzero, attempts):
+    """The sampler on expressions: substitute and cancel every condition
+    at every draw."""
+    for _ in range(attempts):
+        point = {s: random_rational(rng) for s in syms}
+        if not any(sp.cancel(substitute(g, point)) == 0 for g in nonzero):
+            yield point
+
+
+def _sampled_condition_sets(cat):
+    """(syms, nonzero) of every sampler in the program: catalog families,
+    action cases and Table-B rows."""
+    sets = [(e.algebra.params, e.algebra.constraints)
+            for e in cat.list_entries() if e.algebra.params]
+    for case in cat.action_cases:
+        sets.append(([*case.template_vars, *case.coeff_vars, *case.base.params],
+                     [*case.invertibility, *case.base.constraints,
+                      linalg.det(case.template)]))
+    for w in load_witnesses(cat):
+        if free_symbols_of(w):
+            sets.append((free_symbols_of(w), _sample_conditions(w, cat)))
+    return sets
+
+
+@pytest.mark.parametrize("seed", [0, 1, 20260810])
+def test_admissible_points_draw_like_the_expression_sampler(cat, seed):
+    rejected = 0
+    for syms, nonzero in _sampled_condition_sets(cat):
+        got = list(admissible_points(random.Random(seed), syms, nonzero, 40))
+        assert got == list(_reference_points(random.Random(seed), syms, nonzero, 40))
+        rejected += 40 - len(got)
+    assert rejected > 0          # some condition really vanishes at some draw

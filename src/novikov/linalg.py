@@ -69,11 +69,6 @@ def entry_is_zero(e) -> bool:
     return _simp(e) == 0
 
 
-def _nested(f, x):
-    # f applied to every scalar of nested lists/tuples, same nesting, as lists.
-    return [_nested(f, y) for y in x] if isinstance(x, (list, tuple)) else f(x)
-
-
 def to_field(*groups) -> tuple[object, list]:
     """Convert nested lists/tuples of scalars into elements of one field.
 
@@ -82,10 +77,28 @@ def to_field(*groups) -> tuple[object, list]:
     as lists of field elements.
     """
     index: dict = {}
+
+    def collect(x):
+        if isinstance(x, (list, tuple)):
+            for y in x:
+                collect(y)
+        else:
+            index.setdefault(x, len(index))
+
     for g in groups:
-        _nested(lambda x: index.setdefault(x, len(index)), g)
+        collect(g)
     field, elems = construct_domain(list(index), field=True)
-    return field, [_nested(lambda x: elems[index[x]], g) for g in groups]
+
+    def rebuild(x):
+        return ([rebuild(y) for y in x] if isinstance(x, (list, tuple))
+                else elems[index[x]])
+
+    return field, [rebuild(g) for g in groups]
+
+
+def _nested(f, x):
+    # f applied to every scalar of nested lists/tuples, same nesting, as lists.
+    return [_nested(f, y) for y in x] if isinstance(x, (list, tuple)) else f(x)
 
 
 def evaluate(field, point, *groups) -> tuple[object, list]:

@@ -241,19 +241,31 @@ def _json_field(obj, key: str, where: str):
     return obj[key]
 
 
+def _json_optional(obj: Mapping, key: str, where: str, kind: type = list):
+    """The value of an optional list key (an object key with ``kind=dict``),
+    empty when absent.  A value of another type raises :class:`AlgebraError`
+    naming the key."""
+    value = obj.get(key, kind())
+    if not isinstance(value, kind):
+        what = "an object" if kind is dict else "a list"
+        raise AlgebraError(f"{where}: {key!r} must be {what}, got {value!r}")
+    return value
+
+
 def algebra_from_json(obj: Mapping) -> Algebra:
     """Algebra from its JSON object.  A missing ``name``, ``dim`` or product
-    key, or a ``dim`` that is not a positive integer, raises
+    key, a ``dim`` that is not a positive integer, or a ``products``,
+    ``params`` or ``constraints_nonzero`` that is not a list, raises
     :class:`AlgebraError` naming it."""
     name = _json_field(obj, "name", "algebra JSON")
-    dim = _json_field(obj, "dim", f"algebra {name!r}")
+    where = f"algebra {name!r}"
+    dim = _json_field(obj, "dim", where)
     if isinstance(dim, bool) or not isinstance(dim, int) or dim < 1:
-        raise AlgebraError(f"algebra {name!r}: dim must be a positive integer, "
-                           f"got {dim!r}")
-    products = [tuple(_json_field(p, key, f"algebra {name!r}: product")
-                      for key in "ijkc") for p in obj.get("products", [])]
-    return algebra(name, dim, products, params=obj.get("params", []),
-                   constraints=obj.get("constraints_nonzero", []))
+        raise AlgebraError(f"{where}: dim must be a positive integer, got {dim!r}")
+    products = [tuple(_json_field(p, key, f"{where}: product") for key in "ijkc")
+                for p in _json_optional(obj, "products", where)]
+    return algebra(name, dim, products, params=_json_optional(obj, "params", where),
+                   constraints=_json_optional(obj, "constraints_nonzero", where))
 
 
 def load_algebra_file(path) -> Algebra:

@@ -83,12 +83,6 @@ class Cocycle:
         n = self.algebra.dim
         return tuple(self.matrix[i][j] for i in range(n) for j in range(n))
 
-    def value(self, x: Sequence, y: Sequence) -> sp.Expr:
-        return sp.cancel(sum(self.matrix[i][j] * xi * yj
-                             for i, xi in enumerate(x)
-                             for j, yj in enumerate(y)
-                             if xi != 0 and yj != 0))
-
     def __str__(self) -> str:
         n = self.algebra.dim
         parts = []
@@ -245,20 +239,21 @@ def cocycle_space(a: Algebra) -> CocycleSpace:
 def cocycle_annihilator(a: Algebra, thetas: Sequence[Cocycle]) -> list[Vector]:
     """Basis of {x : theta(x, A) = theta(A, x) = 0 for every theta}."""
     n = a.dim
-    rows = []
-    for theta in thetas:
-        if theta.algebra.dim != n:
-            raise CocycleError("dimension mismatch")
-        for j in range(n):
-            rows.append([theta.matrix[i][j] for i in range(n)])
-            rows.append([theta.matrix[j][i] for i in range(n)])
-    return linalg.nullspace(rows, n)
+    if any(theta.algebra.dim != n for theta in thetas):
+        raise CocycleError("dimension mismatch")
+    field, (matrices,) = linalg.to_field([theta.matrix for theta in thetas])
+    rows = [row for m in matrices for j in range(n)
+            for row in ([m[i][j] for i in range(n)], m[j])]   # theta(x, e_j), theta(e_j, x)
+    return [linalg.cleared_vector(field, v, n)
+            for v in linalg.nullspace(linalg.sparse(rows), n, field)]
 
 
 def has_trivial_intersection(a: Algebra, thetas: Sequence[Cocycle]) -> bool:
-    ann_theta = cocycle_annihilator(a, thetas)
-    ann_a = annihilator_basis(a)
-    return not linalg.subspace_intersection(ann_theta, ann_a)
+    """Whether Ann(theta) ∩ Ann(A) = 0.  Both bases are independent, so the
+    intersection is trivial iff their union has full rank."""
+    vectors = cocycle_annihilator(a, thetas) + annihilator_basis(a)
+    field, (vectors,) = linalg.to_field(vectors)
+    return linalg.rank(linalg.sparse(vectors), a.dim, field) == len(vectors)
 
 
 # ---------------------------------------------------------------------------
@@ -322,11 +317,13 @@ def split_central_extension(a: Algebra, w_vectors: Sequence[Sequence]) -> SplitE
     s = len(w_rows)
     if s < 1:
         raise AlgebraError("W must have dimension >= 1")
-    ann = annihilator_basis(a)
-    for w in w_rows:
-        if not linalg.in_span(ann, w):
-            raise AlgebraError("W not contained in Ann")
-    red, pivots = linalg.rref(w_rows)
+    if any(len(w) != n for w in w_rows):
+        raise AlgebraError(f"W vectors must have {n} entries")
+    field, (ann, w_elems) = linalg.to_field(annihilator_basis(a), w_rows)
+    ann, w_elems = linalg.sparse(ann), linalg.sparse(w_elems)
+    if linalg.rank(ann + w_elems, n, field) > len(ann):
+        raise AlgebraError("W not contained in Ann")
+    pivots = linalg.rref(w_elems, n, field)[1]
     if len(pivots) != s:
         raise AlgebraError("W vectors are dependent")
     complement = [j for j in range(n) if j not in pivots]

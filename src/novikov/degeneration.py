@@ -28,7 +28,7 @@ import sympy as sp
 
 from . import linalg, scalars
 from .algebras import (AlgebraError, _change_basis, _json_field,
-                       derivation_dim, instantiate_table)
+                       _json_optional, derivation_dim, instantiate_table)
 from .catalog import Catalog, load as load_catalog
 from .scalars import (T, NumericDivisionError, grammar_str, is_root_free,
                       parse_scalar)
@@ -85,25 +85,27 @@ class DegenerationWitness:
 
 def witness_from_json(obj: Mapping) -> DegenerationWitness:
     """Witness from its JSON object.  A missing ``id``, ``source``,
-    ``target`` or ``basis``, or a ``basis`` that is not a list of rows,
-    raises :class:`AlgebraError` naming it."""
+    ``target`` or ``basis``, a ``basis`` that is not a list of rows, a
+    ``source_params`` or ``target_params`` that is not an object, or an
+    ``avoid``, ``symbols`` or ``necessary_t`` that is not a list, raises
+    :class:`AlgebraError` naming it."""
     wid = _json_field(obj, "id", "witness JSON")
-    source, target, basis = (_json_field(obj, key, f"witness {wid!r}")
+    where = f"witness {wid!r}"
+    source, target, basis = (_json_field(obj, key, where)
                              for key in ("source", "target", "basis"))
     if not isinstance(basis, list) or not all(isinstance(row, list) for row in basis):
-        raise AlgebraError(f"witness {wid!r}: 'basis' must be a list of rows, "
-                           f"got {basis!r}")
+        raise AlgebraError(f"{where}: 'basis' must be a list of rows, got {basis!r}")
     return DegenerationWitness(
         id=wid,
         source=source,
-        source_params=dict(obj.get("source_params", {})),
+        source_params=dict(_json_optional(obj, "source_params", where, dict)),
         target=target,
-        target_params=dict(obj.get("target_params", {})),
+        target_params=dict(_json_optional(obj, "target_params", where, dict)),
         basis=tuple(tuple(row) for row in basis),
         tier=obj.get("tier", "auto"),
-        avoid=tuple(obj.get("avoid", ())),
-        symbols=tuple(obj.get("symbols", ())),
-        necessary_t=tuple(obj.get("necessary_t", ())),
+        avoid=tuple(_json_optional(obj, "avoid", where)),
+        symbols=tuple(_json_optional(obj, "symbols", where)),
+        necessary_t=tuple(_json_optional(obj, "necessary_t", where)),
         fallback=obj.get("fallback"),
         note=obj.get("note", ""),
     )

@@ -1,33 +1,32 @@
 """Deterministic exact linear algebra over rational-function scalars.
 
 Scalars are sympy expressions from the root-free fragment of
-:mod:`novikov.scalars` (the field Q(i)(params, t)).  :func:`to_field`
-converts any number of nested groups of them with one
-``construct_domain(..., field=True)`` call into elements of the smallest
-field that holds every entry: ``QQ``, ``QQ_I`` or a fraction field such as
-``ZZ_I(alpha, lam)``.  Sums, products and zero tests of those elements are
-exact without any simplification step, and :func:`to_expr` brings one back
-in canonical ``cancel`` form, so equal rational functions come out
-syntactically identical.  Over ``QQ`` the converted value already is the
-canonical ``Rational``, and :func:`to_expr` skips ``cancel``.
-:func:`evaluate` gives the values of elements at a rational point, in the
-constant field ``QQ`` or ``QQ_I``, with no expression work.
-
-:func:`rref`, :func:`rank`, :func:`nullspace`, :func:`independent_indices`
-and :func:`invert` take an optional ``field``.  Given one, every row they
-take and every row or vector they hand back is a sparse ``{column:
-element}`` dict of that field holding no zero entries, and nothing is
-converted.  :func:`sparse_rows` builds such rows by summing
+:mod:`novikov.scalars` (the field Q(i)(params, t)); they are only the input
+and output form.  :func:`rref`, :func:`rank`, :func:`nullspace`,
+:func:`independent_indices` and :func:`invert` have one path each: every
+row they take and every row or vector they hand back is a sparse
+``{column: element}`` dict of a given ``field`` holding no zero entries,
+and nothing is converted.  :func:`sparse_rows` builds such rows by summing
 ``(row, column, element)`` terms, and :func:`sparse` turns dense rows of
-field elements into them.  The algebra layer builds its systems with
-:func:`sparse_rows` straight from an algebra's nonzero structure constants
-(converted once per algebra), so nothing dense is built.  Without a field,
-the entries are
-dense rows of expressions, converted once per call, and the entries handed
-back are expressions in ``cancel`` form.  Every row reduction runs through
-:func:`rref` on a sparse ``DomainMatrix``.  Pivots are the lowest-index
-nonzero columns and reduction is full, so the RREF, and every basis derived
-from it, is unique and reproducible bit-for-bit.
+field elements into them.  Every row reduction runs through :func:`rref`
+on a sparse ``DomainMatrix``.  Pivots are the lowest-index nonzero columns
+and reduction is full, so the RREF, and every basis derived from it, is
+unique and reproducible bit-for-bit.
+
+Expressions cross at the boundary helpers.  :func:`to_field` converts
+nested groups of them with one ``construct_domain(..., field=True)`` call
+into elements of the smallest field holding every entry (``QQ``, ``QQ_I``
+or a fraction field such as ``ZZ_I(alpha, lam)``), whose sums, products
+and zero tests are exact with no simplification step.  :func:`to_expr`
+brings an element back in canonical ``cancel`` form, so equal rational
+functions come out syntactically identical (over ``QQ`` the converted
+``Rational`` already is), and :func:`cleared_vector` brings a sparse vector
+back as expressions scaled by the lcm of their denominators.
+:func:`subspace_equal` compares the spans of two lists of expression
+vectors with one conversion and three ranks, and :func:`det` gives the
+determinant of a dense expression matrix.  :func:`evaluate` gives the
+values of elements at a rational point, in the constant field ``QQ`` or
+``QQ_I``, with no expression work.
 """
 
 from __future__ import annotations
@@ -45,7 +44,6 @@ __all__ = [
     "to_expr",
     "evaluate",
     "cleared_vector",
-    "entry_is_zero",
     "sparse_rows",
     "sparse",
     "rref",
@@ -54,19 +52,8 @@ __all__ = [
     "independent_indices",
     "invert",
     "det",
-    "span_rank",
-    "in_span",
     "subspace_equal",
-    "subspace_intersection",
 ]
-
-
-def _simp(e) -> sp.Expr:
-    return sp.cancel(sp.sympify(e))
-
-
-def entry_is_zero(e) -> bool:
-    return _simp(e) == 0
 
 
 def to_field(*groups) -> tuple[object, list]:
@@ -193,71 +180,30 @@ def sparse(rows: Iterable[Sequence]) -> list[dict]:
     return [{c: x for c, x in enumerate(row) if x} for row in rows]
 
 
-def _width(rows: Sequence[Sequence], ncols: int | None) -> int:
-    """The number of columns of dense rows; a given ``ncols`` must agree."""
-    if not rows:
-        return ncols or 0
-    if ncols is not None and ncols != len(rows[0]):
-        raise ValueError(f"ncols={ncols} given for rows of {len(rows[0])} columns")
-    return len(rows[0])
-
-
-def rref(rows: Sequence, ncols: int | None = None, field=None) -> tuple[list, list[int]]:
+def rref(rows: Sequence[dict], ncols: int, field) -> tuple[list[dict], list[int]]:
     """Reduced row echelon form with lowest-index pivots.
 
-    Returns the reduced rows and the list of pivot column indices.  With
-    ``field``, ``rows`` are sparse rows of ``ncols`` columns and the result
-    is the nonzero reduced rows, one per pivot, sparse.  Without, ``rows``
-    are dense rows of expressions and the result is the whole reduced
-    matrix, dense, in ``cancel`` form.
+    ``rows`` are sparse rows of ``ncols`` columns.  Returns the nonzero
+    reduced rows, one per pivot, sparse, and the list of pivot column
+    indices.  ``DomainMatrix`` reduces the rows in sparse form.
     """
-    if field is None:
-        ncols = _width(rows, ncols)
-        field, (rows,) = to_field(rows)
-        red, pivots = _rref(sparse(rows), ncols, field)
-        zero = to_expr(field, field.zero)
-        red = [[to_expr(field, row[c]) if c in row else zero for c in range(ncols)]
-               for row in red]
-        return red + [[zero] * ncols for _ in rows[len(red):]], pivots
-    if ncols is None:
-        raise ValueError("ncols required for sparse rows")
-    return _rref(rows, ncols, field)
-
-
-def _rref(rows: Sequence[dict], ncols: int, field) -> tuple[list[dict], list[int]]:
-    # The elimination behind rref, reached once per reduction from either
-    # path; DomainMatrix reduces sparse rows in sparse form.
     nonzero = {i: row for i, row in enumerate(rows) if row}
     red, pivots = DomainMatrix(nonzero, (len(rows), ncols), field).rref()
     red = red.to_dod()
     return [red[r] for r in range(len(pivots))], list(pivots)
 
 
-def rank(rows: Sequence, ncols: int | None = None, field=None) -> int:
-    """Rank of dense expression rows, or, with ``field``, of sparse rows of
-    ``ncols`` columns."""
-    if field is None:
-        ncols = _width(rows, ncols)
-        field, (rows,) = to_field(rows)
-        rows = sparse(rows)
+def rank(rows: Sequence[dict], ncols: int, field) -> int:
+    """Rank of sparse rows of ``ncols`` columns."""
     return len(rref(rows, ncols, field)[1]) if rows else 0
 
 
-def nullspace(rows: Sequence, ncols: int | None = None, field=None) -> list:
-    """Basis of the right nullspace {x : rows @ x = 0}, deterministic order.
+def nullspace(rows: Sequence[dict], ncols: int, field) -> list[dict]:
+    """Basis of the right nullspace {x : rows @ x = 0} of sparse rows of
+    ``ncols`` columns, as sparse vectors in deterministic order.
 
-    One basis vector per free column, with a 1 there.  With ``field``,
-    ``rows`` are sparse rows of ``ncols`` columns and the vectors are sparse
-    too.  Without, ``rows`` are dense expression rows and the vectors are
-    expression tuples put through :func:`cleared_vector`.
+    One basis vector per free column, with a 1 there.
     """
-    if not rows and ncols is None:
-        raise ValueError("ncols required for an empty system")
-    if field is None:
-        ncols = _width(rows, ncols)
-        field, (rows,) = to_field(rows)
-        return [cleared_vector(field, v, ncols)
-                for v in nullspace(sparse(rows), ncols, field)]
     red, pivots = rref(rows, ncols, field) if rows else ([], [])
     bound = set(pivots)
     basis = []
@@ -271,36 +217,23 @@ def nullspace(rows: Sequence, ncols: int | None = None, field=None) -> list:
     return basis
 
 
-def independent_indices(vectors: Sequence, field=None) -> list[int]:
-    """Indices of the vectors not in the span of the vectors before them.
+def independent_indices(vectors: Sequence[dict], field) -> list[int]:
+    """Indices of the sparse vectors not in the span of the vectors before
+    them.
 
     These are the pivot columns of the matrix whose columns are the
-    vectors, so zero vectors are never chosen.  With ``field`` the vectors
-    are sparse, without they are dense vectors of expressions.
+    vectors, so zero vectors are never chosen.
     """
-    if not vectors:
-        return []
-    if field is None:
-        field, (vectors,) = to_field(vectors)
-        vectors = sparse(vectors)
     columns = sparse_rows((r, i, x) for i, v in enumerate(vectors) for r, x in v.items())
     return rref(columns, len(vectors), field)[1] if columns else []
 
 
-def invert(m_rows: Sequence, field=None) -> list | None:
+def invert(m_rows: Sequence[dict], field) -> list[dict] | None:
     """Inverse matrix, or None if singular.
 
-    With ``field``, ``m_rows`` are the n sparse rows of an n x n matrix, in
-    order (``{}`` for a zero row), and so are the rows returned.  Without,
-    rows are dense and the entries are expressions in ``cancel`` form.
+    ``m_rows`` are the n sparse rows of an n x n matrix, in order (``{}``
+    for a zero row), and so are the rows returned.
     """
-    if field is None:
-        n = len(m_rows)
-        field, (m_rows,) = to_field(m_rows)
-        inv = invert(sparse(m_rows), field)
-        zero = to_expr(field, field.zero)
-        return None if inv is None else [
-            [to_expr(field, row[c]) if c in row else zero for c in range(n)] for row in inv]
     n = len(m_rows)
     aug = [{**row, n + i: field.one} for i, row in enumerate(m_rows)]
     red, pivots = rref(aug, 2 * n, field)
@@ -315,45 +248,14 @@ def det(m_rows: Sequence[Sequence]) -> sp.Expr:
     return to_expr(field, DomainMatrix(rows, (n, n), field).det())
 
 
-def span_rank(vectors: Sequence[Sequence]) -> int:
-    return rank(list(vectors)) if vectors else 0
-
-
-def in_span(vectors: Sequence[Sequence], v: Sequence) -> bool:
-    if not vectors:
-        return all(entry_is_zero(x) for x in v)
-    ncols = len(v)
-    field, (vectors, v) = to_field(vectors, v)
-    vectors = sparse(vectors)
-    return rank(vectors + sparse([v]), ncols, field) == rank(vectors, ncols, field)
-
-
 def subspace_equal(u_vectors: Sequence[Sequence], v_vectors: Sequence[Sequence]) -> bool:
-    ru, rv = span_rank(u_vectors), span_rank(v_vectors)
-    if ru != rv:
-        return False
-    return span_rank(list(u_vectors) + list(v_vectors)) == ru
+    """Whether two lists of expression vectors span the same subspace.
 
-
-def subspace_intersection(u_vectors: Sequence[Sequence],
-                          v_vectors: Sequence[Sequence]) -> list[Vector]:
-    """Basis of span(U) ∩ span(V)."""
-    if not u_vectors or not v_vectors:
-        return []
-    n = len(u_vectors[0])
-    # Columns of the combined system are (coeffs on U | coeffs on V); a null
-    # vector (a | b) encodes sum a_i U_i = -sum b_j V_j, a point of the
-    # intersection.
-    rows = [[u_vectors[i][c] for i in range(len(u_vectors))] +
-            [-sp.sympify(v_vectors[j][c]) for j in range(len(v_vectors))]
-            for c in range(n)]
-    combos = nullspace(rows, len(u_vectors) + len(v_vectors))
-    points = []
-    for combo in combos:
-        vec = [sp.Integer(0)] * n
-        for i in range(len(u_vectors)):
-            if combo[i] != 0:
-                vec = [_simp(x + combo[i] * u) for x, u in zip(vec, u_vectors[i])]
-        points.append(tuple(vec))
-    # The combination vectors are independent but their U-parts may not be.
-    return [points[i] for i in independent_indices(points)]
+    Both lists are converted in one :func:`to_field` call; the spans are
+    equal iff U, V and U + V all have the same rank.
+    """
+    ncols = next((len(x) for x in (*u_vectors, *v_vectors)), 0)
+    field, (u, v) = to_field(u_vectors, v_vectors)
+    u, v = sparse(u), sparse(v)
+    ru = rank(u, ncols, field)
+    return rank(v, ncols, field) == ru and rank(u + v, ncols, field) == ru

@@ -5,6 +5,7 @@ fixed schedule down to t = 10^-30 at 120 digits with a 1e-8 residual bound.
 One pass/fail line per criterion is printed as the suite runs.
 """
 
+import hashlib
 import subprocess
 import sys
 
@@ -139,3 +140,33 @@ def test_cli_report_full_exits_zero():
     assert proc.returncode == 0, proc.stdout + proc.stderr
     assert proc.stdout.count("[PASS]") == 8
     assert "overall: PASS" in proc.stdout
+
+
+#: Count and sha256 of the newline-joined names of the library calls that
+#: the acceptance suites make in one run at the default seed.  The
+#: benchmark's gate workload times each of these calls as one operation, so
+#: its per-operation latencies compare across changes only while this list
+#: stays the same.
+GATE_CALLS = (525, "ec788d5b03679d31e0d2f43041f760786839047fd07b04a7d8cc4431218f295c")
+
+
+def test_gate_operation_list_is_pinned(monkeypatch):
+    # Wrapped as perfbench/worker.py's record_calls does: every public
+    # function of another novikov module bound in acceptance's namespace.
+    names = []
+    for attr, fn in list(vars(acceptance).items()):
+        owner = getattr(fn, "__module__", None) or ""
+        if attr.startswith("_") or isinstance(fn, type) or not callable(fn) \
+                or not owner.startswith("novikov.") or owner == acceptance.__name__:
+            continue
+
+        def recorded(*args, _fn=fn, _name=f"{owner[8:]}.{attr}", **kwargs):
+            try:
+                return _fn(*args, **kwargs)
+            finally:
+                names.append(_name)
+
+        monkeypatch.setattr(acceptance, attr, recorded)
+    acceptance.run_all()
+    digest = hashlib.sha256("\n".join(names).encode()).hexdigest()
+    assert (len(names), digest) == GATE_CALLS

@@ -277,9 +277,10 @@ def test_change_basis_roundtrip(cat):
             (sp.Integer(0), sp.Integer(0), sp.Integer(2), sp.Integer(0)),
             (sp.Integer(0), sp.Integer(0), sp.Integer(1), sp.Integer(1))]
     conj = change_basis_table(a.table, rows)
-    from novikov.linalg import invert
-    inv = invert([list(r) for r in rows])
-    back = change_basis_table(conj, [tuple(row) for row in inv])
+    field, (elems,) = linalg.to_field(rows)
+    inv = linalg.invert(linalg.sparse(elems), field)
+    back = change_basis_table(conj, [tuple(linalg.to_expr(field, row.get(c, field.zero))
+                                           for c in range(4)) for row in inv])
     # conjugating by M then by M^-1 (expressed in the new coordinates) is the
     # identity on structure constants
     for i in range(4):

@@ -127,6 +127,11 @@ def test_undeclared_param_is_usage_error(capsys):
     ({"name": "x", "dim": 2, "products": [{"i": 1, "j": 1, "k": 2}]}, "'c'"),
     ({"name": "x", "dim": 2,
       "products": [{"i": "1", "j": 1, "k": 2, "c": "1"}]}, "1..2"),
+    ({"name": "x", "dim": 2, "products": 5}, "'products' must be a list"),
+    ({"name": "x", "dim": 2, "params": 5}, "'params' must be a list"),
+    ({"name": "x", "dim": 2, "params": "pq"}, "'params' must be a list"),
+    ({"name": "x", "dim": 2, "params": ["p", "q"], "constraints_nonzero": "pq"},
+     "'constraints_nonzero' must be a list"),
 ])
 def test_algebra_file_schema_error_is_usage_error(capsys, tmp_path, obj, word):
     path = tmp_path / "alg.json"

@@ -3,6 +3,7 @@ automorphism action, including the published-formula verification."""
 
 import random
 from dataclasses import replace
+from fractions import Fraction
 
 import pytest
 import sympy as sp
@@ -20,12 +21,16 @@ from novikov.cohomology import (Cocycle, CocycleError, NotAutomorphismError,
                                 is_cocycle, split_central_extension,
                                 verify_action_formulas)
 from novikov.catalog import load
-from novikov.linalg import in_span, subspace_equal
-from oracle import cocycle_space_dims, h2_rep_count, random_products, table
+from novikov.linalg import subspace_equal
+from oracle import cocycle_space_dims, h2_rep_count, random_products, rank_frac, table
 
 
 def vec(*xs):
     return tuple(sp.Integer(x) for x in xs)
+
+
+def in_span(vectors, v):
+    return subspace_equal(vectors, [*vectors, v])
 
 
 # ---------------------------------------------------------------------------
@@ -173,6 +178,31 @@ def test_has_trivial_intersection(cat):
     assert not has_trivial_intersection(zero2, [cocycle_from_expr(zero2, "D11")])
 
 
+def test_has_trivial_intersection_matches_oracle_on_random_pairs():
+    # Ann(theta) ∩ Ann(A) is the nullspace of the annihilator conditions of
+    # theta and of A together: trivial iff those rows have rank n.
+    rng = random.Random(23)
+    verdicts = []
+    for idx in range(60):
+        n = rng.choice((2, 3, 4))
+        products = [p for p in random_products(rng, n) if rng.random() < 0.5]
+        a = algebra(f"random_{idx}", n, [(i, j, k, str(c)) for i, j, k, c in products])
+        entries = [(i, j, Fraction(rng.choice((-2, -1, 1, 3)), rng.choice((1, 2))))
+                   for i in range(1, n + 1) for j in range(1, n + 1) if rng.random() < 0.15]
+        form = [[Fraction(0)] * n for _ in range(n)]
+        for i, j, c in entries:
+            form[i - 1][j - 1] = c
+        tbl = table(n, products)
+        rows = [row for j in range(n) for k in range(n)
+                for row in ([tbl[i][j][k] for i in range(n)], [tbl[j][i][k] for i in range(n)])]
+        rows += [row for j in range(n) for row in ([form[i][j] for i in range(n)], form[j])]
+        want = rank_frac(rows) == n
+        theta = cocycle(a, [(i, j, str(c)) for i, j, c in entries])
+        assert has_trivial_intersection(a, [theta]) == want, (products, entries)
+        verdicts.append(want)
+    assert 10 < sum(verdicts) < 50
+
+
 def test_multi_cocycle_annihilator_intersects(cat):
     a = cat.get("zero_2")
     th1 = cocycle_from_expr(a, "D11")       # annihilates e2
@@ -219,10 +249,9 @@ def test_new_vectors_are_central_and_ann_formula_holds(cat):
         ext = central_extension(base, [theta])
         n = base.dim
         assert in_span(annihilator_basis(ext.result), basis_vector(n + 1, n))
-        from novikov.linalg import subspace_intersection
-        inter = subspace_intersection(cocycle_annihilator(base, [theta]),
-                                      annihilator_basis(base))
-        assert len(annihilator_basis(ext.result)) == len(inter) + 1
+        # Ann(ext) = (Ann(theta) ∩ Ann(A)) ⊕ V, and the intersection is trivial
+        assert has_trivial_intersection(base, [theta])
+        assert len(annihilator_basis(ext.result)) == 1
 
 
 @pytest.mark.parametrize("base", ["N2s_01", "N3s_04_0"])
@@ -280,6 +309,20 @@ def test_split_rejects_non_central(cat):
     a = cat.get("N4_09")
     with pytest.raises(Exception, match="Ann"):
         split_central_extension(a, [basis_vector(4, 0)])
+
+
+def test_split_checks_containment_before_independence(cat):
+    a = cat.get("N4_02")                          # Ann = span{e3, e4}
+    lam = a.params[0]
+    inside, outside = (0, 0, lam, 1), (1, lam, 0, 0)
+    with pytest.raises(AlgebraError, match="W not contained in Ann"):
+        split_central_extension(a, [outside, tuple(2 * x for x in outside)])
+    with pytest.raises(AlgebraError, match="W vectors are dependent"):
+        split_central_extension(a, [inside, tuple(2 * x for x in inside)])
+    with pytest.raises(AlgebraError, match="W vectors must have 4 entries"):
+        split_central_extension(a, [vec(0, 0, 0, 1, 0)])
+    split = split_central_extension(a, [inside])
+    assert split.basis_rows[-1] == inside
 
 
 def test_split_along_skew_annihilator_line(cat):

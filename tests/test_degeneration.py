@@ -322,6 +322,16 @@ def test_witness_json_basis_must_be_a_list_of_rows(basis):
         witness_from_json({**_WITNESS, "basis": basis})
 
 
+@pytest.mark.parametrize("key, value, what", [
+    ("source_params", "x", "an object"),
+    ("target_params", [1], "an object"),
+    ("avoid", 5, "a list"),
+])
+def test_witness_json_optional_key_of_wrong_type_is_named(key, value, what):
+    with pytest.raises(AlgebraError, match=f"witness 'W': '{key}' must be {what}"):
+        witness_from_json({**_WITNESS, key: value})
+
+
 def test_free_symbols(rows):
     assert [str(s) for s in free_symbols_of(rows["B04"])] == ["alpha"]
     assert [str(s) for s in free_symbols_of(rows["B24"])] == ["u"]

@@ -19,43 +19,59 @@ def _random_matrix(rng, rows, cols):
              for _ in range(cols)] for _ in range(rows)]
 
 
+def _field_rows(m):
+    """Dense rows of expressions as their field and its sparse rows."""
+    field, (elems,) = linalg.to_field(m)
+    return field, linalg.sparse(elems)
+
+
+def _dense(field, rows, ncols):
+    """Sparse rows of field elements as dense rows of expressions."""
+    return [[linalg.to_expr(field, row.get(c, field.zero)) for c in range(ncols)]
+            for row in rows]
+
+
+def in_span(vectors, v):
+    return linalg.subspace_equal(vectors, [*vectors, v])
+
+
 def test_rank_and_nullspace_match_oracle():
     rng = random.Random(5)
     for _ in range(40):
         rows, cols = rng.randint(1, 5), rng.randint(1, 5)
         m = _random_matrix(rng, rows, cols)
-        sym = [[sp.Rational(x) for x in row] for row in m]
-        assert linalg.rank(sym) == rank_frac(m)
-        ns = linalg.nullspace(sym, cols)
+        field, sparse = _field_rows([[sp.Rational(x) for x in row] for row in m])
+        assert linalg.rank(sparse, cols, field) == rank_frac(m)
+        ns = linalg.nullspace(sparse, cols, field)
         assert len(ns) == len(nullspace_frac(m, cols))
         for v in ns:
-            for row in sym:
-                assert sp.cancel(sum(a * b for a, b in zip(row, v))) == 0
+            for row in sparse:
+                assert not sum((x * v[c] for c, x in row.items() if c in v), field.zero)
 
 
 def test_rref_is_deterministic():
-    m = [[sp.Rational(1), sp.Rational(2)], [sp.Rational(2), sp.Rational(4)],
-         [sp.Rational(0), sp.Rational(1)]]
-    assert linalg.rref(m) == linalg.rref(m)
-    red, pivots = linalg.rref(m)
+    field, rows = _field_rows([[1, 2], [2, 4], [0, 1]])
+    assert linalg.rref(rows, 2, field) == linalg.rref(rows, 2, field)
+    red, pivots = linalg.rref(rows, 2, field)
     assert pivots == [0, 1]
 
 
 def test_parametric_rank_is_generic():
-    m = [[lam, sp.Integer(1)], [lam ** 2, lam]]
-    assert linalg.rank(m) == 1
-    m2 = [[lam, sp.Integer(1)], [sp.Integer(1), lam]]
-    assert linalg.rank(m2) == 2  # lam^2 - 1 is not the zero function
+    field, rows = _field_rows([[lam, 1], [lam ** 2, lam]])
+    assert linalg.rank(rows, 2, field) == 1
+    field, rows = _field_rows([[lam, 1], [1, lam]])
+    assert linalg.rank(rows, 2, field) == 2  # lam^2 - 1 is not the zero function
 
 
 def test_solve_and_invert():
     a = [[sp.Integer(2), sp.Integer(1)], [sp.Integer(1), sp.Integer(1)]]
-    inv = linalg.invert(a)
+    field, rows = _field_rows(a)
+    inv = _dense(field, linalg.invert(rows, field), 2)
     prod = [[sp.cancel(sum(a[i][k] * inv[k][j] for k in range(2)))
              for j in range(2)] for i in range(2)]
     assert prod == [[1, 0], [0, 1]]
-    assert linalg.invert([[sp.Integer(1), sp.Integer(2)],
-                          [sp.Integer(2), sp.Integer(4)]]) is None
+    field, rows = _field_rows([[1, 2], [2, 4]])
+    assert linalg.invert(rows, field) is None
 
 
 def test_det_parametric():
@@ -71,28 +87,23 @@ def test_subspace_operations():
     v = [(sp.Integer(1), sp.Integer(1), sp.Integer(0)), e2]
     assert linalg.subspace_equal(u, v)
     assert not linalg.subspace_equal(u, [e1, e3])
-    assert linalg.in_span(u, (sp.Integer(2), sp.Integer(-3), sp.Integer(0)))
-    inter = linalg.subspace_intersection(u, [e2, e3])
-    assert len(inter) == 1 and linalg.in_span([e2], inter[0])
-    assert linalg.subspace_intersection([e1], [e2]) == []
-
-
-def test_intersection_dimension_matches_rank_formula():
-    rng = random.Random(11)
-    for _ in range(25):
-        n = 4
-        u = [tuple(sp.Rational(rng.randint(-3, 3)) for _ in range(n))
-             for _ in range(rng.randint(1, 3))]
-        v = [tuple(sp.Rational(rng.randint(-3, 3)) for _ in range(n))
-             for _ in range(rng.randint(1, 3))]
-        du, dv = linalg.span_rank(u), linalg.span_rank(v)
-        d_sum = linalg.span_rank(list(u) + list(v))
-        inter = linalg.subspace_intersection(u, v)
-        assert len(inter) == du + dv - d_sum
+    assert not linalg.subspace_equal(u, [e1])
+    assert linalg.subspace_equal([], [])
+    assert linalg.subspace_equal([], [(sp.Integer(0),) * 3])
+    assert in_span(u, (sp.Integer(2), sp.Integer(-3), sp.Integer(0)))
+    assert not in_span(u, e3)
 
 
 def _sym(m):
     return [[sp.Rational(x.numerator, x.denominator) for x in row] for row in m]
+
+
+def _rref_dense(m, ncols):
+    """The reduced matrix of dense rows ``m`` padded with zero rows to its
+    height, and the pivots."""
+    field, rows = _field_rows(_sym(m))
+    red, pivots = linalg.rref(rows, ncols, field)
+    return _dense(field, red + [{}] * (len(m) - len(red)), ncols), pivots
 
 
 @pytest.mark.parametrize("m", [
@@ -103,7 +114,7 @@ def _sym(m):
      [Fraction(0), Fraction(-4), Fraction(3)]],
 ])
 def test_rref_edge_cases_match_oracle(m):
-    red, pivots = linalg.rref(_sym(m))
+    red, pivots = _rref_dense(m, len(m[0]) if m else 0)
     want, want_pivots = rref_frac(m)
     assert pivots == want_pivots
     assert red == _sym(want)
@@ -112,8 +123,9 @@ def test_rref_edge_cases_match_oracle(m):
 def test_rref_matches_oracle_entrywise():
     rng = random.Random(17)
     for _ in range(60):
-        m = _random_matrix(rng, rng.randint(1, 6), rng.randint(1, 6))
-        red, pivots = linalg.rref(_sym(m))
+        rows, cols = rng.randint(1, 6), rng.randint(1, 6)
+        m = _random_matrix(rng, rows, cols)
+        red, pivots = _rref_dense(m, cols)
         want, want_pivots = rref_frac(m)
         assert pivots == want_pivots
         assert red == _sym(want)
@@ -141,15 +153,18 @@ def _matrices(entries, square=False):
 
 
 def _check_rref_properties(m):
-    red, pivots = linalg.rref(m)
-    assert len(red) == len(m)
+    ncols = len(m[0])
+    field, rows = _field_rows(m)
+    red, pivots = linalg.rref(rows, ncols, field)
+    assert len(red) == len(pivots) <= len(m)
     for r, pc in enumerate(pivots):
-        assert red[r][pc] == 1
-        assert all(red[rr][pc] == 0 for rr in range(len(red)) if rr != r)
-    assert all(x == 0 for row in red[len(pivots):] for x in row)
-    basis = red[:len(pivots)]
-    assert all(linalg.in_span(basis, row) for row in m)
-    assert all(linalg.in_span(m, row) for row in basis)
+        assert red[r][pc] == field.one
+        assert all(pc not in red[rr] for rr in range(len(red)) if rr != r)
+        assert min(red[r]) == pc
+    assert all(x for row in red for x in row.values())
+    basis = _dense(field, red, ncols)
+    assert all(in_span(basis, row) for row in m)
+    assert all(in_span(m, row) for row in basis)
 
 
 def _check_det(m):
@@ -224,27 +239,18 @@ def test_sparse_rows_sum_terms_and_drop_zeros():
 
 
 def test_field_entry_points_take_and_give_sparse_rows():
-    m = [[sp.Integer(1), sp.Integer(2)], [sp.Integer(3), sp.Integer(4)]]
-    field, (elems,) = linalg.to_field(m)
+    field, (elems,) = linalg.to_field([[1, 2], [3, 4]])
     rows = linalg.sparse(elems)
     inv = linalg.invert(rows, field)
-    dense_inv = linalg.invert(m)
-    assert [[linalg.to_expr(field, row.get(c, field.zero)) for c in range(2)]
-            for row in inv] == dense_inv
+    assert _dense(field, inv, 2) == [[-2, 1], [sp.Rational(3, 2), sp.Rational(-1, 2)]]
     singular = linalg.sparse([elems[0], [field.zero, field.zero]])
     assert linalg.invert(singular, field) is None
     assert linalg.rank(singular, 2, field) == 1
     [null] = linalg.nullspace(singular, 2, field)
     assert set(null) == {0, 1} and null[1] == field.one
     assert linalg.independent_indices([{}, rows[0], {1: field.one}, rows[1]], field) == [1, 2]
-
-
-def test_dense_rows_reject_a_conflicting_column_count():
-    m = [[sp.Integer(1), sp.Integer(2)]]
-    for f in (linalg.rref, linalg.rank, linalg.nullspace):
-        with pytest.raises(ValueError, match="ncols=3"):
-            f(m, 3)
-    assert linalg.rank(m, 2) == 1
+    assert linalg.independent_indices([], field) == []
+    assert linalg.nullspace([], 2, field) == [{0: field.one}, {1: field.one}]
 
 
 # ---------------------------------------------------------------------------

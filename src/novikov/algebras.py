@@ -187,9 +187,14 @@ def parse_vector(text: str, dim: int) -> Vector:
 
 def algebra(name: str, dim: int, products: Iterable[tuple], params: Sequence = (),
             constraints: Sequence = ()) -> Algebra:
-    """Build an algebra from 1-based sparse products (i, j, k, coefficient)."""
-    param_syms = tuple(p if isinstance(p, sp.Symbol) else sp.Symbol(str(p))
-                       for p in params)
+    """Build an algebra from 1-based sparse products (i, j, k, coefficient).
+
+    Each parameter is a symbol or an identifier string; anything else raises
+    :class:`AlgebraError` naming it."""
+    for p in params:
+        if not (isinstance(p, sp.Symbol) or isinstance(p, str) and p.isidentifier()):
+            raise AlgebraError(f"{name}: 'params' entry {p!r} is not an identifier")
+    param_syms = tuple(p if isinstance(p, sp.Symbol) else sp.Symbol(p) for p in params)
     grid = [[[sp.Integer(0) for _ in range(dim)] for _ in range(dim)]
             for _ in range(dim)]
     for i, j, k, c in products:
@@ -254,8 +259,9 @@ def _json_optional(obj: Mapping, key: str, where: str, kind: type = list):
 
 def algebra_from_json(obj: Mapping) -> Algebra:
     """Algebra from its JSON object.  A missing ``name``, ``dim`` or product
-    key, a ``dim`` that is not a positive integer, or a ``products``,
-    ``params`` or ``constraints_nonzero`` that is not a list, raises
+    key, a ``dim`` that is not a positive integer, a ``products``,
+    ``params`` or ``constraints_nonzero`` that is not a list, or a
+    ``params`` entry that is not an identifier string, raises
     :class:`AlgebraError` naming it."""
     name = _json_field(obj, "name", "algebra JSON")
     where = f"algebra {name!r}"
@@ -394,14 +400,19 @@ def check_identities(a: Algebra) -> IdentityFlags:
 # Annihilator, derived powers, derivations
 # ---------------------------------------------------------------------------
 
+def _annihilator_rows(constants: Sequence) -> list[dict]:
+    """The sparse rows of the system xA = Ax = 0 from nonzero constants
+    ``(i, j, k, c)``: its null vectors span Ann(A)."""
+    return linalg.sparse_rows(t for i, j, k, c in constants
+                              for t in (((0, j, k), i, c),     # (x e_j)_k
+                                        ((1, i, k), j, c)))    # (e_i x)_k
+
+
 def annihilator_basis(a: Algebra) -> list[Vector]:
     """Basis of Ann(A) = {x : xA = Ax = 0}, exact and deterministic."""
     field, constants = a.constants
-    terms = [t for i, j, k, c in constants
-             for t in (((0, j, k), i, c),     # (x e_j)_k
-                       ((1, i, k), j, c))]    # (e_i x)_k
     return [linalg.cleared_vector(field, v, a.dim)
-            for v in linalg.nullspace(linalg.sparse_rows(terms), a.dim, field)]
+            for v in linalg.nullspace(_annihilator_rows(constants), a.dim, field)]
 
 
 def derived_power_dims(a: Algebra) -> list[int]:
@@ -417,10 +428,13 @@ def derived_power_dims(a: Algebra) -> list[int]:
     dims = [n]
     while dims[-1] > 0:
         k = len(powers) + 1
-        candidates = [w for w in linalg.sparse(multiply_table(constants, u, v, field)
-                                               for p in range(1, k)
-                                               for u in powers[p - 1]
-                                               for v in powers[k - p - 1]) if w]
+        if k == 2:
+            # A^2 is spanned by the products e_i e_j: the (i, j) slices
+            candidates = linalg.sparse_rows(((i, j), c_k, c) for i, j, c_k, c in constants)
+        else:
+            candidates = [w for w in linalg.sparse(
+                multiply_table(constants, u, v, field) for p in range(1, k)
+                for u in powers[p - 1] for v in powers[k - p - 1]) if w]
         red, pivots = linalg.rref(candidates, n, field) if candidates else ([], [])
         powers.append([[row.get(c, zero) for c in range(n)] for row in red])
         dims.append(len(pivots))

@@ -21,7 +21,7 @@ from .cohomology import (CocycleError, central_extension, cocycle_from_expr,
                          cocycle_from_json, cocycle_space, cocycle_to_json)
 from .degeneration import (DEFAULT_DIGITS, DEFAULT_SCHEDULE, build_reachability,
                            check_necessary, load_witnesses, verify_all,
-                           verify_witness)
+                           verify_witness, witness_from_json)
 from .scalars import grammar_str, parse_scalar
 
 PASS, FAIL, USAGE = 0, 1, 2
@@ -201,7 +201,10 @@ def cmd_derivations(args) -> int:
 
 def cmd_degenerate(args) -> int:
     cat = load_catalog()
-    if args.row:
+    if args.row and os.path.exists(args.row):
+        with open(args.row, "r", encoding="utf-8") as fh:
+            witnesses = [witness_from_json(json.load(fh))]
+    elif args.row:
         witnesses = [w for w in load_witnesses(cat) if w.id == args.row]
         if not witnesses:
             raise ValueError(f"unknown row {args.row!r}")
@@ -336,7 +339,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_deg = sub.add_parser("degenerate", help="verify degeneration witnesses")
     deg_sub = p_deg.add_subparsers(dest="action", required=True)
     p_ver = seeded(deg_sub.add_parser("verify"))
-    p_ver.add_argument("--row", help="witness id, e.g. B05")
+    p_ver.add_argument("--row", help="witness id, e.g. B05, or witness JSON file")
     p_ver.add_argument("--all", action="store_true")
     p_ver.add_argument("--samples", type=int, default=3)
     p_deg.set_defaults(func=cmd_degenerate)

@@ -21,9 +21,9 @@ from typing import Mapping, Sequence
 import sympy as sp
 
 from . import linalg, scalars
-from .algebras import (Algebra, AlgebraError, Vector, _json_field,
-                       annihilator_basis, basis_vector, change_basis_table,
-                       multiply_table, nonzero_constants)
+from .algebras import (Algebra, AlgebraError, Vector, _annihilator_rows,
+                       _json_field, annihilator_basis, basis_vector,
+                       change_basis_table, multiply_table, nonzero_constants)
 from .scalars import T, grammar_str, parse_scalar
 
 __all__ = [
@@ -236,24 +236,39 @@ def cocycle_space(a: Algebra) -> CocycleSpace:
     )
 
 
+def _form_annihilator_rows(matrices: Sequence, n: int) -> list[dict]:
+    """The sparse rows of theta(x, e_j) = theta(e_j, x) = 0 for every matrix
+    of field elements and every j."""
+    return linalg.sparse(row for m in matrices for j in range(n)
+                         for row in ([m[i][j] for i in range(n)],   # theta(x, e_j)
+                                     m[j]))                         # theta(e_j, x)
+
+
+def _cocycle_matrices(a: Algebra, thetas: Sequence[Cocycle]) -> list:
+    """The matrices of ``thetas``; raises if one is not a form on ``a``."""
+    if any(theta.algebra.dim != a.dim for theta in thetas):
+        raise CocycleError("dimension mismatch")
+    return [theta.matrix for theta in thetas]
+
+
 def cocycle_annihilator(a: Algebra, thetas: Sequence[Cocycle]) -> list[Vector]:
     """Basis of {x : theta(x, A) = theta(A, x) = 0 for every theta}."""
     n = a.dim
-    if any(theta.algebra.dim != n for theta in thetas):
-        raise CocycleError("dimension mismatch")
-    field, (matrices,) = linalg.to_field([theta.matrix for theta in thetas])
-    rows = [row for m in matrices for j in range(n)
-            for row in ([m[i][j] for i in range(n)], m[j])]   # theta(x, e_j), theta(e_j, x)
+    field, (matrices,) = linalg.to_field(_cocycle_matrices(a, thetas))
     return [linalg.cleared_vector(field, v, n)
-            for v in linalg.nullspace(linalg.sparse(rows), n, field)]
+            for v in linalg.nullspace(_form_annihilator_rows(matrices, n), n, field)]
 
 
 def has_trivial_intersection(a: Algebra, thetas: Sequence[Cocycle]) -> bool:
-    """Whether Ann(theta) ∩ Ann(A) = 0.  Both bases are independent, so the
-    intersection is trivial iff their union has full rank."""
-    vectors = cocycle_annihilator(a, thetas) + annihilator_basis(a)
-    field, (vectors,) = linalg.to_field(vectors)
-    return linalg.rank(linalg.sparse(vectors), a.dim, field) == len(vectors)
+    """Whether Ann(theta) ∩ Ann(A) = 0.  Both null bases are independent, so
+    the intersection is trivial iff their union has full rank.  The table and
+    the cocycles are converted into one field, and the null vectors are
+    ranked as they come."""
+    n = a.dim
+    field, (table, matrices) = linalg.to_field(a.table, _cocycle_matrices(a, thetas))
+    vectors = (linalg.nullspace(_form_annihilator_rows(matrices, n), n, field)
+               + linalg.nullspace(_annihilator_rows(nonzero_constants(table)), n, field))
+    return linalg.rank(vectors, n, field) == len(vectors)
 
 
 # ---------------------------------------------------------------------------

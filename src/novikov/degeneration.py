@@ -86,15 +86,19 @@ class DegenerationWitness:
 def witness_from_json(obj: Mapping) -> DegenerationWitness:
     """Witness from its JSON object.  A missing ``id``, ``source``,
     ``target`` or ``basis``, a ``basis`` that is not a list of rows, a
-    ``source_params`` or ``target_params`` that is not an object, or an
-    ``avoid``, ``symbols`` or ``necessary_t`` that is not a list, raises
-    :class:`AlgebraError` naming it."""
+    ``source_params`` or ``target_params`` that is not an object, an
+    ``avoid``, ``symbols`` or ``necessary_t`` that is not a list, or a
+    ``fallback`` that is neither an object nor null, raises
+    :class:`AlgebraError` naming it.  A null ``fallback`` means none."""
     wid = _json_field(obj, "id", "witness JSON")
     where = f"witness {wid!r}"
     source, target, basis = (_json_field(obj, key, where)
                              for key in ("source", "target", "basis"))
     if not isinstance(basis, list) or not all(isinstance(row, list) for row in basis):
         raise AlgebraError(f"{where}: 'basis' must be a list of rows, got {basis!r}")
+    fallback = obj.get("fallback")
+    if fallback is not None and not isinstance(fallback, dict):
+        raise AlgebraError(f"{where}: 'fallback' must be an object or null, got {fallback!r}")
     return DegenerationWitness(
         id=wid,
         source=source,
@@ -106,7 +110,7 @@ def witness_from_json(obj: Mapping) -> DegenerationWitness:
         avoid=tuple(_json_optional(obj, "avoid", where)),
         symbols=tuple(_json_optional(obj, "symbols", where)),
         necessary_t=tuple(_json_optional(obj, "necessary_t", where)),
-        fallback=obj.get("fallback"),
+        fallback=fallback,
         note=obj.get("note", ""),
     )
 
@@ -316,19 +320,87 @@ def _num(e: sp.Expr, digits: int) -> mpmath.mpc:
     return mpmath.mpc(to_mpf(re_part), to_mpf(im_part))
 
 
-def _num_all(nested: Sequence, subs: Mapping, digits: int) -> list:
+def _num_all(nested: Sequence, subs: Mapping, digits: int, values: dict) -> list:
     """Nested lists of expressions at ``subs`` as mpmath numbers, same
-    nesting, each distinct expression evaluated once."""
-    values: dict[sp.Expr, mpmath.mpc] = {}
-
+    nesting.  ``values`` maps each substituted expression to its number, so
+    an expression that recurs under the same ``values`` (one per sample
+    point) is evaluated once."""
     def convert(x):
         if isinstance(x, (list, tuple)):
             return [convert(y) for y in x]
-        if x not in values:
-            values[x] = _num(scalars.substitute(x, subs), digits)
-        return values[x]
+        e = scalars.substitute(x, subs)
+        if e not in values:
+            values[e] = _num(e, digits)
+        return values[e]
 
     return convert(nested)
+
+
+def _lu(a: Sequence[Sequence]) -> tuple[list[list], list[int]]:
+    """LU factorisation of the square matrix ``a`` (rows of mpmath numbers)
+    with mpmath's row pivoting: ``mpmath.mp.LU_decomp`` step for step on
+    lists, so the factors come out bit for bit the same at the working
+    precision.  Returns L and U packed in one new matrix and the pivot row
+    of each step; raises ``ZeroDivisionError`` when ``a`` is numerically
+    singular, and also when a column has no nonzero pivot candidate left,
+    where ``LU_decomp`` fails with a ``TypeError``.
+
+    An elimination step whose factor is an exact zero is skipped: it would
+    subtract zeros, which leaves every entry (none is wider than the working
+    precision) as it is."""
+    ctx = mpmath.mp
+    a = [list(row) for row in a]
+    n = len(a)
+    # each pivot has to be bigger than this
+    tol = ctx.absmin(max(ctx.fsum((a[i][j] for i in range(n)), absolute=1)
+                         for j in range(n)) * ctx.eps)
+    perm = [None] * (n - 1)
+    for j in range(n - 1):
+        # pivot: the largest |a[k][j]| relative to the row's remaining sum
+        biggest = 0
+        for k in range(j, n):
+            s = ctx.fsum([ctx.absmin(a[k][m]) for m in range(j, n)])
+            if ctx.absmin(s) <= tol:
+                raise ZeroDivisionError("matrix is numerically singular")
+            current = 1 / s * ctx.absmin(a[k][j])
+            if current > biggest:
+                biggest = current
+                perm[j] = k
+        if perm[j] is None:
+            raise ZeroDivisionError("matrix is numerically singular")
+        a[j], a[perm[j]] = a[perm[j]], a[j]
+        pivot = a[j]
+        if ctx.absmin(pivot[j]) <= tol:
+            raise ZeroDivisionError("matrix is numerically singular")
+        for i in range(j + 1, n):
+            row = a[i]
+            row[j] /= pivot[j]
+            if row[j]:
+                for k in range(j + 1, n):
+                    row[k] -= row[j] * pivot[k]
+    if ctx.absmin(a[n - 1][n - 1]) <= tol:
+        raise ZeroDivisionError("matrix is numerically singular")
+    return a, perm
+
+
+def _lu_solve(lu: Sequence[Sequence], perm: Sequence[int], b: Sequence) -> list:
+    """The solution x of A x = b from ``_lu(A)``: ``mpmath.mp.L_solve`` then
+    ``U_solve`` step for step on lists, bit for bit the same.  As in
+    :func:`_lu`, a product with an exact zero factor is not subtracted."""
+    x = list(b)
+    n = len(x)
+    for k, p in enumerate(perm):
+        x[k], x[p] = x[p], x[k]
+    for i in range(1, n):
+        for j in range(i):
+            if lu[i][j] and x[j]:
+                x[i] -= lu[i][j] * x[j]
+    for i in range(n - 1, -1, -1):
+        for j in range(i + 1, n):
+            if lu[i][j] and x[j]:
+                x[i] -= lu[i][j] * x[j]
+        x[i] /= lu[i][i]
+    return x
 
 
 def verify_numeric(w: DegenerationWitness, catalog: Catalog | None = None,
@@ -359,6 +431,7 @@ def verify_numeric(w: DegenerationWitness, catalog: Catalog | None = None,
     decay = None
 
     with mpmath.workdps(digits + 20):
+        slack = 1 + mpmath.mpf(10) ** -6      # rounded at this precision
         for _ in range(sample_count):
             assign = next(scalars.admissible_points(
                 rng, syms, nonzero, SAMPLE_ATTEMPTS), None) if syms else {}
@@ -366,12 +439,13 @@ def verify_numeric(w: DegenerationWitness, catalog: Catalog | None = None,
                 raise AlgebraError(f"{w.id}: failed to sample admissible parameters")
             report.samples.append({str(k): grammar_str(v)
                                    for k, v in sorted(assign.items(), key=str)})
-            target_num = _num_all(target, assign, digits)
+            values: dict = {}
+            target_num = _num_all(target, assign, digits, values)
             residuals: dict[tuple, list] = {}
             for t_val in DEFAULT_SCHEDULE:
                 subs = dict(assign)
                 subs[T] = t_val
-                raw = _num_all(basis_rows, subs, digits)
+                raw = _num_all(basis_rows, subs, digits, values)
                 # Row-scale the basis: Laurent rows span hundreds of orders
                 # of magnitude at the final t, which would otherwise wreck
                 # the LU solve.  E_i = s_i * Ehat_i rescales the conjugated
@@ -381,12 +455,12 @@ def verify_numeric(w: DegenerationWitness, catalog: Catalog | None = None,
                 lu = None
                 if all(s != 0 for s in scales):
                     b_num = [[x / s for x in row] for row, s in zip(raw, scales)]
-                    c_num = _num_all(table, subs, digits)
+                    c_num = _num_all(table, subs, digits, values)
                     # One factorisation serves all n^2 right-hand sides, at
                     # the 10 extra bits mpmath.lu_solve factors and solves at.
                     with mpmath.mp.extraprec(10):
                         try:
-                            lu, perm = mpmath.mp.LU_decomp(mpmath.matrix(b_num).T)
+                            lu, perm = _lu(list(zip(*b_num)))
                         except ZeroDivisionError:
                             pass
                 if lu is None:
@@ -395,19 +469,21 @@ def verify_numeric(w: DegenerationWitness, catalog: Catalog | None = None,
                         "problem": "basis numerically singular",
                         "t": str(t_val)})
                     continue
-                support = [[(p, x) for p, x in enumerate(row) if x != 0]
+                support = [[(p, x) for p, x in enumerate(row) if x]
                            for row in b_num]
+                # Adding an exact zero changes no sum: skip the zero constants.
+                c_support = [[[(k, c) for k, c in enumerate(row) if c]
+                              for row in plane] for plane in c_num]
                 for i in range(n):
                     for j in range(n):
                         prod = [mpmath.mpc(0)] * n
                         for p, bip in support[i]:
                             for q, bjq in support[j]:
                                 f = bip * bjq
-                                for k in range(n):
-                                    prod[k] += f * c_num[p][q][k]
+                                for k, c in c_support[p][q]:
+                                    prod[k] += f * c
                         with mpmath.mp.extraprec(10):
-                            x = mpmath.mp.U_solve(
-                                lu, mpmath.mp.L_solve(lu, mpmath.matrix(prod), perm))
+                            x = _lu_solve(lu, perm, prod)
                         for k in range(n):
                             value = x[k] * scales[i] * scales[j] / scales[k]
                             res = mpmath.fabs(value - target_num[i][j][k])
@@ -416,8 +492,7 @@ def verify_numeric(w: DegenerationWitness, catalog: Catalog | None = None,
                 if len(series) != len(DEFAULT_SCHEDULE):
                     continue
                 eff = [max(r, floor) for r in series]
-                if any(eff[m + 1] > eff[m] * (1 + mpmath.mpf(10) ** -6)
-                       for m in range(len(eff) - 1)):
+                if any(eff[m + 1] > eff[m] * slack for m in range(len(eff) - 1)):
                     report.passed = False
                     report.failures.append({
                         "at": [key[0] + 1, key[1] + 1, key[2] + 1],

@@ -130,6 +130,9 @@ def test_undeclared_param_is_usage_error(capsys):
     ({"name": "x", "dim": 2, "products": 5}, "'products' must be a list"),
     ({"name": "x", "dim": 2, "params": 5}, "'params' must be a list"),
     ({"name": "x", "dim": 2, "params": "pq"}, "'params' must be a list"),
+    ({"name": "x", "dim": 2, "params": [5]}, "'params' entry 5 is not"),
+    ({"name": "x", "dim": 2, "params": ["p p"]}, "'params' entry 'p p' is not"),
+    ({"name": "x", "dim": 2, "params": [{"a": 1}]}, "'params' entry {'a': 1} is not"),
     ({"name": "x", "dim": 2, "params": ["p", "q"], "constraints_nonzero": "pq"},
      "'constraints_nonzero' must be a list"),
 ])
@@ -138,6 +141,26 @@ def test_algebra_file_schema_error_is_usage_error(capsys, tmp_path, obj, word):
     path.write_text(json.dumps(obj))
     code, out, err = run(capsys, "check", str(path))
     assert_usage_error(code, out, err, word)
+
+
+_WITNESS = {"id": "W", "source": "N4_09", "target": "zero_4",
+            "basis": [["t", "0", "0", "0"], ["0", "t", "0", "0"],
+                      ["0", "0", "t", "0"], ["0", "0", "0", "t"]]}
+
+
+def test_degenerate_verify_accepts_witness_file(capsys, tmp_path):
+    path = tmp_path / "w.json"
+    path.write_text(json.dumps({**_WITNESS, "fallback": None}))
+    code, out, _ = run(capsys, "degenerate", "verify", "--row", str(path))
+    assert code == 0 and out.startswith("W: N4_09 -> zero_4  [exact] pass")
+
+
+@pytest.mark.parametrize("fallback", [5, "x"])
+def test_witness_file_fallback_of_wrong_type_is_usage_error(capsys, tmp_path, fallback):
+    path = tmp_path / "w.json"
+    path.write_text(json.dumps({**_WITNESS, "fallback": fallback}))
+    code, out, err = run(capsys, "degenerate", "verify", "--row", str(path))
+    assert_usage_error(code, out, err, "'fallback' must be an object or null")
 
 
 @pytest.mark.parametrize("command", [

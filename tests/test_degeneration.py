@@ -8,11 +8,12 @@ from pathlib import Path
 import mpmath
 import pytest
 import sympy as sp
+from hypothesis import given, settings, strategies as st
 
 from novikov.algebras import AlgebraError, change_basis_table
 from novikov.catalog import load
 from novikov.degeneration import (DEFAULT_SCHEDULE, DegenerationWitness,
-                                  TierError, apply_fallback, build_reachability,
+                                  TierError, _lu, _lu_solve, apply_fallback, build_reachability,
                                   check_necessary, detect_tier, free_symbols_of,
                                   load_witnesses, verify_all, verify_exact,
                                   verify_numeric, verify_witness,
@@ -235,6 +236,125 @@ def test_numeric_tier_rejects_singular_basis(cat, basis):
         [str(t) for t in DEFAULT_SCHEDULE]
 
 
+def test_numeric_tier_reports_pivotless_basis_as_singular(cat):
+    # Rows 1 and 2 are equal, so after one elimination step the transposed
+    # basis has an all-zero column below the diagonal: no pivot candidate.
+    w = witness_from_json({
+        "id": "nopivot", "source": "N4_01", "source_params": {},
+        "target": "N4_01", "target_params": {}, "tier": "numeric",
+        "basis": [["t", "t", "0", "0"], ["t", "t", "0", "0"],
+                  ["0", "t", "t", "0"], ["0", "0", "0", "t"]]})
+    rep = verify_numeric(w, cat)
+    assert not rep.passed
+    assert [f["problem"] for f in rep.failures] == \
+        ["basis numerically singular"] * 5
+
+
+#: verify_numeric factors at 120 + 20 digits and 10 extra bits.
+_LU_DPS = 140
+
+
+def _mp_lu(a):
+    """mpmath's own factorisation of the rows ``a``."""
+    return mpmath.mp.LU_decomp(mpmath.matrix(a))
+
+
+def _mp_lu_solve(lu, perm, b):
+    return mpmath.mp.U_solve(lu, mpmath.mp.L_solve(lu, mpmath.matrix(b), perm))
+
+
+def _assert_lu_as_mpmath(a, b):
+    """``_lu``/``_lu_solve`` give bit for bit what mpmath gives for the
+    rows ``a`` and the right-hand side ``b``, or both find ``a`` singular."""
+    with mpmath.mp.extraprec(10):
+        try:
+            want_lu, want_perm = _mp_lu(a)
+        except ZeroDivisionError:
+            with pytest.raises(ZeroDivisionError):
+                _lu(a)
+            return None
+        lu, perm = _lu(a)
+        want_x = _mp_lu_solve(want_lu, want_perm, b)
+        x = _lu_solve(lu, perm, b)
+    n = len(a)
+    assert perm == want_perm
+    assert all(lu[i][j] == want_lu[i, j] for i in range(n) for j in range(n))
+    assert all(x[i] == want_x[i] for i in range(n))
+    return perm
+
+
+_GAUSSIAN = st.tuples(st.integers(-99, 99), st.integers(-99, 99),
+                      st.integers(1, 97))
+#: small Gaussian integers: ties in the pivot search, exact cancellations
+_SMALL = st.tuples(st.integers(-2, 2), st.integers(-2, 2), st.just(1))
+
+
+def _gaussian_over(re, im, den):
+    # (re + i im) / den, rounded at the working precision
+    return mpmath.mpc(re, im) / den
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(st.lists(st.one_of(st.just((0, 0, 1)), _SMALL, _GAUSSIAN),
+                         min_size=4, max_size=4), min_size=4, max_size=4),
+       st.lists(_GAUSSIAN, min_size=4, max_size=4))
+def test_lu_matches_mpmath_bit_for_bit(entries, rhs):
+    with mpmath.workdps(_LU_DPS):
+        a = [[_gaussian_over(*e) for e in row] for row in entries]
+        b = [_gaussian_over(*e) for e in rhs]
+        try:
+            _assert_lu_as_mpmath(a, b)
+        except TypeError:
+            # LU_decomp's own failure when a column has no pivot candidate;
+            # the list version reports that case as singular instead.
+            with pytest.raises(ZeroDivisionError):
+                _lu(a)
+
+
+def test_lu_matches_mpmath_with_row_swaps():
+    rng = random.Random(7)
+    with mpmath.workdps(_LU_DPS):
+        def rand():
+            return mpmath.mpc(rng.uniform(-1, 1), rng.uniform(-1, 1)) / 3
+        for _ in range(20):
+            a = [[rand() for _ in range(4)] for _ in range(4)]
+            a[0][0] = mpmath.mpc(0)          # the first step must swap
+            b = [rand() for _ in range(4)]
+            perm = _assert_lu_as_mpmath(a, b)
+            assert perm[0] != 0
+
+
+def test_lu_keeps_the_first_of_tied_pivots():
+    # rows 1 and 2 tie for the first pivot (1/2 of each row's sum)
+    with mpmath.workdps(_LU_DPS):
+        a = [[mpmath.mpc(x) for x in row] for row in
+             [[1, 1, 0, 0], [2, 0, 2, 0], [0, 1, 1, 1], [0, 1, 0, 3]]]
+        b = [mpmath.mpc(k, 1) / 3 for k in range(4)]
+        assert _assert_lu_as_mpmath(a, b)[0] == 0
+
+
+def test_lu_singular_matrix_raises_like_mpmath():
+    rng = random.Random(11)
+    with mpmath.workdps(_LU_DPS):
+        row = [mpmath.mpc(rng.uniform(-1, 1), rng.uniform(-1, 1)) for _ in range(4)]
+        a = [row, [mpmath.mpc(1), 0, 0, 0], list(row), [0, 0, 0, mpmath.mpc(2)]]
+        with mpmath.mp.extraprec(10):
+            with pytest.raises(ZeroDivisionError):
+                _mp_lu(a)
+            with pytest.raises(ZeroDivisionError):
+                _lu(a)
+
+
+def test_lu_without_pivot_candidate_is_singular():
+    one, zero = mpmath.mpc(1), mpmath.mpc(0)
+    a = [[one, one, zero], [one, one, one], [zero, zero, one]]
+    with mpmath.workdps(_LU_DPS), mpmath.mp.extraprec(10):
+        with pytest.raises(TypeError):
+            _mp_lu(a)
+        with pytest.raises(ZeroDivisionError):
+            _lu(a)
+
+
 # ---------------------------------------------------------------------------
 # Fallback protocol and the full table
 # ---------------------------------------------------------------------------
@@ -326,6 +446,8 @@ def test_witness_json_basis_must_be_a_list_of_rows(basis):
     ("source_params", "x", "an object"),
     ("target_params", [1], "an object"),
     ("avoid", 5, "a list"),
+    ("fallback", 5, "an object or null"),
+    ("fallback", "x", "an object or null"),
 ])
 def test_witness_json_optional_key_of_wrong_type_is_named(key, value, what):
     with pytest.raises(AlgebraError, match=f"witness 'W': '{key}' must be {what}"):

@@ -279,15 +279,14 @@ def criterion_necessary(cat: Catalog | None = None, samples: int = 3,
         time.time() - t0)
 
 
-def criterion_reachability(reports: list[WitnessReport] | None = None,
+def criterion_reachability(reports: list[WitnessReport],
                            cat: Catalog | None = None) -> CriterionResult:
     """8: every 4-dimensional family plus both limit families is reachable
     from the two source families through verified rows, and no verified row
-    reaches the sources themselves."""
+    reaches the sources themselves.  ``reports`` are the Table-B reports
+    of criterion 6."""
     t0 = time.time()
     cat = cat or load_catalog()
-    if reports is None:
-        reports = verify_all(cat)
     reach = build_reachability(reports, cat)
     unreached = sorted(k for k, v in reach.reachable.items() if not v)
     return CriterionResult(

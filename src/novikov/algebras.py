@@ -45,18 +45,16 @@ __all__ = [
     "algebra",
     "algebra_from_json",
     "algebra_to_json",
+    "MAX_DIM",
     "basis_vector",
-    "zero_vector",
     "vector_str",
     "parse_vector",
-    "multiply",
     "multiply_table",
     "nonzero_constants",
     "change_basis_table",
     "check_identities",
     "annihilator_basis",
     "derived_power_dims",
-    "nilpotency_index",
     "derivation_dim",
     "substitute",
     "instantiate_table",
@@ -81,10 +79,6 @@ class Algebra:
     params: tuple[sp.Symbol, ...]
     table: Table
     constraints: tuple[sp.Expr, ...] = ()
-
-    def product(self, i: int, j: int) -> Vector:
-        """e_i * e_j in coordinates (0-based indices)."""
-        return self.table[i][j]
 
     @cached_property
     def constants(self) -> tuple:
@@ -150,10 +144,6 @@ class InvariantProfile:
         return d
 
 
-def zero_vector(n: int) -> Vector:
-    return tuple(sp.Integer(0) for _ in range(n))
-
-
 def basis_vector(n: int, i: int) -> Vector:
     return tuple(sp.Integer(1) if j == i else sp.Integer(0) for j in range(n))
 
@@ -189,16 +179,22 @@ def algebra(name: str, dim: int, products: Iterable[tuple], params: Sequence = (
             constraints: Sequence = ()) -> Algebra:
     """Build an algebra from 1-based sparse products (i, j, k, coefficient).
 
-    Each parameter is a symbol or an identifier string; anything else raises
-    :class:`AlgebraError` naming it."""
+    Each parameter is a symbol or an identifier string, declared once, and
+    each index an integer (not a bool) in range; no nonzero constraint may
+    be identically zero.  Anything else raises :class:`AlgebraError` naming
+    it."""
     for p in params:
         if not (isinstance(p, sp.Symbol) or isinstance(p, str) and p.isidentifier()):
             raise AlgebraError(f"{name}: 'params' entry {p!r} is not an identifier")
     param_syms = tuple(p if isinstance(p, sp.Symbol) else sp.Symbol(p) for p in params)
+    if len(set(param_syms)) < len(param_syms):
+        raise AlgebraError(f"{name}: 'params' {list(map(str, param_syms))} "
+                           f"repeats an entry")
     grid = [[[sp.Integer(0) for _ in range(dim)] for _ in range(dim)]
             for _ in range(dim)]
     for i, j, k, c in products:
-        if not all(isinstance(x, int) and 1 <= x <= dim for x in (i, j, k)):
+        if not all(isinstance(x, int) and not isinstance(x, bool) and 1 <= x <= dim
+                   for x in (i, j, k)):
             raise AlgebraError(f"{name}: product index ({i!r},{j!r},{k!r}) "
                                f"is not an integer in 1..{dim}")
         grid[i - 1][j - 1][k - 1] += parse_scalar(c)
@@ -215,12 +211,22 @@ def algebra(name: str, dim: int, products: Iterable[tuple], params: Sequence = (
                 if T in x.free_symbols:
                     raise AlgebraError(f"{name}: t may not appear in constants")
     cons = tuple(parse_scalar(c) for c in constraints)
+    for text, c in zip(constraints, cons):
+        if scalars.vanishes(c, {}):
+            raise AlgebraError(f"{name}: 'constraints_nonzero' entry {text!r} "
+                               f"is identically zero")
     return Algebra(name, dim, param_syms, table, cons)
 
 
 # ---------------------------------------------------------------------------
 # JSON schema
 # ---------------------------------------------------------------------------
+
+#: Largest ``dim`` an algebra JSON object may declare.  The table is dense,
+#: n^3 constants, and the derivation system has n^2 unknowns, so an
+#: unchecked ``dim`` can hang the program before any product is read.
+MAX_DIM = 16
+
 
 def algebra_to_json(a: Algebra) -> dict:
     products = []
@@ -259,15 +265,16 @@ def _json_optional(obj: Mapping, key: str, where: str, kind: type = list):
 
 def algebra_from_json(obj: Mapping) -> Algebra:
     """Algebra from its JSON object.  A missing ``name``, ``dim`` or product
-    key, a ``dim`` that is not a positive integer, a ``products``,
+    key, a ``dim`` that is not an integer in 1..:data:`MAX_DIM`, a ``products``,
     ``params`` or ``constraints_nonzero`` that is not a list, or a
     ``params`` entry that is not an identifier string, raises
     :class:`AlgebraError` naming it."""
     name = _json_field(obj, "name", "algebra JSON")
     where = f"algebra {name!r}"
     dim = _json_field(obj, "dim", where)
-    if isinstance(dim, bool) or not isinstance(dim, int) or dim < 1:
-        raise AlgebraError(f"{where}: dim must be a positive integer, got {dim!r}")
+    if isinstance(dim, bool) or not isinstance(dim, int) or not 1 <= dim <= MAX_DIM:
+        raise AlgebraError(f"{where}: dim must be a positive integer at most "
+                           f"{MAX_DIM}, got {dim!r}")
     products = [tuple(_json_field(p, key, f"{where}: product") for key in "ijkc")
                 for p in _json_optional(obj, "products", where)]
     return algebra(name, dim, products, params=_json_optional(obj, "params", where),
@@ -309,14 +316,6 @@ def multiply_table(constants: Sequence, x: Sequence, y: Sequence, field) -> list
             if yj:
                 out[k] += xi * yj * c
     return out
-
-
-def multiply(a: Algebra, x: Sequence, y: Sequence) -> Vector:
-    if len(x) != a.dim or len(y) != a.dim:
-        raise AlgebraError("dimension mismatch")
-    field, (table, x, y) = linalg.to_field(a.table, x, y)
-    return tuple(linalg.to_expr(field, v)
-                 for v in multiply_table(nonzero_constants(table), x, y, field))
 
 
 def change_basis_table(table: Sequence, rows: Sequence[Sequence]) -> Table:
@@ -443,13 +442,6 @@ def derived_power_dims(a: Algebra) -> list[int]:
     return dims
 
 
-def nilpotency_index(a: Algebra) -> int | None:
-    dims = derived_power_dims(a)
-    if dims[-1] == 0:
-        return len(dims)
-    return None
-
-
 def derivation_dim(a: Algebra, at: Mapping | None = None) -> int:
     """dim of {D : D(xy) = D(x)y + xD(y)}.
 
@@ -476,7 +468,8 @@ def derivation_dim(a: Algebra, at: Mapping | None = None) -> int:
 
 
 def substitute(a: Algebra, at: Mapping, name: str | None = None) -> Algebra:
-    """Instantiate every declared parameter at exact values.
+    """Instantiate every declared parameter at exact values: the table of
+    :func:`instantiate_table`, each entry in ``cancel`` form.
 
     Raises :class:`AlgebraError` if the assignment names an undeclared
     parameter or leaves one out, and :class:`ConstraintViolation` if a
@@ -486,18 +479,16 @@ def substitute(a: Algebra, at: Mapping, name: str | None = None) -> Algebra:
     undeclared = sorted(str(s) for s in subs if s not in a.params)
     if undeclared:
         raise AlgebraError(f"{a.name}: undeclared parameters {undeclared}")
-    missing = [p for p in a.params if p not in subs]
-    if missing:
-        raise AlgebraError(f"missing assignment for {[str(m) for m in missing]}")
+    table = instantiate_table(a, subs)
     for cons in a.constraints:
         if scalars.vanishes(cons, subs):
             raise ConstraintViolation(
                 f"constraint violated: {grammar_str(cons)} = 0 for {a.name}")
-    table = tuple(tuple(tuple(_cancelled(scalars.substitute(x, subs)) for x in row)
-                        for row in plane) for plane in a.table)
     label = name or (a.name + "(" + ", ".join(
         f"{p}={grammar_str(subs[p])}" for p in a.params) + ")" if a.params else a.name)
-    return Algebra(label, a.dim, (), table, ())
+    return Algebra(label, a.dim, (),
+                   tuple(tuple(tuple(map(_cancelled, row)) for row in plane)
+                         for plane in table), ())
 
 
 def _cancelled(x: sp.Expr) -> sp.Expr:

@@ -93,8 +93,8 @@ class Catalog:
             return substitute(a, params)
         return a
 
-    def list_entries(self, dim: int | None = None, table: str | None = None,
-                     pure: bool | None = None) -> list[CatalogEntry]:
+    def list_entries(self, dim: int | None = None,
+                     table: str | None = None) -> list[CatalogEntry]:
         """Entries of the classification listings, deterministic order.
 
         ``dim`` selects the published listing for that dimension (auxiliary
@@ -112,8 +112,6 @@ class Catalog:
                 if entry.listing != f"dim{dim}":
                     continue
             if dim is not None and entry.algebra.dim != dim:
-                continue
-            if pure is not None and entry.pure_expected != pure:
                 continue
             out.append(entry)
         return out
@@ -215,9 +213,8 @@ def get(name: str, params: Mapping | None = None) -> Algebra:
     return load().get(name, params)
 
 
-def list_entries(dim: int | None = None, table: str | None = None,
-                 pure: bool | None = None) -> list[CatalogEntry]:
-    return load().list_entries(dim=dim, table=table, pure=pure)
+def list_entries(dim: int | None = None, table: str | None = None) -> list[CatalogEntry]:
+    return load().list_entries(dim=dim, table=table)
 
 
 # ---------------------------------------------------------------------------

@@ -45,12 +45,19 @@ def _emit(args, payload: dict, text_lines) -> None:
             print(line)
 
 
+def _is_file(text: str) -> bool:
+    """Whether a NAME, EXPR or ID argument names a JSON file: it does when it
+    ends in ``.json`` or is an existing path, so a missing file is reported
+    as one and never read as a name or an expression."""
+    return text.endswith(".json") or os.path.exists(text)
+
+
 def _resolve(args):
     """Catalog name or JSON file path -> instantiated algebra."""
     cat = load_catalog()
     params = _parse_params(getattr(args, "param", None))
     name = args.name
-    if os.path.exists(name):
+    if _is_file(name):
         a = load_algebra_file(name)
         if params:
             from .algebras import substitute
@@ -147,7 +154,7 @@ def cmd_extend(args) -> int:
     a = cat.get(args.name, _parse_params(args.param) or None)
     thetas = []
     for spec_text in args.cocycle:
-        if os.path.exists(spec_text):
+        if _is_file(spec_text):
             with open(spec_text, "r", encoding="utf-8") as fh:
                 thetas.append(cocycle_from_json(a, json.load(fh)))
         else:
@@ -201,7 +208,7 @@ def cmd_derivations(args) -> int:
 
 def cmd_degenerate(args) -> int:
     cat = load_catalog()
-    if args.row and os.path.exists(args.row):
+    if args.row and _is_file(args.row):
         with open(args.row, "r", encoding="utf-8") as fh:
             witnesses = [witness_from_json(json.load(fh))]
     elif args.row:

@@ -32,7 +32,6 @@ __all__ = [
     "Extension",
     "SplitExtension",
     "CocycleError",
-    "NotAutomorphismError",
     "SingularMatrixError",
     "cocycle",
     "cocycle_from_expr",
@@ -41,12 +40,10 @@ __all__ = [
     "is_cocycle",
     "coboundary_matrices",
     "cocycle_space",
-    "cocycle_annihilator",
     "has_trivial_intersection",
     "central_extension",
     "split_central_extension",
     "is_automorphism",
-    "act_on_cocycle",
     "ActionCase",
     "ActionCaseReport",
     "verify_action_formulas",
@@ -54,10 +51,6 @@ __all__ = [
 
 
 class CocycleError(AlgebraError):
-    pass
-
-
-class NotAutomorphismError(AlgebraError):
     pass
 
 
@@ -75,9 +68,6 @@ class Cocycle:
 
     algebra: Algebra
     matrix: tuple[tuple[sp.Expr, ...], ...]
-
-    def entry(self, i: int, j: int) -> sp.Expr:
-        return self.matrix[i][j]
 
     def as_vector(self) -> Vector:
         n = self.algebra.dim
@@ -97,11 +87,14 @@ class Cocycle:
 
 
 def cocycle(a: Algebra, entries: Sequence[tuple]) -> Cocycle:
-    """Cocycle matrix from sparse 1-based entries (i, j, coefficient)."""
+    """Cocycle matrix from sparse 1-based entries (i, j, coefficient); an
+    index that is not an integer (a bool is not) in range raises
+    :class:`CocycleError`."""
     n = a.dim
     grid = [[sp.Integer(0)] * n for _ in range(n)]
     for i, j, c in entries:
-        if not all(isinstance(x, int) and 1 <= x <= n for x in (i, j)):
+        if not all(isinstance(x, int) and not isinstance(x, bool) and 1 <= x <= n
+                   for x in (i, j)):
             raise CocycleError(f"entry index ({i!r},{j!r}) is not an integer "
                                f"in 1..{n}")
         grid[i - 1][j - 1] += parse_scalar(c)
@@ -244,28 +237,15 @@ def _form_annihilator_rows(matrices: Sequence, n: int) -> list[dict]:
                                      m[j]))                         # theta(e_j, x)
 
 
-def _cocycle_matrices(a: Algebra, thetas: Sequence[Cocycle]) -> list:
-    """The matrices of ``thetas``; raises if one is not a form on ``a``."""
-    if any(theta.algebra.dim != a.dim for theta in thetas):
-        raise CocycleError("dimension mismatch")
-    return [theta.matrix for theta in thetas]
-
-
-def cocycle_annihilator(a: Algebra, thetas: Sequence[Cocycle]) -> list[Vector]:
-    """Basis of {x : theta(x, A) = theta(A, x) = 0 for every theta}."""
-    n = a.dim
-    field, (matrices,) = linalg.to_field(_cocycle_matrices(a, thetas))
-    return [linalg.cleared_vector(field, v, n)
-            for v in linalg.nullspace(_form_annihilator_rows(matrices, n), n, field)]
-
-
 def has_trivial_intersection(a: Algebra, thetas: Sequence[Cocycle]) -> bool:
     """Whether Ann(theta) ∩ Ann(A) = 0.  Both null bases are independent, so
     the intersection is trivial iff their union has full rank.  The table and
     the cocycles are converted into one field, and the null vectors are
     ranked as they come."""
     n = a.dim
-    field, (table, matrices) = linalg.to_field(a.table, _cocycle_matrices(a, thetas))
+    if any(theta.algebra.dim != n for theta in thetas):
+        raise CocycleError("dimension mismatch")
+    field, (table, matrices) = linalg.to_field(a.table, [theta.matrix for theta in thetas])
     vectors = (linalg.nullspace(_form_annihilator_rows(matrices, n), n, field)
                + linalg.nullspace(_annihilator_rows(nonzero_constants(table)), n, field))
     return linalg.rank(vectors, n, field) == len(vectors)
@@ -360,7 +340,7 @@ def split_central_extension(a: Algebra, w_vectors: Sequence[Sequence]) -> SplitE
 
 
 # ---------------------------------------------------------------------------
-# Automorphism action on cocycles
+# Automorphisms
 # ---------------------------------------------------------------------------
 
 def is_automorphism(a: Algebra, phi: Sequence[Sequence]) -> bool:
@@ -385,23 +365,6 @@ def is_automorphism(a: Algebra, phi: Sequence[Sequence]) -> bool:
                 if lhs[r] - rhs:
                     return False
     return True
-
-
-def act_on_cocycle(a: Algebra, phi: Sequence[Sequence], theta: Cocycle,
-                   check: bool = True) -> Cocycle:
-    """(phi . theta)(x, y) = theta(phi x, phi y), i.e. the matrix phi^T theta phi."""
-    if check and not is_automorphism(a, phi):
-        raise NotAutomorphismError("non-automorphism")
-    n = a.dim
-    p = [[parse_scalar(x) for x in row] for row in phi]
-    out = [[sp.Integer(0)] * n for _ in range(n)]
-    for l in range(n):
-        for m in range(n):
-            out[l][m] = sp.cancel(sum(
-                p[pp][l] * theta.matrix[pp][qq] * p[qq][m]
-                for pp in range(n) for qq in range(n)
-                if theta.matrix[pp][qq] != 0))
-    return Cocycle(a, tuple(tuple(row) for row in out))
 
 
 # ---------------------------------------------------------------------------

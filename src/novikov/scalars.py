@@ -2,9 +2,12 @@
 
 Scalars are sympy expressions over the Gaussian rationals Q(i), extended by
 named parameters (``alpha``, ``lam``, ...), the limit variable ``t``, and
-formal square/cube roots.  Root-free scalars form an exactly decidable
-rational-function field; root-bearing scalars are kept symbolic here, and
-only the numeric tier of :mod:`novikov.degeneration` evaluates them.
+formal square/cube roots.  Root-free scalars (:func:`is_root_free`) form a
+rational-function field: :mod:`novikov.linalg` converts them into its
+elements, whose arithmetic and zero tests are exact, and :func:`vanishes`
+decides one of them at an assignment.  Root-bearing scalars are kept
+symbolic here, and only the numeric tier of :mod:`novikov.degeneration`
+evaluates them.
 
 Conventions fixed here, once, for the whole package:
 
@@ -48,15 +51,11 @@ __all__ = [
     "Rational",
     "ScalarError",
     "ZeroDenominatorError",
-    "RadicalZeroTestError",
     "NumericDivisionError",
     "ParseError",
-    "gauss",
     "parse_scalar",
     "grammar_str",
-    "simplify_scalar",
     "is_root_free",
-    "is_zero_exact",
     "subs_map",
     "substitute",
     "vanishes",
@@ -73,7 +72,6 @@ I = sp.I
 #: Exact rational numbers (arbitrary-precision numerator/denominator).
 Rational = sp.Rational
 
-Scalar = sp.Expr
 ScalarLike = Union[sp.Expr, int, str]
 
 
@@ -85,21 +83,12 @@ class ZeroDenominatorError(ScalarError):
     """Division by an identically-zero rational function."""
 
 
-class RadicalZeroTestError(ScalarError):
-    """Exact zero-test requested for a radical-bearing expression."""
-
-
 class NumericDivisionError(ScalarError):
     """Evaluation divided by a numerically-zero subexpression."""
 
 
 class ParseError(ScalarError):
     """Malformed expression text."""
-
-
-def gauss(re_part, im_part=0) -> sp.Expr:
-    """Gaussian rational re + im*i with exact components."""
-    return sp.Rational(re_part) + sp.Rational(im_part) * sp.I
 
 
 # ---------------------------------------------------------------------------
@@ -267,34 +256,13 @@ def grammar_str(e: ScalarLike) -> str:
 
 
 # ---------------------------------------------------------------------------
-# Canonicalization and zero tests
+# Root-free test
 # ---------------------------------------------------------------------------
 
 def is_root_free(e: ScalarLike) -> bool:
     """True if the expression is a rational function (no fractional powers)."""
     e = parse_scalar(e)
     return all(p.exp.is_Integer for p in e.atoms(sp.Pow))
-
-
-def simplify_scalar(e: ScalarLike) -> sp.Expr:
-    """Canonical reduced form of the rational-function part of ``e``.
-
-    Root-free inputs come back as an expanded-numerator/denominator canonical
-    fraction, so equal rational functions become syntactically identical.
-    Radicals are left in place (treated as opaque generators).
-    """
-    out = sp.cancel(parse_scalar(e))
-    if out.has(sp.zoo) or out.has(sp.nan):
-        raise ZeroDenominatorError("zero denominator")
-    return out
-
-
-def is_zero_exact(e: ScalarLike) -> bool:
-    """Exact zero decision; only defined for root-free scalars."""
-    e = parse_scalar(e)
-    if not is_root_free(e):
-        raise RadicalZeroTestError("exact zero-test unsupported for radicals")
-    return simplify_scalar(e) == 0
 
 
 # ---------------------------------------------------------------------------

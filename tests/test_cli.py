@@ -135,6 +135,12 @@ def test_undeclared_param_is_usage_error(capsys):
     ({"name": "x", "dim": 2, "params": [5]}, "'params' entry 5 is not"),
     ({"name": "x", "dim": 2, "params": ["p p"]}, "'params' entry 'p p' is not"),
     ({"name": "x", "dim": 2, "params": [{"a": 1}]}, "'params' entry {'a': 1} is not"),
+    ({"name": "x", "dim": 2,
+      "products": [{"i": True, "j": 1, "k": 2, "c": "1"}]}, "(True,1,2) is not an integer"),
+    ({"name": "x", "dim": 2, "params": ["a", "a"]}, "'params' ['a', 'a'] repeats"),
+    ({"name": "x", "dim": 2, "params": ["a"], "constraints_nonzero": ["a-a"]},
+     "'constraints_nonzero' entry 'a-a' is identically zero"),
+    ({"name": "x", "dim": 1000000}, "at most 16, got 1000000"),
 ])
 def test_algebra_file_schema_error_is_usage_error(capsys, tmp_path, obj, word):
     path = tmp_path / "alg.json"
@@ -210,7 +216,8 @@ def test_extend_accepts_cocycle_file(capsys, tmp_path):
     ({"entries": 5}, "must be a list"),
     ({"entries": [{"i": 1, "j": 2}]}, "'c'"),
     ({"entries": [{"i": "1", "j": 2, "c": "1"}]}, "not an integer"),
-], ids=["list", "entries-not-list", "entry-without-c", "string-index"])
+    ({"entries": [{"i": True, "j": 2, "c": "1"}]}, "True,2"),
+], ids=["list", "entries-not-list", "entry-without-c", "string-index", "bool-index"])
 def test_malformed_cocycle_file_is_usage_error(capsys, tmp_path, obj, word):
     from novikov.catalog import load
     from novikov.cohomology import CocycleError, cocycle_from_json
@@ -220,6 +227,19 @@ def test_malformed_cocycle_file_is_usage_error(capsys, tmp_path, obj, word):
     path.write_text(json.dumps(obj))
     code, out, err = run(capsys, "extend", "N3s_01", "--cocycle", str(path))
     assert_usage_error(code, out, err, word)
+
+
+@pytest.mark.parametrize("command", [
+    ("check", "{}"),
+    ("derivations", "{}"),
+    ("extend", "N3s_01", "--cocycle", "{}"),
+    ("degenerate", "verify", "--row", "{}"),
+], ids=["check", "derivations", "extend", "degenerate"])
+def test_missing_json_file_is_usage_error(capsys, tmp_path, command):
+    # An argument ending in .json is a file, never a name or an expression.
+    path = str(tmp_path / "missing.json")
+    code, out, err = run(capsys, *(path if arg == "{}" else arg for arg in command))
+    assert_usage_error(code, out, err, "No such file or directory", path)
 
 
 def test_graph_components(capsys, tmp_path):

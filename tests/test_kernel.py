@@ -3,10 +3,11 @@
 Every algebra converts its nonzero constants once (``Algebra.constants``)
 and builds the identity, derivation, annihilator and cocycle systems from
 them as sparse rows; the oracle comparisons of those systems on random
-tables and catalog points live with the other oracle tests.  Here:
-``multiply`` and ``is_cocycle`` at random inputs on random sparse tables of
-dimensions 4 and 5, one fixed table per outcome of the identity checks, and
-that the per-instance cache changes nothing.
+tables and catalog points live with the other oracle tests.  Here: the
+product kernel ``multiply_table`` (through :func:`product`) and
+``is_cocycle`` at random inputs on random sparse tables of dimensions 4 and
+5, one fixed table per outcome of the identity checks, and that the
+per-instance cache changes nothing.
 """
 
 from fractions import Fraction
@@ -15,11 +16,22 @@ import pytest
 import sympy as sp
 from hypothesis import given, settings, strategies as st
 
+from novikov import linalg
 from novikov.algebras import (algebra, algebra_from_json, algebra_to_json,
                               annihilator_basis, check_identities, derivation_dim,
-                              derived_power_dims, multiply, substitute)
+                              derived_power_dims, multiply_table, nonzero_constants,
+                              substitute)
 from novikov.cohomology import Cocycle, cocycle_space, is_cocycle
 from oracle import identity_flags, is_cocycle_frac, mult, table
+
+
+def product(a, x, y):
+    """x * y in ``a`` for vectors of expressions, as expressions: the table
+    and both vectors converted into one field, ``multiply_table`` on the
+    nonzero constants, and each entry brought back with ``to_expr``."""
+    field, (tbl, x, y) = linalg.to_field(a.table, x, y)
+    return tuple(linalg.to_expr(field, v)
+                 for v in multiply_table(nonzero_constants(tbl), x, y, field))
 
 
 def _sympy(products):
@@ -51,7 +63,7 @@ def test_multiply_and_is_cocycle_match_oracle_on_random_tables(drawn, data):
     a = algebra("random", n, _sympy(products))
     tbl = table(n, products)
     x, y = data.draw(_vectors(n)), data.draw(_vectors(n))
-    got = multiply(a, [sp.Rational(v) for v in x], [sp.Rational(v) for v in y])
+    got = product(a, [sp.Rational(v) for v in x], [sp.Rational(v) for v in y])
     assert [Fraction(str(v)) for v in got] == mult(tbl, x, y)
     theta = [data.draw(_vectors(n)) for _ in range(n)]
     cocycle = Cocycle(a, tuple(tuple(sp.Rational(v) for v in row) for row in theta))

@@ -9,11 +9,11 @@ import pytest
 import sympy as sp
 from hypothesis import given, settings, strategies as st
 
-from novikov import algebras, scalars
+from novikov import algebras, linalg, scalars
 from novikov.algebras import (AlgebraError, algebra, annihilator_basis, basis_vector,
                               change_basis_table, check_identities)
 from novikov.cohomology import (Cocycle, CocycleError, SingularMatrixError,
-                                central_extension, coboundary_matrices, cocycle,
+                                _form_annihilator_rows, central_extension, coboundary_matrices, cocycle,
                                 cocycle_from_expr, cocycle_from_json, cocycle_space,
                                 cocycle_to_json, has_trivial_intersection,
                                 is_cocycle, split_central_extension,
@@ -148,8 +148,34 @@ def test_is_cocycle_rejects_a_perturbed_z2_vector(cat):
 
 
 # ---------------------------------------------------------------------------
-# The annihilator intersection test
+# Cocycle annihilators and the intersection test
 # ---------------------------------------------------------------------------
+
+def cocycle_annihilator(thetas):
+    """Basis of {x : theta(x, A) = theta(A, x) = 0 for every theta}, from
+    the rows that has_trivial_intersection puts into its nullspace."""
+    n = thetas[0].algebra.dim
+    field, (matrices,) = linalg.to_field([theta.matrix for theta in thetas])
+    return [linalg.cleared_vector(field, v, n)
+            for v in linalg.nullspace(_form_annihilator_rows(matrices, n), n, field)]
+
+
+def test_cocycle_annihilator_examples(cat):
+    zero2 = cat.get("zero_2")
+    assert len(cocycle_annihilator([cocycle(zero2, [])])) == 2
+
+    # D12 forces x1 = 0 (first slot) and x2 = 0 (second slot); D31 forces
+    # x3 = 0, so this annihilator is trivial.  Consistency check: the
+    # extension by this cocycle (N4_09) has a 1-dimensional annihilator,
+    # which equals (Ann(theta) ∩ Ann(A)) ⊕ V only if Ann(theta) misses e2.
+    a = cat.get("N3s_01")
+    ann = cocycle_annihilator([cocycle_from_expr(a, "D12 + D31")])
+    assert ann == []
+
+    b = cat.get("N3s_04_0")
+    ann_b = cocycle_annihilator([cocycle_from_expr(b, "D13")])
+    assert in_span(ann_b, vec(0, 1, 0))
+
 
 def test_has_trivial_intersection(cat):
     # D12 forces x1 = 0 (first slot) and x2 = 0 (second slot); D31 forces
@@ -195,6 +221,14 @@ def test_has_trivial_intersection_matches_oracle_on_random_pairs():
         assert has_trivial_intersection(a, [theta]) == want, (products, entries)
         verdicts.append(want)
     assert 10 < sum(verdicts) < 50
+
+
+def test_multi_cocycle_annihilator_intersects(cat):
+    a = cat.get("zero_2")
+    th1 = cocycle_from_expr(a, "D11")       # annihilates e2
+    th2 = cocycle_from_expr(a, "D22")       # annihilates e1
+    assert len(cocycle_annihilator([th1])) == 1
+    assert cocycle_annihilator([th1, th2]) == []
 
 
 # ---------------------------------------------------------------------------

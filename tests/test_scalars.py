@@ -1,6 +1,6 @@
 """Exact scalar layer: grammar, the root-free test, the numeric tier's
-evaluation conventions, field arithmetic against ``cancel``, and the
-cross-check properties."""
+evaluation conventions, the field axioms, field arithmetic against
+``cancel``, and the cross-check properties."""
 
 import operator
 import random
@@ -115,6 +115,40 @@ def test_eval_precision_is_real():
 # ---------------------------------------------------------------------------
 # Properties
 # ---------------------------------------------------------------------------
+
+def _random_gauss(rng):
+    return (Rational(rng.randint(-9, 9), rng.randint(1, 9))
+            + Rational(rng.randint(-9, 9), rng.randint(1, 9)) * I)
+
+
+def test_field_axioms_gauss_rationals():
+    rng = random.Random(7)
+    for _ in range(1000):
+        a, b, c = (_random_gauss(rng) for _ in range(3))
+        assert sp.expand((a + b) + c - (a + (b + c))) == 0
+        assert sp.expand(a * b - b * a) == 0
+        assert sp.expand(a * (b + c) - a * b - a * c) == 0
+        if a != 0:
+            assert sp.cancel(a * (1 / a)) == 1
+    assert sp.expand(I * I) == -1
+
+
+def test_field_axioms_rational_functions():
+    rng = random.Random(13)
+    lam = sp.Symbol("lam")
+
+    def rand_rf():
+        num = sum(Rational(rng.randint(-3, 3)) * lam ** k for k in range(2))
+        den = lam + Rational(rng.randint(1, 5))
+        return num / den
+
+    for _ in range(300):
+        a, b, c = rand_rf(), rand_rf(), rand_rf()
+        assert sp.cancel(a * (b + c) - a * b - a * c) == 0
+        assert sp.cancel((a * b) * c - a * (b * c)) == 0
+        if sp.cancel(a) != 0:
+            assert sp.cancel(a / a) == 1
+
 
 _lam = sp.Symbol("lam")
 _nonzero = st.integers(-9, 9).filter(bool)

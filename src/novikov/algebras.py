@@ -22,7 +22,6 @@ entries an operation returns are converted back, with one ``cancel`` each
 
 from __future__ import annotations
 
-import json
 from collections import defaultdict
 from dataclasses import dataclass
 from functools import cached_property
@@ -279,11 +278,6 @@ def algebra_from_json(obj: Mapping) -> Algebra:
                 for p in _json_optional(obj, "products", where)]
     return algebra(name, dim, products, params=_json_optional(obj, "params", where),
                    constraints=_json_optional(obj, "constraints_nonzero", where))
-
-
-def load_algebra_file(path) -> Algebra:
-    with open(path, "r", encoding="utf-8") as fh:
-        return algebra_from_json(json.load(fh))
 
 
 # ---------------------------------------------------------------------------

@@ -13,8 +13,8 @@ import os
 import sys
 
 from . import acceptance
-from .algebras import (AlgebraError, check_identities, derivation_dim,
-                       invariant_profile, load_algebra_file, parse_vector,
+from .algebras import (AlgebraError, algebra_from_json, check_identities,
+                       derivation_dim, invariant_profile, parse_vector,
                        vector_str)
 from .catalog import canonical_name, load as load_catalog
 from .cohomology import (CocycleError, central_extension, cocycle_from_expr,
@@ -28,12 +28,19 @@ PASS, FAIL, USAGE = 0, 1, 2
 
 
 def _parse_params(pairs) -> dict:
+    """``--param key=value`` pairs as a map from key to value.  A value must
+    be a number: one with a free symbol (``t`` included) is refused."""
     out = {}
     for pair in pairs or ():
         if "=" not in pair:
             raise AlgebraError(f"--param expects key=expr, got {pair!r}")
         key, _, value = pair.partition("=")
-        out[key.strip()] = parse_scalar(value.strip())
+        key, value = key.strip(), parse_scalar(value.strip())
+        if value.free_symbols:
+            free = sorted(map(str, value.free_symbols))
+            raise AlgebraError(f"--param {key} must be a number, got {value} with "
+                               f"free symbol{'s' * (len(free) > 1)} {', '.join(free)}")
+        out[key] = value
     return out
 
 
@@ -52,13 +59,23 @@ def _is_file(text: str) -> bool:
     return text.endswith(".json") or os.path.exists(text)
 
 
+def _read_json(path: str):
+    """The JSON value in the file at ``path``.  A file that cannot be read or
+    is not JSON raises ValueError with a message that starts with the path."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            return json.load(fh)
+    except (OSError, ValueError) as exc:
+        raise ValueError(f"{path}: {getattr(exc, 'strerror', None) or exc}") from None
+
+
 def _resolve(args):
     """Catalog name or JSON file path -> instantiated algebra."""
     cat = load_catalog()
     params = _parse_params(getattr(args, "param", None))
     name = args.name
     if _is_file(name):
-        a = load_algebra_file(name)
+        a = algebra_from_json(_read_json(name))
         if params:
             from .algebras import substitute
             a = substitute(a, params)
@@ -155,8 +172,12 @@ def cmd_extend(args) -> int:
     thetas = []
     for spec_text in args.cocycle:
         if _is_file(spec_text):
-            with open(spec_text, "r", encoding="utf-8") as fh:
-                thetas.append(cocycle_from_json(a, json.load(fh)))
+            obj = _read_json(spec_text)
+            named = obj.get("algebra") if isinstance(obj, dict) else None
+            if named is not None and canonical_name(named) != canonical_name(args.name):
+                raise CocycleError(f"{spec_text}: cocycle is for {named}, "
+                                   f"not {args.name}")
+            thetas.append(cocycle_from_json(a, obj))
         else:
             thetas.append(cocycle_from_expr(a, spec_text))
     if args.s is not None and args.s != len(thetas):
@@ -209,8 +230,7 @@ def cmd_derivations(args) -> int:
 def cmd_degenerate(args) -> int:
     cat = load_catalog()
     if args.row and _is_file(args.row):
-        with open(args.row, "r", encoding="utf-8") as fh:
-            witnesses = [witness_from_json(json.load(fh))]
+        witnesses = [witness_from_json(_read_json(args.row))]
     elif args.row:
         witnesses = [w for w in load_witnesses(cat) if w.id == args.row]
         if not witnesses:

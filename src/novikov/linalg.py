@@ -8,15 +8,17 @@ row they take and every row or vector they hand back is a sparse
 ``{column: element}`` dict of a given ``field`` holding no zero entries,
 and nothing is converted.  :func:`sparse_rows` builds such rows by summing
 ``(row, column, element)`` terms, and :func:`sparse` turns dense rows of
-field elements into them.  Every row reduction runs through :func:`rref`
-on a sparse ``DomainMatrix``.  Pivots are the lowest-index nonzero columns
-and reduction is full, so the RREF, and every basis derived from it, is
-unique and reproducible bit-for-bit.
+field elements into them.  Every row reduction runs through :func:`rref`,
+which hands the rows straight to sympy's sparse Gauss--Jordan kernel
+``sdm_irref``.  Pivots are the lowest-index nonzero columns and reduction
+is full, so the RREF, and every basis derived from it, is unique and
+reproducible bit-for-bit.
 
 Expressions cross at the boundary helpers.  :func:`to_field` converts
-nested groups of them with one ``construct_domain(..., field=True)`` call
-into elements of the smallest field holding every entry (``QQ``, ``QQ_I``
-or a fraction field such as ``ZZ_I(alpha, lam)``), whose sums, products
+nested groups of them into elements of the smallest field holding every
+entry (``QQ``, ``QQ_I`` or a fraction field such as ``ZZ_I(alpha, lam)``):
+groups of ``Rational`` entries alone go straight to ``QQ``, any others
+through one ``construct_domain(..., field=True)`` call.  Their sums, products
 and zero tests are exact with no simplification step.  :func:`to_expr`
 brings an element back in canonical ``cancel`` form, so equal rational
 functions come out syntactically identical (over ``QQ`` the converted
@@ -36,6 +38,7 @@ from typing import Iterable, Sequence
 import sympy as sp
 from sympy.polys.constructor import construct_domain
 from sympy.polys.matrices import DomainMatrix
+from sympy.polys.matrices.sdm import sdm_irref
 
 Vector = tuple[sp.Expr, ...]
 
@@ -59,9 +62,12 @@ __all__ = [
 def to_field(*groups) -> tuple[object, list]:
     """Convert nested lists/tuples of scalars into elements of one field.
 
-    One ``construct_domain(..., field=True)`` call covers every distinct
-    entry of every group.  Returns the field and the groups, same nesting,
-    as lists of field elements.
+    When every distinct entry is a sympy ``Rational`` the field is ``QQ``
+    and each entry converts as ``QQ(p, q)``, which is what
+    ``construct_domain`` gives for such entries; otherwise one
+    ``construct_domain(..., field=True)`` call covers every distinct entry
+    of every group.  Returns the field and the groups, same nesting, as
+    lists of field elements.
     """
     index: dict = {}
 
@@ -74,7 +80,10 @@ def to_field(*groups) -> tuple[object, list]:
 
     for g in groups:
         collect(g)
-    field, elems = construct_domain(list(index), field=True)
+    if all(isinstance(x, sp.Rational) for x in index):
+        field, elems = sp.QQ, [sp.QQ(x.p, x.q) for x in index]
+    else:
+        field, elems = construct_domain(list(index), field=True)
 
     def rebuild(x):
         return ([rebuild(y) for y in x] if isinstance(x, (list, tuple))
@@ -183,14 +192,14 @@ def sparse(rows: Iterable[Sequence]) -> list[dict]:
 def rref(rows: Sequence[dict], ncols: int, field) -> tuple[list[dict], list[int]]:
     """Reduced row echelon form with lowest-index pivots.
 
-    ``rows`` are sparse rows of ``ncols`` columns.  Returns the nonzero
-    reduced rows, one per pivot, sparse, and the list of pivot column
-    indices.  ``DomainMatrix`` reduces the rows in sparse form.
+    ``rows`` are sparse rows of ``ncols`` columns over ``field``.  Returns
+    the nonzero reduced rows, one per pivot, sparse, and the list of pivot
+    column indices.  sympy's ``sdm_irref`` reduces copies of the rows, so
+    ``rows`` are left unchanged.  It needs neither ``ncols`` nor ``field``;
+    they keep the calling convention of the other entry points.
     """
-    nonzero = {i: row for i, row in enumerate(rows) if row}
-    red, pivots = DomainMatrix(nonzero, (len(rows), ncols), field).rref()
-    red = red.to_dod()
-    return [red[r] for r in range(len(pivots))], list(pivots)
+    red, pivots, _ = sdm_irref({i: row for i, row in enumerate(rows) if row})
+    return list(red.values()), pivots
 
 
 def rank(rows: Sequence[dict], ncols: int, field) -> int:

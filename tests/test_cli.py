@@ -242,6 +242,42 @@ def test_missing_json_file_is_usage_error(capsys, tmp_path, command):
     assert_usage_error(code, out, err, "No such file or directory", path)
 
 
+@pytest.mark.parametrize("command", [
+    ("check", "{}"),
+    ("extend", "N3s_01", "--cocycle", "{}"),
+    ("degenerate", "verify", "--row", "{}"),
+], ids=["check", "extend", "degenerate"])
+def test_malformed_json_file_names_the_file(capsys, tmp_path, command):
+    path = tmp_path / "bad.json"
+    path.write_text("{bad")
+    code, out, err = run(capsys, *(str(path) if arg == "{}" else arg for arg in command))
+    assert_usage_error(code, out, err, "Expecting property name")
+    assert err.startswith(f"error: {path}: ")
+
+
+@pytest.mark.parametrize("value, symbol", [("x", "x"), ("t", "t"), ("2*y+1", "y")])
+def test_param_with_free_symbol_is_usage_error(capsys, value, symbol):
+    code, out, err = run(capsys, "check", "N4_20", "--param", f"alpha={value}")
+    assert_usage_error(code, out, err, "--param alpha", f"free symbol {symbol}")
+
+
+def test_cocycle_file_for_another_algebra_is_usage_error(capsys, tmp_path):
+    path = tmp_path / "cocycle.json"
+    path.write_text(json.dumps({"algebra": "zero_2",
+                                "entries": [{"i": 1, "j": 2, "c": "1"}]}))
+    code, out, err = run(capsys, "extend", "N3s_01", "--cocycle", str(path))
+    assert_usage_error(code, out, err, "zero_2", "N3s_01")
+
+
+@pytest.mark.parametrize("named", ["N3*_01", None])
+def test_cocycle_file_algebra_matches_up_to_alias_or_is_absent(capsys, tmp_path, named):
+    obj = {"entries": [{"i": 1, "j": 2, "c": "1"}, {"i": 3, "j": 1, "c": "1"}]}
+    path = tmp_path / "cocycle.json"
+    path.write_text(json.dumps(obj if named is None else {"algebra": named, **obj}))
+    code, out, _ = run(capsys, "extend", "N3s_01", "--cocycle", str(path))
+    assert code == 0 and "e3*e1 = e4" in out
+
+
 def test_graph_components(capsys, tmp_path):
     dot_path = tmp_path / "graph.dot"
     code, out, _ = run(capsys, "graph", "components", "--dot", str(dot_path))

@@ -120,11 +120,17 @@ def test_rref_edge_cases_match_oracle(m):
     assert red == _sym(want)
 
 
+def _large_matrix(rng, rows, cols):
+    """Dense rows of 40-digit numerators over small denominators."""
+    return [[Fraction(rng.randint(-10 ** 40, 10 ** 40), rng.randint(1, 3))
+             for _ in range(cols)] for _ in range(rows)]
+
+
 def test_rref_matches_oracle_entrywise():
     rng = random.Random(17)
-    for _ in range(60):
+    for k in range(80):
         rows, cols = rng.randint(1, 6), rng.randint(1, 6)
-        m = _random_matrix(rng, rows, cols)
+        m = (_random_matrix if k < 60 else _large_matrix)(rng, rows, cols)
         red, pivots = _rref_dense(m, cols)
         want, want_pivots = rref_frac(m)
         assert pivots == want_pivots
@@ -251,6 +257,38 @@ def test_field_entry_points_take_and_give_sparse_rows():
     assert linalg.independent_indices([{}, rows[0], {1: field.one}, rows[1]], field) == [1, 2]
     assert linalg.independent_indices([], field) == []
     assert linalg.nullspace([], 2, field) == [{0: field.one}, {1: field.one}]
+
+
+def test_entry_points_leave_their_rows_unchanged():
+    field, (elems,) = linalg.to_field([[2, 1, lam], [1, 1, 0], [0, lam, 1]])
+    rows = linalg.sparse(elems)
+    before = [dict(row) for row in rows]
+    linalg.rref(rows, 3, field)
+    linalg.nullspace(rows[:2], 3, field)
+    linalg.invert(rows, field)
+    assert rows == before
+
+
+@pytest.mark.parametrize("entries", [
+    [sp.Integer(0), sp.Integer(0)],
+    [sp.Integer(3), sp.Integer(-7), sp.Integer(0)],
+    [sp.Rational(1, 2), sp.Integer(5), sp.Rational(-10 ** 40, 3), sp.Integer(0)],
+    [],
+], ids=["zeros", "integers", "mixed", "empty"])
+def test_rational_entries_convert_as_construct_domain_does(entries):
+    from sympy.polys.constructor import construct_domain
+    field, (elems,) = linalg.to_field(entries)
+    want_field, want = construct_domain(entries, field=True)
+    assert field == want_field == sp.QQ
+    assert elems == want
+    assert all(type(x) is type(w) for x, w in zip(elems, want))
+
+
+def test_python_ints_and_other_entries_still_convert():
+    field, (elems,) = linalg.to_field([1, 2])
+    assert field == sp.QQ and elems == [sp.QQ(1), sp.QQ(2)]
+    field, (elems,) = linalg.to_field([sp.Integer(1), sp.I])
+    assert str(field) == "QQ_I" and linalg.to_expr(field, elems[1]) == sp.I
 
 
 # ---------------------------------------------------------------------------

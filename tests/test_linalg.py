@@ -307,8 +307,10 @@ def _poly(coeff, gens):
 
 
 def _fractions(coeff, gens):
-    return st.builds(lambda p, q: p / q if q != 0 else p, _poly(coeff, gens),
-                     _poly(coeff, gens))
+    # Terms with Gaussian coefficients are not collected until expanded, so
+    # a q that is not 0 as written may still vanish identically.
+    return st.builds(lambda p, q: p / q if sp.expand(q) != 0 else p,
+                     _poly(coeff, gens), _poly(coeff, gens))
 
 
 _KINDS = {                                 # field -> strategy for its elements
@@ -316,7 +318,7 @@ _KINDS = {                                 # field -> strategy for its elements
     "QQ_I": _gauss.filter(lambda x: x.has(sp.I)),
     "ZZ(a)": _fractions(_rational, [a_sym]).filter(lambda x: x.has(a_sym)),
     "ZZ_I(a,b)": _fractions(_gauss, [a_sym, b_sym]).filter(
-        lambda x: x.has(sp.I) and x.has(a_sym) and x.has(b_sym)),
+        lambda x: all(sp.expand(x).has(s) for s in (sp.I, a_sym, b_sym))),
 }
 _point = st.fixed_dictionaries({a_sym: _rational.filter(bool),
                                 b_sym: _rational.filter(bool)})

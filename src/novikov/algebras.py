@@ -160,16 +160,21 @@ def vector_str(v: Sequence[sp.Expr]) -> str:
     return " + ".join(parts) if parts else "0"
 
 
+def _linear_coordinates(text: str, names: Sequence[str]) -> list[sp.Expr] | None:
+    """The coefficients, in ``cancel`` form, of the symbols ``names`` in the
+    expression ``text``, or ``None`` when it is not a linear form in them."""
+    expr = sp.expand(parse_scalar(text))
+    syms = [sp.Symbol(s) for s in names]
+    coeffs = [expr.coeff(s, 1) for s in syms]
+    if sp.cancel(sp.expand(expr - sum(c * s for c, s in zip(coeffs, syms)))) != 0:
+        return None
+    return [sp.cancel(c) for c in coeffs]
+
+
 def parse_vector(text: str, dim: int) -> Vector:
     """Parse 'e1 + 2*e3'-style text into coordinates."""
-    expr = parse_scalar(text)
-    coords = []
-    syms = [sp.Symbol(f"e{k + 1}") for k in range(dim)]
-    poly = sp.expand(expr)
-    for k, s in enumerate(syms):
-        coords.append(sp.cancel(poly.coeff(s, 1)))
-    leftover = sp.cancel(poly - sum(c * s for c, s in zip(coords, syms)))
-    if leftover != 0:
+    coords = _linear_coordinates(text, [f"e{k + 1}" for k in range(dim)])
+    if coords is None:
         raise AlgebraError(f"not a vector in e1..e{dim}: {text!r}")
     return tuple(coords)
 
@@ -352,6 +357,15 @@ def _change_basis(table: Sequence, rows: Sequence[Sequence], *groups):
     return field, new, groups
 
 
+def _table_differences(table: Sequence, other: Sequence) -> list[tuple[int, int, int]]:
+    """The places ``(i, j, k)``, in index order, where two tables of one
+    dimension differ, compared as elements after one conversion."""
+    _, (x, y) = linalg.to_field(table, other)
+    n = len(x)
+    return [(i, j, k) for i in range(n) for j in range(n) for k in range(n)
+            if x[i][j][k] - y[i][j][k]]
+
+
 # ---------------------------------------------------------------------------
 # Identities
 # ---------------------------------------------------------------------------
@@ -428,7 +442,7 @@ def derived_power_dims(a: Algebra) -> list[int]:
             candidates = [w for w in linalg.sparse(
                 multiply_table(constants, u, v, field) for p in range(1, k)
                 for u in powers[p - 1] for v in powers[k - p - 1]) if w]
-        red, pivots = linalg.rref(candidates, n, field) if candidates else ([], [])
+        red, pivots = linalg.rref(candidates)
         powers.append([[row.get(c, zero) for c in range(n)] for row in red])
         dims.append(len(pivots))
         if dims[-1] == dims[-2] and dims[-1] > 0:
@@ -445,7 +459,7 @@ def derivation_dim(a: Algebra, at: Mapping | None = None) -> int:
     if at:
         a = substitute(a, at)
     n = a.dim
-    field, constants = a.constants
+    _, constants = a.constants
     # Row (i, j, m) is the e_m coefficient of D(e_i e_j) - D(e_i) e_j - e_i D(e_j),
     # over the unknowns d_pq (D e_p = sum_q d_pq e_q) at column p*n + q.
     terms = []
@@ -458,7 +472,7 @@ def derivation_dim(a: Algebra, at: Mapping | None = None) -> int:
     for i, q, m, c in constants:
         for j in range(n):        # e_i D(e_j) = sum_q d_jq e_i e_q
             terms.append(((i, j, m), j * n + q, -c))
-    return n * n - linalg.rank(linalg.sparse_rows(terms), n * n, field)
+    return n * n - linalg.rank(linalg.sparse_rows(terms))
 
 
 def substitute(a: Algebra, at: Mapping, name: str | None = None) -> Algebra:

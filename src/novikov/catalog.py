@@ -22,8 +22,8 @@ from typing import Mapping
 import sympy as sp
 
 from . import scalars
-from .algebras import (Algebra, AlgebraError, algebra_from_json, instantiate_table,
-                       invariant_profile, substitute)
+from .algebras import (Algebra, AlgebraError, _table_differences, algebra_from_json,
+                       instantiate_table, invariant_profile, substitute)
 from .cohomology import (ActionCase, central_extension, cocycle_from_expr,
                          has_trivial_intersection, is_cocycle)
 from .scalars import grammar_str, parse_scalar
@@ -115,11 +115,6 @@ class Catalog:
                 continue
             out.append(entry)
         return out
-
-    def witness_target_algebra(self, w: ExtensionWitness) -> Algebra:
-        entry = self.entry(w.target)
-        table = instantiate_table(entry.algebra, w.target_params)
-        return Algebra(w.target, entry.algebra.dim, (), table, ())
 
 
 _SUPERS = str.maketrans("⁰¹²³⁴⁵⁶⁷⁸⁹", "0123456789")
@@ -263,23 +258,19 @@ def check_witness(cat: Catalog, w: ExtensionWitness) -> list[dict]:
     if not has_trivial_intersection(base, [theta]):
         failures.append({"witness": w.id,
                          "problem": "annihilator intersection nonzero"})
-    ext = central_extension(base, [theta]).result
-    target = cat.witness_target_algebra(w)
-    if ext.dim != target.dim:
+    ext = central_extension(base, [theta]).result.table
+    target = instantiate_table(cat.entry(w.target).algebra, w.target_params)
+    if len(ext) != len(target):
         failures.append({"witness": w.id, "problem": "dimension mismatch"})
         return failures
-    n = ext.dim
-    for i in range(n):
-        for j in range(n):
-            for k in range(n):
-                if sp.cancel(ext.table[i][j][k] - target.table[i][j][k]) != 0:
-                    failures.append({
-                        "witness": w.id,
-                        "problem": "structure constants differ",
-                        "at": [i + 1, j + 1, k + 1],
-                        "extension": grammar_str(ext.table[i][j][k]),
-                        "target": grammar_str(target.table[i][j][k]),
-                    })
+    for i, j, k in _table_differences(ext, target):
+        failures.append({
+            "witness": w.id,
+            "problem": "structure constants differ",
+            "at": [i + 1, j + 1, k + 1],
+            "extension": grammar_str(ext[i][j][k]),
+            "target": grammar_str(target[i][j][k]),
+        })
     return failures
 
 

@@ -29,13 +29,16 @@ PASS, FAIL, USAGE = 0, 1, 2
 
 def _parse_params(pairs) -> dict:
     """``--param key=value`` pairs as a map from key to value.  A value must
-    be a number: one with a free symbol (``t`` included) is refused."""
+    be a number: one with a free symbol (``t`` included) is refused, and so
+    is a key given twice."""
     out = {}
     for pair in pairs or ():
         if "=" not in pair:
             raise AlgebraError(f"--param expects key=expr, got {pair!r}")
         key, _, value = pair.partition("=")
         key, value = key.strip(), parse_scalar(value.strip())
+        if key in out:
+            raise AlgebraError(f"--param {key} given twice")
         if value.free_symbols:
             free = sorted(map(str, value.free_symbols))
             raise AlgebraError(f"--param {key} must be a number, got {value} with "

@@ -22,8 +22,8 @@ import sympy as sp
 
 from . import linalg, scalars
 from .algebras import (Algebra, AlgebraError, Vector, _annihilator_rows,
-                       _json_field, annihilator_basis, basis_vector,
-                       change_basis_table, multiply_table, nonzero_constants)
+                       _change_basis, _json_field, _linear_coordinates,
+                       annihilator_basis, basis_vector, nonzero_constants)
 from .scalars import T, grammar_str, parse_scalar
 
 __all__ = [
@@ -108,19 +108,12 @@ def _vector_cocycle(a: Algebra, vec: Sequence[sp.Expr]) -> Cocycle:
 
 def cocycle_from_expr(a: Algebra, text: str) -> Cocycle:
     """Parse 'D12 + alpha*D21'-style text (indices are single digits)."""
-    expr = sp.expand(parse_scalar(text))
     n = a.dim
-    grid = [[sp.Integer(0)] * n for _ in range(n)]
-    rest = expr
-    for i in range(n):
-        for j in range(n):
-            s = sp.Symbol(f"D{i + 1}{j + 1}")
-            c = expr.coeff(s, 1)
-            grid[i][j] = sp.cancel(c)
-            rest = rest - c * s
-    if sp.cancel(sp.expand(rest)) != 0:
+    coeffs = _linear_coordinates(text, [f"D{i + 1}{j + 1}" for i in range(n)
+                                        for j in range(n)])
+    if coeffs is None:
         raise CocycleError(f"not a combination of D_ij forms: {text!r}")
-    return Cocycle(a, tuple(tuple(row) for row in grid))
+    return _vector_cocycle(a, coeffs)
 
 
 def cocycle_to_json(c: Cocycle) -> dict:
@@ -218,7 +211,7 @@ def cocycle_space(a: Algebra) -> CocycleSpace:
     slices: list[dict] = [{} for _ in range(n)]   # C^(k) as a sparse vector
     for i, j, k, c in constants:
         slices[k][i * n + j] = c
-    chosen = linalg.independent_indices(slices + z2, field)
+    chosen = linalg.independent_indices(slices + z2)
     z2_vecs = [linalg.cleared_vector(field, v, n * n) for v in z2]
     coboundaries = coboundary_matrices(a)
     return CocycleSpace(
@@ -248,7 +241,7 @@ def has_trivial_intersection(a: Algebra, thetas: Sequence[Cocycle]) -> bool:
     field, (table, matrices) = linalg.to_field(a.table, [theta.matrix for theta in thetas])
     vectors = (linalg.nullspace(_form_annihilator_rows(matrices, n), n, field)
                + linalg.nullspace(_annihilator_rows(nonzero_constants(table)), n, field))
-    return linalg.rank(vectors, n, field) == len(vectors)
+    return linalg.rank(vectors) == len(vectors)
 
 
 # ---------------------------------------------------------------------------
@@ -306,6 +299,9 @@ def split_central_extension(a: Algebra, w_vectors: Sequence[Sequence]) -> SplitE
     recovered cocycles, and the full change-of-basis rows (complement vectors
     first, then the W vectors).  Rebuilding with
     :func:`central_extension` reproduces A's constants in that basis.
+    W ⊆ Ann(A) is decided exactly, so every product with a W vector is zero
+    in that basis; of the new constants, which one change of basis gives as
+    field elements, only the quotient and cocycle entries are converted.
     """
     n = a.dim
     w_rows = [[sp.cancel(sp.sympify(x)) for x in w] for w in w_vectors]
@@ -314,21 +310,19 @@ def split_central_extension(a: Algebra, w_vectors: Sequence[Sequence]) -> SplitE
         raise AlgebraError("W must have dimension >= 1")
     if any(len(w) != n for w in w_rows):
         raise AlgebraError(f"W vectors must have {n} entries")
-    field, (ann, w_elems) = linalg.to_field(annihilator_basis(a), w_rows)
+    _, (ann, w_elems) = linalg.to_field(annihilator_basis(a), w_rows)
     ann, w_elems = linalg.sparse(ann), linalg.sparse(w_elems)
-    if linalg.rank(ann + w_elems, n, field) > len(ann):
+    if linalg.rank(ann + w_elems) > len(ann):
         raise AlgebraError("W not contained in Ann")
-    pivots = linalg.rref(w_elems, n, field)[1]
+    pivots = linalg.rref(w_elems)[1]
     if len(pivots) != s:
         raise AlgebraError("W vectors are dependent")
     complement = [j for j in range(n) if j not in pivots]
     rows = [basis_vector(n, j) for j in complement] + [tuple(w) for w in w_rows]
-    new_table = change_basis_table(a.table, rows)
+    field, new, _ = _change_basis(a.table, rows)
     m = n - s
-    for i in range(n):
-        for j in range(n):
-            if (i >= m or j >= m) and any(x != 0 for x in new_table[i][j]):
-                raise AlgebraError("W not central in A")
+    new_table = [[[linalg.to_expr(field, x) for x in new[i][j]] for j in range(m)]
+                 for i in range(m)]
     quot_table = tuple(tuple(tuple(new_table[i][j][k] for k in range(m))
                              for j in range(m)) for i in range(m))
     quotient = Algebra(f"{a.name}/W", m, a.params, quot_table, a.constraints)
@@ -346,25 +340,17 @@ def split_central_extension(a: Algebra, w_vectors: Sequence[Sequence]) -> SplitE
 def is_automorphism(a: Algebra, phi: Sequence[Sequence]) -> bool:
     """Check phi(e_i) phi(e_j) = phi(e_i e_j); columns of phi are the images.
 
+    That holds exactly when the constants in the basis E_i = phi(e_i) are
+    the constants themselves, so the check is one change of basis
+    (:func:`novikov.algebras._change_basis`) compared on field elements.
     Symbols in phi (and remaining algebra parameters) are treated
     generically.  Raises :class:`SingularMatrixError` if phi is singular.
     """
-    n = a.dim
-    field, (table, p) = linalg.to_field(
-        a.table, [[parse_scalar(x) for x in row] for row in phi])
-    if linalg.rank(linalg.sparse(p), n, field) < n:
+    images = [[parse_scalar(x) for x in col] for col in zip(*phi)]
+    _, new, (table,) = _change_basis(a.table, images, a.table)
+    if new is None:
         raise SingularMatrixError("singular matrix")
-    cols = [[p[r][i] for r in range(n)] for i in range(n)]
-    constants = nonzero_constants(table)
-    for i in range(n):
-        for j in range(n):
-            lhs = multiply_table(constants, cols[i], cols[j], field)
-            prod = table[i][j]
-            for r in range(n):
-                rhs = sum((p[r][k] * prod[k] for k in range(n) if prod[k]), field.zero)
-                if lhs[r] - rhs:
-                    return False
-    return True
+    return new == table
 
 
 # ---------------------------------------------------------------------------
@@ -468,7 +454,7 @@ def verify_action_formulas(case: ActionCase, samples: int = 20,
         # and conj's reduced column holds the coordinates.
         cols = [[x for row in m for x in row] for m in (*slices_at, *nablas_at, conj_at)]
         last = len(cols) - 1
-        red, pivots = linalg.rref(linalg.sparse(zip(*cols)), len(cols), const)
+        red, pivots = linalg.rref(linalg.sparse(zip(*cols)))
         nabla_cols = range(n, last)
         if last in pivots or any(c not in pivots for c in nabla_cols):
             raise AlgebraError(f"{case.case_id}: conjugated form left span(B2 | nablas)")

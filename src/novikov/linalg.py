@@ -5,14 +5,16 @@ Scalars are sympy expressions from the root-free fragment of
 and output form.  :func:`rref`, :func:`rank`, :func:`nullspace`,
 :func:`independent_indices` and :func:`invert` have one path each: every
 row they take and every row or vector they hand back is a sparse
-``{column: element}`` dict of a given ``field`` holding no zero entries,
-and nothing is converted.  :func:`sparse_rows` builds such rows by summing
-``(row, column, element)`` terms, and :func:`sparse` turns dense rows of
-field elements into them.  Every row reduction runs through :func:`rref`,
-which hands the rows straight to sympy's sparse Gauss--Jordan kernel
-``sdm_irref``.  Pivots are the lowest-index nonzero columns and reduction
-is full, so the RREF, and every basis derived from it, is unique and
-reproducible bit-for-bit.
+``{column: element}`` dict of one field holding no zero entries, and
+nothing is converted.  Only :func:`nullspace` and :func:`invert`, which
+build vectors of their own, also take the column count or the field.
+:func:`sparse_rows` builds such rows by summing ``(row, column, element)``
+terms, and :func:`sparse` turns dense rows of field elements into them.
+Every row reduction, of no rows too, runs through :func:`rref`, which hands
+the rows straight to sympy's sparse Gauss--Jordan kernel ``sdm_irref``.
+Pivots are the lowest-index nonzero columns and reduction is full, so the
+RREF, and every basis derived from it, is unique and reproducible
+bit-for-bit.
 
 Expressions cross at the boundary helpers.  :func:`to_field` converts
 nested groups of them into elements of the smallest field holding every
@@ -189,31 +191,32 @@ def sparse(rows: Iterable[Sequence]) -> list[dict]:
     return [{c: x for c, x in enumerate(row) if x} for row in rows]
 
 
-def rref(rows: Sequence[dict], ncols: int, field) -> tuple[list[dict], list[int]]:
+def rref(rows: Sequence[dict]) -> tuple[list[dict], list[int]]:
     """Reduced row echelon form with lowest-index pivots.
 
-    ``rows`` are sparse rows of ``ncols`` columns over ``field``.  Returns
-    the nonzero reduced rows, one per pivot, sparse, and the list of pivot
-    column indices.  sympy's ``sdm_irref`` reduces copies of the rows, so
-    ``rows`` are left unchanged.  It needs neither ``ncols`` nor ``field``;
-    they keep the calling convention of the other entry points.
+    ``rows`` are sparse rows over one field; the elements carry the field
+    and the keys the columns, so nothing else is passed.  Returns the
+    nonzero reduced rows, one per pivot, sparse, and the list of pivot
+    column indices (both empty for no rows).  sympy's ``sdm_irref`` reduces
+    copies of the rows, so ``rows`` are left unchanged.
     """
     red, pivots, _ = sdm_irref({i: row for i, row in enumerate(rows) if row})
     return list(red.values()), pivots
 
 
-def rank(rows: Sequence[dict], ncols: int, field) -> int:
-    """Rank of sparse rows of ``ncols`` columns."""
-    return len(rref(rows, ncols, field)[1]) if rows else 0
+def rank(rows: Sequence[dict]) -> int:
+    """Rank of sparse rows."""
+    return len(rref(rows)[1])
 
 
 def nullspace(rows: Sequence[dict], ncols: int, field) -> list[dict]:
     """Basis of the right nullspace {x : rows @ x = 0} of sparse rows of
-    ``ncols`` columns, as sparse vectors in deterministic order.
+    ``ncols`` columns over ``field``, as sparse vectors in deterministic
+    order.
 
     One basis vector per free column, with a 1 there.
     """
-    red, pivots = rref(rows, ncols, field) if rows else ([], [])
+    red, pivots = rref(rows)
     bound = set(pivots)
     basis = []
     for fc in (c for c in range(ncols) if c not in bound):
@@ -226,15 +229,15 @@ def nullspace(rows: Sequence[dict], ncols: int, field) -> list[dict]:
     return basis
 
 
-def independent_indices(vectors: Sequence[dict], field) -> list[int]:
+def independent_indices(vectors: Sequence[dict]) -> list[int]:
     """Indices of the sparse vectors not in the span of the vectors before
     them.
 
     These are the pivot columns of the matrix whose columns are the
     vectors, so zero vectors are never chosen.
     """
-    columns = sparse_rows((r, i, x) for i, v in enumerate(vectors) for r, x in v.items())
-    return rref(columns, len(vectors), field)[1] if columns else []
+    return rref(sparse_rows((r, i, x) for i, v in enumerate(vectors)
+                            for r, x in v.items()))[1]
 
 
 def invert(m_rows: Sequence[dict], field) -> list[dict] | None:
@@ -245,7 +248,7 @@ def invert(m_rows: Sequence[dict], field) -> list[dict] | None:
     """
     n = len(m_rows)
     aug = [{**row, n + i: field.one} for i, row in enumerate(m_rows)]
-    red, pivots = rref(aug, 2 * n, field)
+    red, pivots = rref(aug)
     if pivots != list(range(n)):
         return None
     return [{c - n: x for c, x in row.items() if c >= n} for row in red]
@@ -263,8 +266,7 @@ def subspace_equal(u_vectors: Sequence[Sequence], v_vectors: Sequence[Sequence])
     Both lists are converted in one :func:`to_field` call; the spans are
     equal iff U, V and U + V all have the same rank.
     """
-    ncols = next((len(x) for x in (*u_vectors, *v_vectors)), 0)
-    field, (u, v) = to_field(u_vectors, v_vectors)
+    _, (u, v) = to_field(u_vectors, v_vectors)
     u, v = sparse(u), sparse(v)
-    ru = rank(u, ncols, field)
-    return rank(v, ncols, field) == ru and rank(u + v, ncols, field) == ru
+    ru = rank(u)
+    return rank(v) == ru and rank(u + v) == ru

@@ -90,8 +90,9 @@ def test_check_witness_negative_control(cat):
     from dataclasses import replace
     w = next(x for x in cat.witnesses if x.id == "X08")
     corrupted = replace(w, cocycle_expr="D12 + 2*D31")
-    problems = check_witness(cat, corrupted)
-    assert any(p["problem"] == "structure constants differ" for p in problems)
+    assert check_witness(cat, corrupted) == [
+        {"witness": "X08", "problem": "structure constants differ",
+         "at": [3, 1, 4], "extension": "2", "target": "1"}]
 
 
 def test_indistinguishable_pairs():

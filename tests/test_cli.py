@@ -261,6 +261,13 @@ def test_param_with_free_symbol_is_usage_error(capsys, value, symbol):
     assert_usage_error(code, out, err, "--param alpha", f"free symbol {symbol}")
 
 
+def test_repeated_param_is_usage_error(capsys):
+    code, out, err = run(capsys, "check", "N4_20", "--param", "alpha=2",
+                         "--param", "alpha=3")
+    assert_usage_error(code, out, err)
+    assert err == "error: --param alpha given twice\n"
+
+
 def test_cocycle_file_for_another_algebra_is_usage_error(capsys, tmp_path):
     path = tmp_path / "cocycle.json"
     path.write_text(json.dumps({"algebra": "zero_2",

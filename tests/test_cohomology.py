@@ -16,7 +16,7 @@ from novikov.cohomology import (Cocycle, CocycleError, SingularMatrixError,
                                 _form_annihilator_rows, central_extension, coboundary_matrices, cocycle,
                                 cocycle_from_expr, cocycle_from_json, cocycle_space,
                                 cocycle_to_json, has_trivial_intersection,
-                                is_cocycle, split_central_extension,
+                                is_automorphism, is_cocycle, split_central_extension,
                                 verify_action_formulas)
 from novikov.catalog import load
 from novikov.linalg import subspace_equal
@@ -371,6 +371,18 @@ def test_split_two_dimensional_subspace(cat):
                 assert sp.cancel(rebuilt.result.table[i][j][k] - conj[i][j][k]) == 0
 
 
+def test_split_basis_makes_every_annihilator_line_central(cat):
+    # The W rows and columns of the constants in the split basis are zero:
+    # W is central, as W ⊆ Ann(A) promises.
+    for entry in cat.list_entries(table="A"):
+        a = entry.algebra
+        for w in annihilator_basis(a):
+            split = split_central_extension(a, [w])
+            conj = change_basis_table(a.table, split.basis_rows)
+            assert all(x == 0 for j in range(4)
+                       for x in (*conj[3][j], *conj[j][3])), (entry.name, w)
+
+
 # ---------------------------------------------------------------------------
 # Automorphism action
 # ---------------------------------------------------------------------------
@@ -397,6 +409,15 @@ def test_published_automorphism_shape(cat):
     assert is_automorphism(a, generic)
     with pytest.raises(SingularMatrixError):
         is_automorphism(a, [["0", "0", "0"], ["0", "1", "0"], ["0", "0", "1"]])
+
+
+def test_corrupted_action_template_is_not_automorphism(cat):
+    case = next(c for c in cat.action_cases if c.case_id == "act-N3_02")
+    assert is_automorphism(case.base, case.template)
+    rows = [list(row) for row in case.template]
+    assert rows[2][1] == sp.sympify("x*y*(1+lam)")
+    rows[2][1] = sp.sympify("x*y*lam")                 # still invertible
+    assert not is_automorphism(case.base, rows)
 
 
 def test_action_preserves_cocycles_and_coboundaries(cat):

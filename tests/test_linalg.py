@@ -41,7 +41,7 @@ def test_rank_and_nullspace_match_oracle():
         rows, cols = rng.randint(1, 5), rng.randint(1, 5)
         m = _random_matrix(rng, rows, cols)
         field, sparse = _field_rows([[sp.Rational(x) for x in row] for row in m])
-        assert linalg.rank(sparse, cols, field) == rank_frac(m)
+        assert linalg.rank(sparse) == rank_frac(m)
         ns = linalg.nullspace(sparse, cols, field)
         assert len(ns) == len(nullspace_frac(m, cols))
         for v in ns:
@@ -51,16 +51,16 @@ def test_rank_and_nullspace_match_oracle():
 
 def test_rref_is_deterministic():
     field, rows = _field_rows([[1, 2], [2, 4], [0, 1]])
-    assert linalg.rref(rows, 2, field) == linalg.rref(rows, 2, field)
-    red, pivots = linalg.rref(rows, 2, field)
+    assert linalg.rref(rows) == linalg.rref(rows)
+    red, pivots = linalg.rref(rows)
     assert pivots == [0, 1]
 
 
 def test_parametric_rank_is_generic():
     field, rows = _field_rows([[lam, 1], [lam ** 2, lam]])
-    assert linalg.rank(rows, 2, field) == 1
+    assert linalg.rank(rows) == 1
     field, rows = _field_rows([[lam, 1], [1, lam]])
-    assert linalg.rank(rows, 2, field) == 2  # lam^2 - 1 is not the zero function
+    assert linalg.rank(rows) == 2  # lam^2 - 1 is not the zero function
 
 
 def test_solve_and_invert():
@@ -102,7 +102,7 @@ def _rref_dense(m, ncols):
     """The reduced matrix of dense rows ``m`` padded with zero rows to its
     height, and the pivots."""
     field, rows = _field_rows(_sym(m))
-    red, pivots = linalg.rref(rows, ncols, field)
+    red, pivots = linalg.rref(rows)
     return _dense(field, red + [{}] * (len(m) - len(red)), ncols), pivots
 
 
@@ -161,7 +161,7 @@ def _matrices(entries, square=False):
 def _check_rref_properties(m):
     ncols = len(m[0])
     field, rows = _field_rows(m)
-    red, pivots = linalg.rref(rows, ncols, field)
+    red, pivots = linalg.rref(rows)
     assert len(red) == len(pivots) <= len(m)
     for r, pc in enumerate(pivots):
         assert red[r][pc] == field.one
@@ -251,11 +251,11 @@ def test_field_entry_points_take_and_give_sparse_rows():
     assert _dense(field, inv, 2) == [[-2, 1], [sp.Rational(3, 2), sp.Rational(-1, 2)]]
     singular = linalg.sparse([elems[0], [field.zero, field.zero]])
     assert linalg.invert(singular, field) is None
-    assert linalg.rank(singular, 2, field) == 1
+    assert linalg.rank(singular) == 1
     [null] = linalg.nullspace(singular, 2, field)
     assert set(null) == {0, 1} and null[1] == field.one
-    assert linalg.independent_indices([{}, rows[0], {1: field.one}, rows[1]], field) == [1, 2]
-    assert linalg.independent_indices([], field) == []
+    assert linalg.independent_indices([{}, rows[0], {1: field.one}, rows[1]]) == [1, 2]
+    assert linalg.independent_indices([]) == []
     assert linalg.nullspace([], 2, field) == [{0: field.one}, {1: field.one}]
 
 
@@ -263,7 +263,7 @@ def test_entry_points_leave_their_rows_unchanged():
     field, (elems,) = linalg.to_field([[2, 1, lam], [1, 1, 0], [0, lam, 1]])
     rows = linalg.sparse(elems)
     before = [dict(row) for row in rows]
-    linalg.rref(rows, 3, field)
+    linalg.rref(rows)
     linalg.nullspace(rows[:2], 3, field)
     linalg.invert(rows, field)
     assert rows == before

@@ -84,12 +84,10 @@ def split_roundtrip(a: Algebra, vectors) -> tuple[SplitExtension, bool]:
     return split, not _table_differences(rebuilt, conj)
 
 
-def criterion_identities(cat: Catalog | None = None,
-                         seed: int = 20260810) -> CriterionResult:
+def criterion_identities(cat: Catalog, seed: int = 20260810) -> CriterionResult:
     """1: every classified family is Novikov and nilpotent; the 4-dimensional
     table is pure, generically and at 5 random admissible samples."""
     t0 = time.time()
-    cat = cat or load_catalog()
     rng = random.Random(seed)
     failures = []
     checked = 0
@@ -117,11 +115,10 @@ def criterion_identities(cat: Catalog | None = None,
         time.time() - t0)
 
 
-def criterion_cohomology_golden(cat: Catalog | None = None) -> CriterionResult:
+def criterion_cohomology_golden(cat: Catalog) -> CriterionResult:
     """2: cocycle/coboundary/quotient dimensions and subspace equality against
     the recorded table for all seven 3-dimensional rows (exact)."""
     t0 = time.time()
-    cat = cat or load_catalog()
     failures = []
     for row in cat.golden_cohomology:
         a = cat.get(row["name"])
@@ -132,14 +129,13 @@ def criterion_cohomology_golden(cat: Catalog | None = None) -> CriterionResult:
         time.time() - t0)
 
 
-def criterion_extension_witnesses(cat: Catalog | None = None) -> CriterionResult:
+def criterion_extension_witnesses(cat: Catalog) -> CriterionResult:
     """3: every recorded representative is a cocycle with trivial annihilator
     intersection whose extension equals its named target exactly; each
     action template is an automorphism generically, and the published
     action formulas (both readings) match the conjugated cocycle, formed
     once over the parameter field and evaluated at each sampled point."""
     t0 = time.time()
-    cat = cat or load_catalog()
     failures = []
     for w in cat.witnesses:
         failures.extend(check_witness(cat, w))
@@ -157,13 +153,11 @@ def criterion_extension_witnesses(cat: Catalog | None = None) -> CriterionResult
         time.time() - t0)
 
 
-def criterion_split_roundtrip(cat: Catalog | None = None,
-                              seed: int = 20260810) -> CriterionResult:
+def criterion_split_roundtrip(cat: Catalog, seed: int = 20260810) -> CriterionResult:
     """4: splitting every 4-dimensional family, at 3 admissible samples,
     along each coordinate line of its annihilator and re-extending
     reproduces the constants exactly."""
     t0 = time.time()
-    cat = cat or load_catalog()
     rng = random.Random(seed)
     failures = []
     lines_checked = 0
@@ -185,12 +179,10 @@ def criterion_split_roundtrip(cat: Catalog | None = None,
         time.time() - t0)
 
 
-def criterion_derivation_dims(cat: Catalog | None = None,
-                              seed: int = 20260810) -> CriterionResult:
+def criterion_derivation_dims(cat: Catalog, seed: int = 20260810) -> CriterionResult:
     """5: the two source families have 3-dimensional derivation algebras,
     generically and at 5 admissible samples; the zero algebra has 16."""
     t0 = time.time()
-    cat = cat or load_catalog()
     rng = random.Random(seed)
     failures = []
     results = {}
@@ -223,13 +215,12 @@ def criterion_derivation_dims(cat: Catalog | None = None,
         time.time() - t0)
 
 
-def criterion_table_b(cat: Catalog | None = None, seed: int = 20260810
+def criterion_table_b(cat: Catalog, seed: int = 20260810
                       ) -> tuple[CriterionResult, list[WitnessReport]]:
     """6: all 24 degeneration rows verify (exact tier zero-tolerance, numeric
     tier at the fixed schedule/precision), with defective literal rows
     verified through their recorded corrections."""
     t0 = time.time()
-    cat = cat or load_catalog()
     reports = verify_all(cat, samples=3, seed=seed)
     failures = [{"id": r.id, "failures": r.failures[:3]} for r in reports
                 if not r.passed]
@@ -254,12 +245,10 @@ def criterion_table_b(cat: Catalog | None = None, seed: int = 20260810
     return result, reports
 
 
-def criterion_necessary(cat: Catalog | None = None,
-                        seed: int = 20260810) -> CriterionResult:
+def criterion_necessary(cat: Catalog, seed: int = 20260810) -> CriterionResult:
     """7: the derivation-dimension necessary condition holds on every row:
     strict increase for fixed-index rows, the weak family bound otherwise."""
     t0 = time.time()
-    cat = cat or load_catalog()
     failures = []
     rows = []
     for w in load_witnesses(cat):
@@ -277,13 +266,12 @@ def criterion_necessary(cat: Catalog | None = None,
 
 
 def criterion_reachability(reports: list[WitnessReport],
-                           cat: Catalog | None = None) -> CriterionResult:
+                           cat: Catalog) -> CriterionResult:
     """8: every 4-dimensional family plus both limit families is reachable
     from the two source families through verified rows, and no verified row
     reaches the sources themselves.  ``reports`` are the Table-B reports
     of criterion 6."""
     t0 = time.time()
-    cat = cat or load_catalog()
     reach = build_reachability(reports, cat)
     unreached = sorted(k for k, v in reach.reachable.items() if not v)
     return CriterionResult(

@@ -23,7 +23,7 @@ entries an operation returns are converted back, with one ``cancel`` each
 from __future__ import annotations
 
 from collections import defaultdict
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from functools import cached_property
 from typing import Iterable, Mapping, Sequence
 
@@ -100,12 +100,7 @@ class IdentityFlags:
     two_step: bool
 
     def to_dict(self) -> dict:
-        return {
-            "right_commutative": self.right_commutative,
-            "left_symmetric": self.left_symmetric,
-            "novikov": self.novikov,
-            "two_step": self.two_step,
-        }
+        return asdict(self)
 
 
 @dataclass(frozen=True)
@@ -162,13 +157,15 @@ def vector_str(v: Sequence[sp.Expr]) -> str:
 
 def _linear_coordinates(text: str, names: Sequence[str]) -> list[sp.Expr] | None:
     """The coefficients, in ``cancel`` form, of the symbols ``names`` in the
-    expression ``text``, or ``None`` when it is not a linear form in them."""
-    expr = sp.expand(parse_scalar(text))
+    expression ``text``, or ``None`` when it is not a linear form in them:
+    when a term holds a product, power or quotient of them (``e3/e4``), or
+    the terms free of them do not cancel to zero."""
     syms = [sp.Symbol(s) for s in names]
-    coeffs = [expr.coeff(s, 1) for s in syms]
-    if sp.cancel(sp.expand(expr - sum(c * s for c, s in zip(coeffs, syms)))) != 0:
+    terms = sp.expand(parse_scalar(text)).as_coefficients_dict(*syms)
+    leftover = terms.pop(sp.S.One, None)
+    if not set(terms) <= set(syms) or leftover is not None and sp.cancel(leftover) != 0:
         return None
-    return [sp.cancel(c) for c in coeffs]
+    return [_cancelled(terms.get(s, sp.Integer(0))) for s in syms]
 
 
 def parse_vector(text: str, dim: int) -> Vector:
@@ -475,7 +472,7 @@ def derivation_dim(a: Algebra, at: Mapping | None = None) -> int:
     return n * n - linalg.rank(linalg.sparse_rows(terms))
 
 
-def substitute(a: Algebra, at: Mapping, name: str | None = None) -> Algebra:
+def substitute(a: Algebra, at: Mapping) -> Algebra:
     """Instantiate every declared parameter at exact values: the table of
     :func:`instantiate_table`, each entry in ``cancel`` form.
 
@@ -492,8 +489,8 @@ def substitute(a: Algebra, at: Mapping, name: str | None = None) -> Algebra:
         if scalars.vanishes(cons, subs):
             raise ConstraintViolation(
                 f"constraint violated: {grammar_str(cons)} = 0 for {a.name}")
-    label = name or (a.name + "(" + ", ".join(
-        f"{p}={grammar_str(subs[p])}" for p in a.params) + ")" if a.params else a.name)
+    label = a.name + "(" + ", ".join(
+        f"{p}={grammar_str(subs[p])}" for p in a.params) + ")" if a.params else a.name
     return Algebra(label, a.dim, (),
                    tuple(tuple(tuple(map(_cancelled, row)) for row in plane)
                          for plane in table), ())

@@ -255,8 +255,7 @@ class Extension:
     result: Algebra
 
 
-def central_extension(a: Algebra, thetas: Sequence[Cocycle],
-                      name: str | None = None) -> Extension:
+def central_extension(a: Algebra, thetas: Sequence[Cocycle]) -> Extension:
     """The (n+s)-dimensional algebra with products xy + sum_r theta_r(x,y) v_r.
 
     The new basis vectors v_r land in the annihilator of the result.
@@ -280,8 +279,7 @@ def central_extension(a: Algebra, thetas: Sequence[Cocycle],
             for x in row:
                 syms |= (sp.sympify(x).free_symbols - {T})
     params = tuple(sorted(syms, key=str))
-    label = name or f"{a.name}_ext{s}"
-    result = Algebra(label, m, params, table, a.constraints)
+    result = Algebra(f"{a.name}_ext{s}", m, params, table, a.constraints)
     return Extension(a, tuple(thetas), result)
 
 

@@ -20,7 +20,7 @@ through the witness's ``tier`` field.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field, replace
 from typing import Mapping, Sequence
 
 import mpmath
@@ -29,7 +29,7 @@ import sympy as sp
 from . import linalg, scalars
 from .algebras import (AlgebraError, _change_basis, _json_field,
                        _json_optional, derivation_dim, instantiate_table)
-from .catalog import Catalog, load as load_catalog
+from .catalog import Catalog
 from .scalars import (T, NumericDivisionError, grammar_str, is_root_free,
                       parse_scalar)
 
@@ -89,7 +89,8 @@ def witness_from_json(obj: Mapping) -> DegenerationWitness:
     ``source_params`` or ``target_params`` that is not an object, an
     ``avoid``, ``symbols`` or ``necessary_t`` that is not a list, or a
     ``fallback`` that is neither an object nor null, raises
-    :class:`AlgebraError` naming it.  A null ``fallback`` means none."""
+    :class:`AlgebraError` naming it.  A null ``fallback`` means none.  A
+    ``"free"`` target parameter is read as the parameter's own name."""
     wid = _json_field(obj, "id", "witness JSON")
     where = f"witness {wid!r}"
     source, target, basis = (_json_field(obj, key, where)
@@ -104,7 +105,8 @@ def witness_from_json(obj: Mapping) -> DegenerationWitness:
         source=source,
         source_params=dict(_json_optional(obj, "source_params", where, dict)),
         target=target,
-        target_params=dict(_json_optional(obj, "target_params", where, dict)),
+        target_params={p: p if v == "free" else v for p, v in
+                       _json_optional(obj, "target_params", where, dict).items()},
         basis=tuple(tuple(row) for row in basis),
         tier=obj.get("tier", "auto"),
         avoid=tuple(_json_optional(obj, "avoid", where)),
@@ -132,23 +134,19 @@ def witness_to_json(w: DegenerationWitness) -> dict:
     return out
 
 
-def load_witnesses(catalog: Catalog | None = None) -> list[DegenerationWitness]:
-    cat = catalog or load_catalog()
+def load_witnesses(cat: Catalog) -> list[DegenerationWitness]:
     return [witness_from_json(obj) for obj in cat.degeneration_rows]
 
 
 def _all_exprs(w: DegenerationWitness) -> list[sp.Expr]:
     exprs = [parse_scalar(x) for row in w.basis for x in row]
     exprs += [parse_scalar(v) for v in w.source_params.values()]
-    exprs += [parse_scalar(v) for v in w.target_params.values() if v != "free"]
+    exprs += [parse_scalar(v) for v in w.target_params.values()]
     return exprs
 
 
 def free_symbols_of(w: DegenerationWitness) -> tuple[sp.Symbol, ...]:
     syms: set[sp.Symbol] = set(sp.Symbol(s) for s in w.symbols)
-    for p, v in w.target_params.items():
-        if v == "free":
-            syms.add(sp.Symbol(p))
     for e in _all_exprs(w):
         syms |= (e.free_symbols - {T})
     return tuple(sorted(syms, key=str))
@@ -181,21 +179,7 @@ class WitnessReport:
     note: str = ""
 
     def to_dict(self) -> dict:
-        return {
-            "id": self.id,
-            "source": self.source,
-            "target": self.target,
-            "tier": self.tier,
-            "passed": self.passed,
-            "failures": self.failures,
-            "max_residual": self.max_residual,
-            "decay_exponent": self.decay_exponent,
-            "samples": self.samples,
-            "heuristic": self.heuristic,
-            "used_fallback": self.used_fallback,
-            "literal_outcome": self.literal_outcome,
-            "note": self.note,
-        }
+        return asdict(self)
 
 
 # ---------------------------------------------------------------------------
@@ -215,24 +199,15 @@ def _source_table(cat: Catalog, w: DegenerationWitness):
 
 
 def _target_table(cat: Catalog, w: DegenerationWitness):
-    entry = cat.entry(w.target)
-    return instantiate_table(entry.algebra, _target_values(w))
-
-
-def _target_values(w: DegenerationWitness) -> dict[sp.Symbol, sp.Expr]:
-    """Target parameter map; a "free" parameter stays its own symbol."""
-    return scalars.subs_map({p: (sp.Symbol(p) if v == "free" else v)
-                             for p, v in w.target_params.items()})
+    return instantiate_table(cat.entry(w.target).algebra, w.target_params)
 
 
 # ---------------------------------------------------------------------------
 # Exact tier
 # ---------------------------------------------------------------------------
 
-def verify_exact(w: DegenerationWitness,
-                 catalog: Catalog | None = None) -> WitnessReport:
+def verify_exact(w: DegenerationWitness, cat: Catalog) -> WitnessReport:
     """Zero-tolerance verification over the rational-function field in t."""
-    cat = catalog or load_catalog()
     if detect_tier(w) != "exact":
         raise TierError(f"{w.id}: radical-bearing witness; use verify_numeric")
     table, source_name = _source_table(cat, w)
@@ -297,7 +272,7 @@ def _check_samples(samples: int) -> None:
 def _sample_conditions(w: DegenerationWitness, cat: Catalog) -> list[sp.Expr]:
     """What a sampled parameter point must keep nonzero: the row's ``avoid``
     list and the target's constraints at the row's target parameters."""
-    target_vals = _target_values(w)
+    target_vals = scalars.subs_map(w.target_params)
     return [parse_scalar(x) for x in w.avoid] + [
         scalars.substitute(cons, target_vals)
         for cons in cat.entry(w.target).algebra.constraints]
@@ -403,7 +378,7 @@ def _lu_solve(lu: Sequence[Sequence], perm: Sequence[int], b: Sequence) -> list:
     return x
 
 
-def verify_numeric(w: DegenerationWitness, catalog: Catalog | None = None,
+def verify_numeric(w: DegenerationWitness, cat: Catalog,
                    digits: int = DEFAULT_DIGITS, samples: int = 3,
                    seed: int = 20260810) -> WitnessReport:
     """High-precision verification of radical-bearing witnesses on
@@ -415,7 +390,6 @@ def verify_numeric(w: DegenerationWitness, catalog: Catalog | None = None,
     ``samples`` is below 1.
     """
     _check_samples(samples)
-    cat = catalog or load_catalog()
     rng = random.Random(seed)
     table, source_name = _source_table(cat, w)
     target = _target_table(cat, w)
@@ -533,7 +507,7 @@ def apply_fallback(w: DegenerationWitness) -> DegenerationWitness:
     )
 
 
-def verify_witness(w: DegenerationWitness, catalog: Catalog | None = None,
+def verify_witness(w: DegenerationWitness, cat: Catalog,
                    samples: int = 3, seed: int = 20260810) -> WitnessReport:
     """Verify one witness, honoring the tier hint and the fallback protocol.
 
@@ -543,7 +517,6 @@ def verify_witness(w: DegenerationWitness, catalog: Catalog | None = None,
     Raises :class:`AlgebraError` when ``samples`` is below 1.
     """
     _check_samples(samples)
-    cat = catalog or load_catalog()
 
     def run(witness):
         tier = detect_tier(witness)
@@ -571,16 +544,10 @@ def verify_witness(w: DegenerationWitness, catalog: Catalog | None = None,
     return report
 
 
-def verify_all(catalog: Catalog | None = None, ids: Sequence[str] | None = None,
-               samples: int = 3, seed: int = 20260810) -> list[WitnessReport]:
-    _check_samples(samples)
-    cat = catalog or load_catalog()
-    reports = []
-    for w in load_witnesses(cat):
-        if ids and w.id not in ids:
-            continue
-        reports.append(verify_witness(w, cat, samples, seed))
-    return sorted(reports, key=lambda r: r.id)
+def verify_all(cat: Catalog, samples: int = 3,
+               seed: int = 20260810) -> list[WitnessReport]:
+    return sorted((verify_witness(w, cat, samples, seed)
+                   for w in load_witnesses(cat)), key=lambda r: r.id)
 
 
 # ---------------------------------------------------------------------------
@@ -598,15 +565,13 @@ class NecessaryReport:
     rows: list[dict] = field(default_factory=list)
 
     def to_dict(self) -> dict:
-        return {"id": self.id, "source": self.source, "target": self.target,
-                "skipped": self.skipped, "passed": self.passed,
-                "mode": self.mode, "rows": self.rows}
+        return asdict(self)
 
 
 _DEFAULT_T_POOL = ("1/2", "1/3", "2/7", "3/5", "5/2")
 
 
-def check_necessary(w: DegenerationWitness, catalog: Catalog | None = None,
+def check_necessary(w: DegenerationWitness, cat: Catalog,
                     samples: int = 3, seed: int = 20260810) -> NecessaryReport:
     """Derivation-dimension necessary condition at sampled parameters.
 
@@ -621,7 +586,6 @@ def check_necessary(w: DegenerationWitness, catalog: Catalog | None = None,
     ``samples`` is below 1.
     """
     _check_samples(samples)
-    cat = catalog or load_catalog()
     if w.source == w.target and not w.source_params:
         return NecessaryReport(w.id, w.source, w.target, True, True)
     rng = random.Random(seed)
@@ -659,9 +623,7 @@ def check_necessary(w: DegenerationWitness, catalog: Catalog | None = None,
             continue
         try:
             d_src = derivation_dim(source, src_vals)
-            tgt_vals = {p: (assign.get(sp.Symbol(p), sp.Symbol(p))
-                            if v == "free" else
-                            scalars.substitute(parse_scalar(v), assign))
+            tgt_vals = {p: scalars.substitute(parse_scalar(v), assign)
                         for p, v in w.target_params.items()}
             d_tgt = derivation_dim(target, tgt_vals)
         except AlgebraError:
@@ -726,10 +688,9 @@ class ReachabilityReport:
 
 
 def build_reachability(reports: Sequence[WitnessReport],
-                       catalog: Catalog | None = None) -> ReachabilityReport:
+                       cat: Catalog) -> ReachabilityReport:
     """Family-level reachability of every classified family from the two
     source families, using only witnesses that verified."""
-    cat = catalog or load_catalog()
     edges = []
     for r in reports:
         if not r.passed:

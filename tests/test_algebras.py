@@ -344,6 +344,15 @@ def test_parse_vector():
     assert vector_str((sp.Integer(0),) * 2) == "0"
 
 
+@pytest.mark.parametrize("text", ["e3/e4", "(e1 + e2)/e4"])
+def test_parse_vector_rejects_basis_symbol_in_coefficient(text):
+    # the coefficient of e3 in e3/e4 is 1/e4, which is not a scalar
+    with pytest.raises(AlgebraError, match="not a vector in e1..e4"):
+        parse_vector(text, 4)
+    assert parse_vector("alpha*e3 + e4/2", 4) == (0, 0, sp.Symbol("alpha"),
+                                                  sp.Rational(1, 2))
+
+
 def test_degenerate_dimensions(cat):
     # every operation stays defined at dim 1 and dim 0; the only nilpotent
     # 1-dimensional algebra is the zero product

@@ -161,6 +161,15 @@ def test_degenerate_verify_accepts_witness_file(capsys, tmp_path):
     assert code == 0 and out.startswith("W: N4_09 -> zero_4  [exact] pass")
 
 
+def test_witness_file_with_vanishing_source_constraint_is_usage_error(capsys, tmp_path):
+    path = tmp_path / "w.json"
+    path.write_text(json.dumps({**_WITNESS, "source": "N4_06",
+                                "source_params": {"alpha": "0"}}))
+    code, out, err = run(capsys, "degenerate", "verify", "--row", str(path))
+    assert_usage_error(code, out, err)
+    assert err == "error: W: source constraint alpha vanishes identically\n"
+
+
 @pytest.mark.parametrize("fallback", [5, "x"])
 def test_witness_file_fallback_of_wrong_type_is_usage_error(capsys, tmp_path, fallback):
     path = tmp_path / "w.json"
@@ -266,6 +275,15 @@ def test_repeated_param_is_usage_error(capsys):
                          "--param", "alpha=3")
     assert_usage_error(code, out, err)
     assert err == "error: --param alpha given twice\n"
+
+
+@pytest.mark.parametrize("command", [
+    ("split", "N4_01", "--subspace", "e3/e4"),
+    ("extend", "N3s_01", "--cocycle", "D12/D31"),
+], ids=["split", "extend"])
+def test_basis_symbol_in_coefficient_is_usage_error(capsys, command):
+    code, out, err = run(capsys, *command)
+    assert_usage_error(code, out, err, repr(command[-1]))
 
 
 def test_cocycle_file_for_another_algebra_is_usage_error(capsys, tmp_path):

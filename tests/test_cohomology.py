@@ -53,6 +53,13 @@ def test_published_cocycle_on_n3s01(cat):
     assert is_cocycle(a, cocycle_from_expr(a, "D12 + D31"))
 
 
+def test_cocycle_expr_with_form_in_coefficient_is_rejected(cat):
+    # the coefficient of D12 in D12/D31 is 1/D31, which is not a scalar
+    a = cat.get("N3s_01")
+    with pytest.raises(CocycleError, match="not a combination of D_ij forms"):
+        cocycle_from_expr(a, "D12/D31")
+
+
 def test_cocycle_json_roundtrip(cat):
     a = cat.get("N3s_01")
     c = cocycle_from_expr(a, "D12 + alpha*D21")

@@ -118,6 +118,25 @@ def test_identity_witness_passes(cat):
     assert verify_exact(w, load()).passed
 
 
+def test_free_target_param_is_the_param_itself():
+    free = witness_from_json({**_WITNESS, "target_params": {"lam": "free"}})
+    named = witness_from_json({**_WITNESS, "target_params": {"lam": "lam"}})
+    assert free == named
+    assert free.target_params == {"lam": "lam"}
+
+
+def test_vanishing_source_constraint_is_refused(cat):
+    # N4_06 requires alpha != 0
+    w = witness_from_json({**_WITNESS, "source": "N4_06",
+                           "source_params": {"alpha": "0"}})
+    with pytest.raises(AlgebraError) as exc:
+        verify_exact(w, cat)
+    assert str(exc.value) == "W: source constraint alpha vanishes identically"
+    rep = check_necessary(w, cat)
+    assert not rep.passed and not rep.skipped
+    assert rep.rows == [{"problem": "no admissible sample found"}]
+
+
 def test_exact_tier_detects_wrong_target(cat, rows):
     import dataclasses
     broken = dataclasses.replace(rows["B03"], target="N4_01")
@@ -178,7 +197,7 @@ def test_numeric_catches_wrong_target(cat, rows):
 @pytest.mark.parametrize("check", [
     lambda w, cat, n: verify_numeric(w, cat, samples=n),
     lambda w, cat, n: verify_witness(w, cat, samples=n),
-    lambda w, cat, n: verify_all(cat, ids=[w.id], samples=n),
+    lambda w, cat, n: verify_all(cat, samples=n),
     lambda w, cat, n: check_necessary(w, cat, samples=n),
 ], ids=["verify_numeric", "verify_witness", "verify_all", "check_necessary"])
 @pytest.mark.parametrize("samples", [0, -1])

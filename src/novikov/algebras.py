@@ -155,22 +155,31 @@ def vector_str(v: Sequence[sp.Expr]) -> str:
     return " + ".join(parts) if parts else "0"
 
 
-def _linear_coordinates(text: str, names: Sequence[str]) -> list[sp.Expr] | None:
+def _linear_coordinates(text: str, names: Sequence[str],
+                        params: Iterable[sp.Symbol] | None = None) -> list[sp.Expr] | None:
     """The coefficients, in ``cancel`` form, of the symbols ``names`` in the
     expression ``text``, or ``None`` when it is not a linear form in them:
-    when a term holds a product, power or quotient of them (``e3/e4``), or
-    the terms free of them do not cancel to zero."""
+    when a term holds a product, power or quotient of them (``e3/e4``), the
+    terms free of them do not cancel to zero, or, when ``params`` is given,
+    a coefficient holds another symbol than ``params`` (``t`` included)."""
     syms = [sp.Symbol(s) for s in names]
     terms = sp.expand(parse_scalar(text)).as_coefficients_dict(*syms)
     leftover = terms.pop(sp.S.One, None)
     if not set(terms) <= set(syms) or leftover is not None and sp.cancel(leftover) != 0:
         return None
-    return [_cancelled(terms.get(s, sp.Integer(0))) for s in syms]
+    coords = [_cancelled(terms.get(s, sp.Integer(0))) for s in syms]
+    if params is not None:
+        declared = set(params)
+        if any(not c.is_Rational and not c.free_symbols <= declared for c in coords):
+            return None
+    return coords
 
 
-def parse_vector(text: str, dim: int) -> Vector:
-    """Parse 'e1 + 2*e3'-style text into coordinates."""
-    coords = _linear_coordinates(text, [f"e{k + 1}" for k in range(dim)])
+def parse_vector(text: str, dim: int,
+                 params: Iterable[sp.Symbol] | None = None) -> Vector:
+    """Parse 'e1 + 2*e3'-style text into coordinates; when ``params`` is
+    given, a coefficient may hold those symbols and no other."""
+    coords = _linear_coordinates(text, [f"e{k + 1}" for k in range(dim)], params)
     if coords is None:
         raise AlgebraError(f"not a vector in e1..e{dim}: {text!r}")
     return tuple(coords)

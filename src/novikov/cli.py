@@ -207,7 +207,7 @@ def cmd_extend(args) -> int:
 def cmd_split(args) -> int:
     cat = load_catalog()
     a = cat.get(args.name, _parse_params(args.param) or None)
-    vectors = [parse_vector(text.strip(), a.dim)
+    vectors = [parse_vector(text.strip(), a.dim, a.params)
                for text in args.subspace.split(",") if text.strip()]
     split, ok = acceptance.split_roundtrip(a, vectors)
     payload = {"algebra": a.name,

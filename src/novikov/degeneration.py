@@ -21,10 +21,13 @@ from __future__ import annotations
 
 import random
 from dataclasses import asdict, dataclass, field, replace
+from functools import lru_cache
 from typing import Mapping, Sequence
 
 import mpmath
 import sympy as sp
+from mpmath.libmp import (mpc_abs, mpc_add, mpc_div, mpc_div_mpf, mpc_mul,
+                          mpc_mul_mpf, mpc_sub, mpc_zero, round_nearest)
 
 from . import linalg, scalars
 from .algebras import (AlgebraError, _change_basis, _json_field,
@@ -65,6 +68,8 @@ class TierError(AlgebraError):
 DEFAULT_SCHEDULE = tuple(sp.Rational(1, 10) ** (6 * k) for k in range(1, 6))
 DEFAULT_DIGITS = 120
 RESIDUAL_TOLERANCE = mpmath.mpf(10) ** -8
+#: The rounding of mpmath's number operators, kept by the raw-value kernel.
+_RND = round_nearest
 
 
 @dataclass(frozen=True)
@@ -207,7 +212,13 @@ def _target_table(cat: Catalog, w: DegenerationWitness):
 # ---------------------------------------------------------------------------
 
 def verify_exact(w: DegenerationWitness, cat: Catalog) -> WitnessReport:
-    """Zero-tolerance verification over the rational-function field in t."""
+    """Zero-tolerance verification over the rational-function field in t.
+
+    Each conjugated constant N/D, a reduced fraction of polynomials in t and
+    the parameters, is decided on ring elements: N(0) and D(0) keep the
+    monomials of N and D free of t.  It has no pole at t = 0 iff D(0) is
+    nonzero, and its limit there is the target p/q iff N(0) q = p D(0).  The
+    limit itself is built only for a failure's message."""
     if detect_tier(w) != "exact":
         raise TierError(f"{w.id}: radical-bearing witness; use verify_numeric")
     table, source_name = _source_table(cat, w)
@@ -220,39 +231,41 @@ def verify_exact(w: DegenerationWitness, cat: Catalog) -> WitnessReport:
         report.passed = False
         report.failures.append({"problem": "basis matrix singular as an expression"})
         return report
+    t_pos = K.symbols.index(T) if K.is_FractionField and T in K.symbols else None
     for i in range(n):
         for j in range(n):
             for k in range(n):
-                r = new_table[i][j][k]
-                limit = _value_at_zero(K, r)
-                if limit is None:
-                    report.passed = False
-                    report.failures.append({
-                        "at": [i + 1, j + 1, k + 1],
-                        "problem": "pole at t = 0",
-                        "value": grammar_str(linalg.to_expr(K, r))})
-                elif limit - target_k[i][j][k]:
-                    report.passed = False
-                    report.failures.append({
-                        "at": [i + 1, j + 1, k + 1],
-                        "problem": "limit differs from target",
-                        "limit": grammar_str(linalg.to_expr(K, limit)),
-                        "target": grammar_str(target[i][j][k])})
+                r, want = new_table[i][j][k], target_k[i][j][k]
+                if t_pos is None:
+                    if not r - want:
+                        continue
+                    limit = r
+                else:
+                    num0 = _at_t_zero(r.numer, t_pos)
+                    den0 = _at_t_zero(r.denom, t_pos)
+                    if not den0:
+                        report.passed = False
+                        report.failures.append({
+                            "at": [i + 1, j + 1, k + 1],
+                            "problem": "pole at t = 0",
+                            "value": grammar_str(linalg.to_expr(K, r))})
+                        continue
+                    if num0 * want.denom == want.numer * den0:
+                        continue
+                    limit = K.field.new(num0, den0)
+                report.passed = False
+                report.failures.append({
+                    "at": [i + 1, j + 1, k + 1],
+                    "problem": "limit differs from target",
+                    "limit": grammar_str(linalg.to_expr(K, limit)),
+                    "target": grammar_str(target[i][j][k])})
     return report
 
 
-def _value_at_zero(K, x):
-    """A field element at t = 0, or None if it has a pole there.
-
-    Elements of a fraction field are reduced, so the pole test is the
-    denominator vanishing at t = 0."""
-    if not K.is_FractionField or T not in K.symbols:
-        return x
-    t = K.field.ring.gens[K.symbols.index(T)]
-    den = x.denom.subs(t, 0)
-    if not den:
-        return None
-    return K.field.new(x.numer.subs(t, 0), den)
+def _at_t_zero(poly, t_pos: int):
+    """The polynomial ``poly`` at t = 0: its monomials free of t, the
+    generator at ``t_pos``."""
+    return poly.new({m: c for m, c in poly.items() if not m[t_pos]})
 
 
 # ---------------------------------------------------------------------------
@@ -279,13 +292,28 @@ def _sample_conditions(w: DegenerationWitness, cat: Catalog) -> list[sp.Expr]:
 
 
 def _num(e: sp.Expr, digits: int) -> mpmath.mpc:
+    """The constant expression ``e`` evaluated at ``digits`` digits, as an
+    mpmath number rounded to the working precision.
+
+    Memoised on ``e``, ``digits`` and the working precision
+    (``mpmath.mp.prec``), which rounds the value: within one precision each
+    distinct value is evaluated once, and a row's fallback run, which has the
+    literal run's basis, target and samples, reuses the literal run's values.
+    Division by zero raises :class:`NumericDivisionError`."""
+    return _num_at(e, digits, mpmath.mp.prec)
+
+
+@lru_cache(maxsize=4096)
+def _num_at(e: sp.Expr, digits: int, prec: int) -> mpmath.mpc:
     v = sp.N(e, digits)
     if v.has(sp.zoo) or v.has(sp.nan):
         raise NumericDivisionError("division by zero while evaluating witness")
     re_part, im_part = v.as_real_imag()
 
     def to_mpf(x):
-        x = sp.N(x, digits)
+        # The parts of a value sp.N gave are mostly Floats already at digits.
+        if not x.is_Float:
+            x = sp.N(x, digits)
         if x.is_Float:
             return mpmath.mpf(x._mpf_)
         if x.is_Rational:
@@ -295,18 +323,14 @@ def _num(e: sp.Expr, digits: int) -> mpmath.mpc:
     return mpmath.mpc(to_mpf(re_part), to_mpf(im_part))
 
 
-def _num_all(nested: Sequence, subs: Mapping, digits: int, values: dict) -> list:
-    """Nested lists of expressions at ``subs`` as mpmath numbers, same
-    nesting.  ``values`` maps each substituted expression to its number, so
-    an expression that recurs under the same ``values`` (one per sample
-    point) is evaluated once."""
+def _num_all(nested: Sequence, subs: Mapping, digits: int) -> list:
+    """Nested lists of expressions at ``subs`` as raw mpmath complex values
+    (``_mpc_`` tuples), same nesting.  Entries that are numbers already are
+    not substituted into."""
     def convert(x):
         if isinstance(x, (list, tuple)):
             return [convert(y) for y in x]
-        e = scalars.substitute(x, subs)
-        if e not in values:
-            values[e] = _num(e, digits)
-        return values[e]
+        return _num(x if x.is_Number else scalars.substitute(x, subs), digits)._mpc_
 
     return convert(nested)
 
@@ -358,23 +382,27 @@ def _lu(a: Sequence[Sequence]) -> tuple[list[list], list[int]]:
     return a, perm
 
 
-def _lu_solve(lu: Sequence[Sequence], perm: Sequence[int], b: Sequence) -> list:
-    """The solution x of A x = b from ``_lu(A)``: ``mpmath.mp.L_solve`` then
-    ``U_solve`` step for step on lists, bit for bit the same.  As in
-    :func:`_lu`, a product with an exact zero factor is not subtracted."""
+def _lu_solve(lu: Sequence[Sequence], perm: Sequence[int], b: Sequence,
+              prec: int) -> list:
+    """The solution x of A x = b from ``_lu(A)``, on raw mpmath values: the
+    entries of ``lu`` and ``b`` are ``_mpc_`` tuples, and so are those of x.
+    It is ``mpmath.mp.L_solve`` then ``U_solve`` step for step at ``prec``
+    bits, rounding to nearest as mpmath's operators do, so x is bit for bit
+    what they give at that working precision.  As in :func:`_lu`, a product
+    with an exact zero factor is not subtracted."""
     x = list(b)
     n = len(x)
     for k, p in enumerate(perm):
         x[k], x[p] = x[p], x[k]
     for i in range(1, n):
         for j in range(i):
-            if lu[i][j] and x[j]:
-                x[i] -= lu[i][j] * x[j]
+            if lu[i][j] != mpc_zero and x[j] != mpc_zero:
+                x[i] = mpc_sub(x[i], mpc_mul(lu[i][j], x[j], prec, _RND), prec, _RND)
     for i in range(n - 1, -1, -1):
         for j in range(i + 1, n):
-            if lu[i][j] and x[j]:
-                x[i] -= lu[i][j] * x[j]
-        x[i] /= lu[i][i]
+            if lu[i][j] != mpc_zero and x[j] != mpc_zero:
+                x[i] = mpc_sub(x[i], mpc_mul(lu[i][j], x[j], prec, _RND), prec, _RND)
+        x[i] = mpc_div(x[i], lu[i][i], prec, _RND)
     return x
 
 
@@ -404,7 +432,10 @@ def verify_numeric(w: DegenerationWitness, cat: Catalog,
     max_residual = mpmath.mpf(0)
     decay = None
 
+    table_has_t = any(x.has(T) for plane in table for row in plane for x in row)
+
     with mpmath.workdps(digits + 20):
+        ctx, prec = mpmath.mp, mpmath.mp.prec
         slack = 1 + mpmath.mpf(10) ** -6      # rounded at this precision
         for _ in range(sample_count):
             assign = next(scalars.admissible_points(
@@ -413,28 +444,36 @@ def verify_numeric(w: DegenerationWitness, cat: Catalog,
                 raise AlgebraError(f"{w.id}: failed to sample admissible parameters")
             report.samples.append({str(k): grammar_str(v)
                                    for k, v in sorted(assign.items(), key=str)})
-            values: dict = {}
-            target_num = _num_all(target, assign, digits, values)
+            target_num = _num_all(target, assign, digits)
+            c_support = None
             residuals: dict[tuple, list] = {}
             for t_val in DEFAULT_SCHEDULE:
                 subs = dict(assign)
                 subs[T] = t_val
-                raw = _num_all(basis_rows, subs, digits, values)
+                raw = _num_all(basis_rows, subs, digits)
                 # Row-scale the basis: Laurent rows span hundreds of orders
                 # of magnitude at the final t, which would otherwise wreck
                 # the LU solve.  E_i = s_i * Ehat_i rescales the conjugated
                 # constants by the exact factor s_i s_j / s_k.
-                scales = [max((mpmath.fabs(x) for x in row), default=0)
-                          for row in raw]
+                scales = [max((ctx.make_mpf(mpc_abs(x, prec, _RND)) for x in row),
+                              default=0) for row in raw]
                 lu = None
                 if all(s != 0 for s in scales):
-                    b_num = [[x / s for x in row] for row, s in zip(raw, scales)]
-                    c_num = _num_all(table, subs, digits, values)
+                    s_raw = [s._mpf_ for s in scales]
+                    b_num = [[mpc_div_mpf(x, s, prec, _RND) for x in row]
+                             for row, s in zip(raw, s_raw)]
+                    if c_support is None or table_has_t:
+                        # Adding an exact zero changes no sum: skip the zero
+                        # constants.
+                        c_support = [[[(k, c) for k, c in enumerate(row) if c != mpc_zero]
+                                      for row in plane]
+                                     for plane in _num_all(table, subs, digits)]
                     # One factorisation serves all n^2 right-hand sides, at
                     # the 10 extra bits mpmath.lu_solve factors and solves at.
                     with mpmath.mp.extraprec(10):
                         try:
-                            lu, perm = _lu(list(zip(*b_num)))
+                            lu, perm = _lu([[ctx.make_mpc(x) for x in col]
+                                            for col in zip(*b_num)])
                         except ZeroDivisionError:
                             pass
                 if lu is None:
@@ -443,25 +482,29 @@ def verify_numeric(w: DegenerationWitness, cat: Catalog,
                         "problem": "basis numerically singular",
                         "t": str(t_val)})
                     continue
-                support = [[(p, x) for p, x in enumerate(row) if x]
+                lu = [[x._mpc_ for x in row] for row in lu]
+                support = [[(p, x) for p, x in enumerate(row) if x != mpc_zero]
                            for row in b_num]
-                # Adding an exact zero changes no sum: skip the zero constants.
-                c_support = [[[(k, c) for k, c in enumerate(row) if c]
-                              for row in plane] for plane in c_num]
+                # The products, the solve and the rescaling on raw values,
+                # each operation at the precision and rounding of the mpmath
+                # operator it stands for.
                 for i in range(n):
                     for j in range(n):
-                        prod = [mpmath.mpc(0)] * n
+                        prod = [mpc_zero] * n
                         for p, bip in support[i]:
                             for q, bjq in support[j]:
-                                f = bip * bjq
+                                f = mpc_mul(bip, bjq, prec, _RND)
                                 for k, c in c_support[p][q]:
-                                    prod[k] += f * c
-                        with mpmath.mp.extraprec(10):
-                            x = _lu_solve(lu, perm, prod)
+                                    prod[k] = mpc_add(prod[k], mpc_mul(f, c, prec, _RND),
+                                                      prec, _RND)
+                        x = _lu_solve(lu, perm, prod, prec + 10)
                         for k in range(n):
-                            value = x[k] * scales[i] * scales[j] / scales[k]
-                            res = mpmath.fabs(value - target_num[i][j][k])
-                            residuals.setdefault((i, j, k), []).append(res)
+                            value = mpc_div_mpf(mpc_mul_mpf(mpc_mul_mpf(
+                                x[k], s_raw[i], prec, _RND), s_raw[j], prec, _RND),
+                                s_raw[k], prec, _RND)
+                            res = mpc_abs(mpc_sub(value, target_num[i][j][k], prec, _RND),
+                                          prec, _RND)
+                            residuals.setdefault((i, j, k), []).append(ctx.make_mpf(res))
             for key, series in sorted(residuals.items()):
                 if len(series) != len(DEFAULT_SCHEDULE):
                     continue
@@ -600,6 +643,7 @@ def check_necessary(w: DegenerationWitness, cat: Catalog,
 
     made = 0
     attempt = 0
+    cause = None
     while made < samples and attempt < 200:
         attempt += 1
         assign = next(scalars.admissible_points(
@@ -614,19 +658,25 @@ def check_necessary(w: DegenerationWitness, cat: Catalog,
             value = scalars.substitute(parse_scalar(v), assign)
             if t_val is not None:
                 value = scalars.substitute(value, {T: t_val})
-            value = sp.nsimplify(value, rational=False)
-            if not is_root_free(value):
-                ok = False
-                break
-            src_vals[p] = sp.cancel(value)
+            if not value.is_Rational:
+                # nsimplify may rewrite an exact rational with radicals.
+                value = sp.nsimplify(value, rational=False)
+                if not is_root_free(value):
+                    ok = False
+                    break
+                value = sp.cancel(value)
+            src_vals[p] = value
+        if ok:
+            try:
+                d_src = derivation_dim(source, src_vals)
+                tgt_vals = {p: scalars.substitute(parse_scalar(v), assign)
+                            for p, v in w.target_params.items()}
+                d_tgt = derivation_dim(target, tgt_vals)
+            except AlgebraError as exc:
+                ok, cause = False, str(exc)
         if not ok:
-            continue
-        try:
-            d_src = derivation_dim(source, src_vals)
-            tgt_vals = {p: scalars.substitute(parse_scalar(v), assign)
-                        for p, v in w.target_params.items()}
-            d_tgt = derivation_dim(target, tgt_vals)
-        except AlgebraError:
+            if not syms:
+                break       # the next attempt would repeat this one
             continue
         made += 1
         required_ok = d_src < d_tgt if mode == "strict" else d_src <= d_tgt
@@ -644,7 +694,8 @@ def check_necessary(w: DegenerationWitness, cat: Catalog,
             break
     if made == 0:
         report.passed = False
-        report.rows.append({"problem": "no admissible sample found"})
+        report.rows.append({"problem": "no admissible sample found"}
+                           | ({"cause": cause} if cause else {}))
     return report
 
 

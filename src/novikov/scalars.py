@@ -150,13 +150,18 @@ class _Parser:
         return e
 
     def term(self) -> sp.Expr:
+        """Factors joined by ``*`` and ``/``.  A root-free divisor that is
+        zero as a rational function raises :class:`ZeroDenominatorError`: a
+        number, symbol or monomial in symbols is decided by its structure,
+        any other divisor as an element of its field (:func:`linalg.to_field`).
+        A divisor holding a root is never flagged."""
         e = self.factor()
         while self.peek() in ("*", "/"):
             if self.next() == "*":
                 e = e * self.factor()
             else:
                 d = self.factor()
-                if is_root_free(d) and sp.cancel(d) == 0:
+                if _is_zero_divisor(d):
                     raise ZeroDenominatorError("zero denominator")
                 e = e / d
         return e
@@ -206,6 +211,19 @@ class _Parser:
         if re.fullmatch(r"[A-Za-z_][A-Za-z0-9_]*", tok):
             return sp.Symbol(tok)
         raise ParseError(f"unexpected token {tok!r} in {self.text!r}")
+
+
+def _is_zero_divisor(d: sp.Expr) -> bool:
+    if d.is_Number:
+        return d == 0
+    if all(f.is_Symbol or f.is_Number or f is sp.I
+           or f.is_Pow and f.base.is_Symbol and f.exp.is_Integer
+           for f in (d.args if d.is_Mul else (d,))):
+        return False
+    if not is_root_free(d):
+        return False
+    _, ((x,),) = linalg.to_field([d])
+    return not x
 
 
 def parse_scalar(text: ScalarLike) -> sp.Expr:

@@ -286,6 +286,20 @@ def test_basis_symbol_in_coefficient_is_usage_error(capsys, command):
     assert_usage_error(code, out, err, repr(command[-1]))
 
 
+@pytest.mark.parametrize("subspace", ["t*e3", "x*e3", "e1 + (alpha + x)*e3"])
+def test_undeclared_symbol_in_subspace_is_usage_error(capsys, subspace):
+    code, out, err = run(capsys, "split", "N4_20", "--subspace", subspace)
+    assert_usage_error(code, out, err, "not a vector in e1..e4", repr(subspace))
+
+
+def test_declared_parameter_in_subspace_is_accepted(capsys):
+    code, out, _ = run(capsys, "split", "N4_20", "--subspace", "alpha*e4")
+    assert code == 0 and "roundtrip exact: True" in out
+    code, out, err = run(capsys, "split", "N4_20", "--param", "alpha=2",
+                         "--subspace", "alpha*e4")
+    assert_usage_error(code, out, err, repr("alpha*e4"))
+
+
 def test_cocycle_file_for_another_algebra_is_usage_error(capsys, tmp_path):
     path = tmp_path / "cocycle.json"
     path.write_text(json.dumps({"algebra": "zero_2",

@@ -10,15 +10,17 @@ import pytest
 import sympy as sp
 from hypothesis import given, settings, strategies as st
 
-from novikov.algebras import AlgebraError, change_basis_table
+from novikov.algebras import AlgebraError, change_basis_table, derivation_dim
 from novikov.catalog import load
-from novikov.degeneration import (DEFAULT_SCHEDULE, DegenerationWitness,
-                                  TierError, _lu, _lu_solve, apply_fallback, build_reachability,
+from novikov import degeneration
+from novikov.degeneration import (DEFAULT_DIGITS, DEFAULT_SCHEDULE, DegenerationWitness,
+                                  TierError, _lu, _lu_solve, _num, apply_fallback,
+                                  build_reachability,
                                   check_necessary, detect_tier, free_symbols_of,
                                   load_witnesses, verify_all, verify_exact,
                                   verify_numeric, verify_witness,
                                   witness_from_json, witness_to_json)
-from novikov.scalars import T, parse_scalar
+from novikov.scalars import T, parse_scalar, substitute
 
 
 @pytest.fixture(scope="module")
@@ -134,7 +136,8 @@ def test_vanishing_source_constraint_is_refused(cat):
     assert str(exc.value) == "W: source constraint alpha vanishes identically"
     rep = check_necessary(w, cat)
     assert not rep.passed and not rep.skipped
-    assert rep.rows == [{"problem": "no admissible sample found"}]
+    assert rep.rows == [{"problem": "no admissible sample found",
+                         "cause": "constraint violated: alpha = 0 for N4_06"}]
 
 
 def test_exact_tier_detects_wrong_target(cat, rows):
@@ -155,6 +158,23 @@ def test_exact_tier_detects_pole(cat):
     rep = verify_exact(w, cat)
     assert not rep.passed
     assert any(f["problem"] == "pole at t = 0" for f in rep.failures)
+
+
+@pytest.mark.parametrize("target_lam, passed", [("lam + 1", True), ("lam + 2", False)])
+def test_exact_tier_limit_of_unreduced_fraction(cat, target_lam, passed):
+    # e2 e1 = lam' e3 with lam' = (lam^2 - 1 + t)/(lam - 1 + t), reduced in t
+    # and lam; at t = 0 it is (lam^2 - 1)/(lam - 1) = lam + 1, not reduced.
+    w = witness_from_json({
+        "id": "unreduced", "source": "N4_02",
+        "source_params": {"lam": "(lam^2 - 1 + t)/(lam - 1 + t)"},
+        "target": "N4_02", "target_params": {"lam": target_lam},
+        "basis": [["1", "0", "0", "0"], ["0", "1", "0", "0"],
+                  ["0", "0", "1", "0"], ["0", "0", "0", "1"]]})
+    rep = verify_exact(w, cat)
+    assert rep.passed is passed
+    if not passed:
+        assert rep.failures == [{"at": [2, 1, 3], "problem": "limit differs from target",
+                                 "limit": "lam + 1", "target": "lam + 2"}]
 
 
 def test_singular_basis_rejected(cat):
@@ -234,6 +254,19 @@ def test_numeric_tier_reports_are_pinned(cat, rows, key):
     assert verify_numeric(w, cat).to_dict() == NUMERIC_PINS[key]
 
 
+def test_numeric_values_are_memoised_per_precision(cat, rows):
+    # A value evaluated at 15 digits' working precision must not stand in
+    # for the same value at the tier's precision.
+    degeneration._num_at.cache_clear()
+    with mpmath.workdps(15):
+        _num(substitute(parse_scalar(rows["B05"].basis[0][0]),
+                        {T: DEFAULT_SCHEDULE[-1]}), DEFAULT_DIGITS)
+    for key, want in NUMERIC_PINS.items():
+        wid, _, form = key.partition(" ")
+        w = apply_fallback(rows[wid]) if form == "fallback" else rows[wid]
+        assert verify_numeric(w, cat).to_dict() == want, key
+
+
 @pytest.mark.parametrize("basis", [
     # a zero row: its scale is 0
     [["root(2,t)", "0", "0", "0"], ["0", "0", "0", "0"],
@@ -294,11 +327,13 @@ def _assert_lu_as_mpmath(a, b):
             return None
         lu, perm = _lu(a)
         want_x = _mp_lu_solve(want_lu, want_perm, b)
-        x = _lu_solve(lu, perm, b)
+        # _lu_solve runs on raw values at the working precision
+        x = _lu_solve([[v._mpc_ for v in row] for row in lu], perm,
+                      [mpmath.mpc(v)._mpc_ for v in b], mpmath.mp.prec)
     n = len(a)
     assert perm == want_perm
     assert all(lu[i][j] == want_lu[i, j] for i in range(n) for j in range(n))
-    assert all(x[i] == want_x[i] for i in range(n))
+    assert all(mpmath.mp.make_mpc(x[i]) == want_x[i] for i in range(n))
     return perm
 
 
@@ -503,6 +538,30 @@ def test_necessary_radical_index_uses_recorded_t_samples(cat, rows):
     assert rep.passed
     assert {r["source_params"]["alpha"] for r in rep.rows} == \
         {"-3/4", "-1/2", "-5/12"}
+
+
+def test_necessary_keeps_exact_rational_source_param(cat):
+    # nsimplify rewrites this rational with radicals; it must stay as given
+    w = witness_from_json({**_WITNESS, "source": "N4_06",
+                           "source_params": {"alpha": "-133038/508481"}})
+    rep = check_necessary(w, cat)
+    assert rep.passed
+    assert [r["source_params"] for r in rep.rows] == [{"alpha": "-133038/508481"}]
+
+
+def test_necessary_stops_at_a_repeating_failure(cat, monkeypatch):
+    # No free symbol and no t: every attempt would repeat the first.
+    calls = []
+
+    def counting(*args):
+        calls.append(args)
+        return derivation_dim(*args)
+
+    monkeypatch.setattr(degeneration, "derivation_dim", counting)
+    w = witness_from_json({**_WITNESS, "source": "N4_06",
+                           "source_params": {"alpha": "0"}})
+    assert not check_necessary(w, cat).passed
+    assert len(calls) == 1
 
 
 def test_necessary_skips_self(cat):

@@ -13,7 +13,7 @@ from hypothesis import given, settings, strategies as st
 from novikov import linalg
 from novikov.degeneration import (_num, _sample_conditions, free_symbols_of,
                                   load_witnesses)
-from novikov.scalars import (I, NumericDivisionError, ParseError, Rational, T,
+from novikov.scalars import (I, NumericDivisionError, ParseError, Rational, T, _Parser,
                              ZeroDenominatorError, admissible_points,
                              grammar_str, is_root_free, parse_scalar,
                              random_rational, subs_map, substitute, vanishes)
@@ -54,6 +54,25 @@ def test_parse_rejects_garbage():
 def test_parse_zero_denominator_rejected():
     with pytest.raises(ZeroDenominatorError):
         parse_scalar("1/(lam - lam)")
+
+
+@pytest.mark.parametrize("text, zero", [
+    ("1/0", True),                                    # number
+    ("1/(3/2)", False),
+    ("1/lam", False),                                 # symbol
+    ("1/(-2*i*lam^2*t^-3)", False),                   # monomial
+    ("1/(1/(a-1) + 1/(1-a))", True),                  # zero field element
+    ("1/(u+1)", False),                               # nonzero field element
+    ("1/(root(2, lam*mu) - root(2, lam)*root(2, mu))", False),  # radical
+])
+def test_parse_zero_denominator_paths(monkeypatch, text, zero):
+    # Each divisor is decided without sympy's cancel.
+    monkeypatch.setattr(sp, "cancel", None)
+    if zero:
+        with pytest.raises(ZeroDenominatorError):
+            _Parser(text).parse()
+    else:
+        assert _Parser(text).parse() == 1 / _Parser(text[2:]).parse()
 
 
 @pytest.mark.parametrize("text", [

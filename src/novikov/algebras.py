@@ -175,10 +175,9 @@ def _linear_coordinates(text: str, names: Sequence[str],
     return coords
 
 
-def parse_vector(text: str, dim: int,
-                 params: Iterable[sp.Symbol] | None = None) -> Vector:
-    """Parse 'e1 + 2*e3'-style text into coordinates; when ``params`` is
-    given, a coefficient may hold those symbols and no other."""
+def parse_vector(text: str, dim: int, params: Iterable[sp.Symbol]) -> Vector:
+    """Parse 'e1 + 2*e3'-style text into coordinates; a coefficient may hold
+    the symbols ``params`` and no other."""
     coords = _linear_coordinates(text, [f"e{k + 1}" for k in range(dim)], params)
     if coords is None:
         raise AlgebraError(f"not a vector in e1..e{dim}: {text!r}")

@@ -68,8 +68,6 @@ class TierError(AlgebraError):
 DEFAULT_SCHEDULE = tuple(sp.Rational(1, 10) ** (6 * k) for k in range(1, 6))
 DEFAULT_DIGITS = 120
 RESIDUAL_TOLERANCE = mpmath.mpf(10) ** -8
-#: The rounding of mpmath's number operators, kept by the raw-value kernel.
-_RND = round_nearest
 
 
 @dataclass(frozen=True)
@@ -346,7 +344,13 @@ def _lu(a: Sequence[Sequence]) -> tuple[list[list], list[int]]:
 
     An elimination step whose factor is an exact zero is skipped: it would
     subtract zeros, which leaves every entry (none is wider than the working
-    precision) as it is."""
+    precision) as it is.
+
+    Unlike :func:`_lu_solve` it stays on mpmath numbers: it mirrors
+    ``LU_decomp``'s ``fsum`` and ``absmin`` pivot search line for line, which
+    keeps its ``test_lu_*`` comparisons with mpmath direct, and it runs once
+    per basis, not once per right-hand side, so converting its n^2 entries
+    to and from raw values costs little."""
     ctx = mpmath.mp
     a = [list(row) for row in a]
     n = len(a)
@@ -397,12 +401,14 @@ def _lu_solve(lu: Sequence[Sequence], perm: Sequence[int], b: Sequence,
     for i in range(1, n):
         for j in range(i):
             if lu[i][j] != mpc_zero and x[j] != mpc_zero:
-                x[i] = mpc_sub(x[i], mpc_mul(lu[i][j], x[j], prec, _RND), prec, _RND)
+                x[i] = mpc_sub(x[i], mpc_mul(lu[i][j], x[j], prec, round_nearest),
+                               prec, round_nearest)
     for i in range(n - 1, -1, -1):
         for j in range(i + 1, n):
             if lu[i][j] != mpc_zero and x[j] != mpc_zero:
-                x[i] = mpc_sub(x[i], mpc_mul(lu[i][j], x[j], prec, _RND), prec, _RND)
-        x[i] = mpc_div(x[i], lu[i][i], prec, _RND)
+                x[i] = mpc_sub(x[i], mpc_mul(lu[i][j], x[j], prec, round_nearest),
+                               prec, round_nearest)
+        x[i] = mpc_div(x[i], lu[i][i], prec, round_nearest)
     return x
 
 
@@ -432,8 +438,6 @@ def verify_numeric(w: DegenerationWitness, cat: Catalog,
     max_residual = mpmath.mpf(0)
     decay = None
 
-    table_has_t = any(x.has(T) for plane in table for row in plane for x in row)
-
     with mpmath.workdps(digits + 20):
         ctx, prec = mpmath.mp, mpmath.mp.prec
         slack = 1 + mpmath.mpf(10) ** -6      # rounded at this precision
@@ -445,7 +449,6 @@ def verify_numeric(w: DegenerationWitness, cat: Catalog,
             report.samples.append({str(k): grammar_str(v)
                                    for k, v in sorted(assign.items(), key=str)})
             target_num = _num_all(target, assign, digits)
-            c_support = None
             residuals: dict[tuple, list] = {}
             for t_val in DEFAULT_SCHEDULE:
                 subs = dict(assign)
@@ -455,19 +458,18 @@ def verify_numeric(w: DegenerationWitness, cat: Catalog,
                 # of magnitude at the final t, which would otherwise wreck
                 # the LU solve.  E_i = s_i * Ehat_i rescales the conjugated
                 # constants by the exact factor s_i s_j / s_k.
-                scales = [max((ctx.make_mpf(mpc_abs(x, prec, _RND)) for x in row),
+                scales = [max((ctx.make_mpf(mpc_abs(x, prec, round_nearest)) for x in row),
                               default=0) for row in raw]
                 lu = None
                 if all(s != 0 for s in scales):
                     s_raw = [s._mpf_ for s in scales]
-                    b_num = [[mpc_div_mpf(x, s, prec, _RND) for x in row]
+                    b_num = [[mpc_div_mpf(x, s, prec, round_nearest) for x in row]
                              for row, s in zip(raw, s_raw)]
-                    if c_support is None or table_has_t:
-                        # Adding an exact zero changes no sum: skip the zero
-                        # constants.
-                        c_support = [[[(k, c) for k, c in enumerate(row) if c != mpc_zero]
-                                      for row in plane]
-                                     for plane in _num_all(table, subs, digits)]
+                    # Adding an exact zero changes no sum: skip the zero
+                    # constants.
+                    c_support = [[[(k, c) for k, c in enumerate(row) if c != mpc_zero]
+                                  for row in plane]
+                                 for plane in _num_all(table, subs, digits)]
                     # One factorisation serves all n^2 right-hand sides, at
                     # the 10 extra bits mpmath.lu_solve factors and solves at.
                     with mpmath.mp.extraprec(10):
@@ -493,17 +495,18 @@ def verify_numeric(w: DegenerationWitness, cat: Catalog,
                         prod = [mpc_zero] * n
                         for p, bip in support[i]:
                             for q, bjq in support[j]:
-                                f = mpc_mul(bip, bjq, prec, _RND)
+                                f = mpc_mul(bip, bjq, prec, round_nearest)
                                 for k, c in c_support[p][q]:
-                                    prod[k] = mpc_add(prod[k], mpc_mul(f, c, prec, _RND),
-                                                      prec, _RND)
+                                    prod[k] = mpc_add(
+                                        prod[k], mpc_mul(f, c, prec, round_nearest),
+                                        prec, round_nearest)
                         x = _lu_solve(lu, perm, prod, prec + 10)
                         for k in range(n):
-                            value = mpc_div_mpf(mpc_mul_mpf(mpc_mul_mpf(
-                                x[k], s_raw[i], prec, _RND), s_raw[j], prec, _RND),
-                                s_raw[k], prec, _RND)
-                            res = mpc_abs(mpc_sub(value, target_num[i][j][k], prec, _RND),
-                                          prec, _RND)
+                            value = mpc_mul_mpf(x[k], s_raw[i], prec, round_nearest)
+                            value = mpc_mul_mpf(value, s_raw[j], prec, round_nearest)
+                            value = mpc_div_mpf(value, s_raw[k], prec, round_nearest)
+                            res = mpc_abs(mpc_sub(value, target_num[i][j][k],
+                                                  prec, round_nearest), prec, round_nearest)
                             residuals.setdefault((i, j, k), []).append(ctx.make_mpf(res))
             for key, series in sorted(residuals.items()):
                 if len(series) != len(DEFAULT_SCHEDULE):

@@ -337,10 +337,10 @@ def test_json_roundtrip(cat):
 
 
 def test_parse_vector():
-    v = parse_vector("e1 + 2*e3", 3)
+    v = parse_vector("e1 + 2*e3", 3, ())
     assert v == (sp.Integer(1), sp.Integer(0), sp.Integer(2))
     with pytest.raises(AlgebraError):
-        parse_vector("e1*e2", 3)
+        parse_vector("e1*e2", 3, ())
     assert vector_str((sp.Integer(0),) * 2) == "0"
 
 
@@ -348,9 +348,10 @@ def test_parse_vector():
 def test_parse_vector_rejects_basis_symbol_in_coefficient(text):
     # the coefficient of e3 in e3/e4 is 1/e4, which is not a scalar
     with pytest.raises(AlgebraError, match="not a vector in e1..e4"):
-        parse_vector(text, 4)
-    assert parse_vector("alpha*e3 + e4/2", 4) == (0, 0, sp.Symbol("alpha"),
-                                                  sp.Rational(1, 2))
+        parse_vector(text, 4, ())
+    alpha = sp.Symbol("alpha")
+    assert parse_vector("alpha*e3 + e4/2", 4, (alpha,)) == (0, 0, alpha,
+                                                            sp.Rational(1, 2))
 
 
 def test_degenerate_dimensions(cat):

@@ -100,12 +100,18 @@ class Catalog:
         ``dim`` selects the published listing for that dimension (auxiliary
         presentations and the limit families are excluded unless asked for
         via ``table``); ``table`` filters on the listing key directly
-        ('A' is an alias for the 4-dimensional table).
+        ('A' is an alias for the 4-dimensional table); any other ``table``
+        raises :class:`AlgebraError` naming the accepted values.
         """
+        if table is not None:
+            listings = sorted({entry.listing for entry in self.entries.values()})
+            if table not in ("A", "a", *listings):
+                raise AlgebraError(f"unknown table {table!r}; expected A, a or "
+                                   f"one of {', '.join(listings)}")
+            key = "dim4" if table in ("A", "a") else table
         out = []
         for entry in self.entries.values():
             if table is not None:
-                key = "dim4" if table in ("A", "a") else table
                 if entry.listing != key:
                     continue
             elif dim is not None:

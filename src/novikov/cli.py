@@ -22,7 +22,7 @@ from .cohomology import (CocycleError, central_extension, cocycle_from_expr,
 from .degeneration import (DEFAULT_DIGITS, DEFAULT_SCHEDULE, build_reachability,
                            check_necessary, load_witnesses, verify_all,
                            verify_witness, witness_from_json)
-from .scalars import grammar_str, parse_scalar
+from .scalars import T, grammar_str, parse_scalar
 
 PASS, FAIL, USAGE = 0, 1, 2
 
@@ -180,9 +180,15 @@ def cmd_extend(args) -> int:
             if named is not None and canonical_name(named) != canonical_name(args.name):
                 raise CocycleError(f"{spec_text}: cocycle is for {named}, "
                                    f"not {args.name}")
-            thetas.append(cocycle_from_json(a, obj))
+            theta = cocycle_from_json(a, obj)
         else:
-            thetas.append(cocycle_from_expr(a, spec_text))
+            theta = cocycle_from_expr(a, spec_text)
+        # A cocycle may bring in a new parameter, but not the degeneration
+        # variable.
+        if any(T in x.free_symbols for row in theta.matrix for x in row):
+            raise CocycleError(f"{spec_text}: t is reserved for degenerations "
+                               f"and may not appear in a cocycle")
+        thetas.append(theta)
     if args.s is not None and args.s != len(thetas):
         raise ValueError(f"--s {args.s} but {len(thetas)} cocycles given")
     try:
@@ -232,6 +238,8 @@ def cmd_derivations(args) -> int:
 
 def cmd_degenerate(args) -> int:
     cat = load_catalog()
+    if args.row and args.all:
+        raise ValueError("give --row ID or --all, not both")
     if args.row and _is_file(args.row):
         witnesses = [witness_from_json(_read_json(args.row))]
     elif args.row:

@@ -143,30 +143,42 @@ def cocycle_from_json(a: Algebra, obj: Mapping) -> Cocycle:
 # ---------------------------------------------------------------------------
 
 def _condition_rows(n: int, constants: Sequence) -> list[dict]:
-    """The 2*n^3 cocycle conditions of an n-dimensional algebra with the
-    given nonzero constants ``(i, j, k, c)``, as sparse ``{column: element}``
-    rows over vec(theta) (index (i, j) -> i*n+j); all-zero rows are left
-    out.
+    """The cocycle conditions of an n-dimensional algebra with the given
+    nonzero constants ``(i, j, k, c)``, as sparse ``{column: element}`` rows
+    over vec(theta) (index (i, j) -> i*n+j); all-zero rows are left out.
 
     Condition (0, i, j, k) is theta(e_i e_j, e_k) - theta(e_i e_k, e_j) and
     (1, i, j, k) is theta(e_i e_j - e_j e_i, e_k) - theta(e_i, e_j e_k)
-    + theta(e_j, e_i e_k); each constant adds to the rows it appears in.
+    + theta(e_j, e_i e_k).  For every table the first is antisymmetric in
+    (j, k) and the second in (i, j): swapping the pair negates the row, and
+    an equal pair gives the zero row.  So only the rows with j < k (type 0)
+    and i < j (type 1) are kept, n^2(n-1) of the 2n^3, with the same row
+    space; each constant adds to the kept rows it appears in, and its terms
+    in the other rows are not formed.
     """
     terms = []
     for a, b, l, c in constants:           # e_a e_b has c on e_l
         for m in range(n):
-            terms += [((0, a, b, m), l * n + m, c),    # theta(e_i e_j, e_k) in (0, i, j, k)
-                      ((1, a, b, m), l * n + m, c),    # and in (1, i, j, k)
-                      ((0, a, m, b), l * n + m, -c),   # -theta(e_i e_k, e_j) in (0, i, j, k)
-                      ((1, b, a, m), l * n + m, -c),   # -theta(e_j e_i, e_k) in (1, i, j, k)
-                      ((1, m, a, b), m * n + l, -c),   # -theta(e_i, e_j e_k) in (1, i, j, k)
-                      ((1, a, m, b), m * n + l, c)]    # theta(e_j, e_i e_k) in (1, i, j, k)
+            left, right = l * n + m, m * n + l     # theta(e_l, e_m), theta(e_m, e_l)
+            if b < m:      # theta(e_i e_j, e_k) in (0, i, j, k)
+                terms.append(((0, a, b, m), left, c))
+            elif m < b:    # -theta(e_i e_k, e_j) in (0, i, j, k)
+                terms.append(((0, a, m, b), left, -c))
+            if a < b:      # theta(e_i e_j, e_k) in (1, i, j, k)
+                terms.append(((1, a, b, m), left, c))
+            elif b < a:    # -theta(e_j e_i, e_k) in (1, i, j, k)
+                terms.append(((1, b, a, m), left, -c))
+            if m < a:      # -theta(e_i, e_j e_k) in (1, i, j, k)
+                terms.append(((1, m, a, b), right, -c))
+            elif a < m:    # theta(e_j, e_i e_k) in (1, i, j, k)
+                terms.append(((1, a, m, b), right, c))
     return linalg.sparse_rows(terms)
 
 
 def is_cocycle(a: Algebra, theta: Cocycle) -> bool:
     """Whether theta satisfies every cocycle condition, decided over the
-    field of the table and theta's entries."""
+    field of the table and theta's entries.  It checks the rows
+    :func:`_condition_rows` keeps; the others are their negatives or zero."""
     if theta.algebra.dim != a.dim:
         raise CocycleError("dimension mismatch")
     field, (table, matrix) = linalg.to_field(a.table, theta.matrix)

@@ -58,6 +58,14 @@ def test_catalog_list_table_a(capsys):
     assert len(json.loads(out)["entries"]) == 24
 
 
+def test_catalog_list_unknown_table_is_usage_error(capsys):
+    code, out, err = run(capsys, "catalog", "list", "--table", "X")
+    assert_usage_error(code, out, err, "unknown table 'X'", "A, a",
+                       "aux, dim1, dim2, dim3, dim4, limit")
+    code, out, _ = run(capsys, "catalog", "list", "--table", "limit")
+    assert code == 0 and "Ntriv_2" in out
+
+
 def test_catalog_show_unicode_alias(capsys):
     code, out, _ = run(capsys, "catalog", "show", "𝒩⁴₂₀")
     assert code == 0 and "N4_20" in out
@@ -96,6 +104,11 @@ def test_degenerate_unknown_row(capsys):
 def test_degenerate_without_row_or_all(capsys):
     assert_usage_error(*run(capsys, "degenerate", "verify"),
                        "need --row ID or --all")
+
+
+def test_degenerate_with_row_and_all(capsys):
+    assert_usage_error(*run(capsys, "degenerate", "verify", "--row", "B01", "--all"),
+                       "give --row ID or --all, not both")
 
 
 def test_cohomology_golden_without_golden_row(capsys):
@@ -218,6 +231,22 @@ def test_extend_accepts_cocycle_file(capsys, tmp_path):
         "entries": [{"i": 1, "j": 2, "c": "1"}, {"i": 3, "j": 1, "c": "1"}]}))
     code, out, _ = run(capsys, "extend", "N3s_01", "--cocycle", str(path))
     assert code == 0 and "e3*e1 = e4" in out
+
+
+@pytest.mark.parametrize("as_file", [False, True], ids=["expr", "file"])
+def test_degeneration_variable_in_cocycle_is_usage_error(capsys, tmp_path, as_file):
+    spec = "D12 + t*D31"
+    if as_file:
+        spec = str(tmp_path / "cocycle.json")
+        (tmp_path / "cocycle.json").write_text(json.dumps({
+            "entries": [{"i": 1, "j": 2, "c": "1"}, {"i": 3, "j": 1, "c": "t"}]}))
+    code, out, err = run(capsys, "extend", "N3s_01", "--cocycle", spec)
+    assert_usage_error(code, out, err, spec, "t is reserved")
+
+
+def test_new_symbol_in_cocycle_is_a_parameter(capsys):
+    code, out, _ = run(capsys, "extend", "N3s_01", "--cocycle", "D12 + x*D31")
+    assert code == 0 and "e3*e1 = (x)*e4" in out
 
 
 @pytest.mark.parametrize("obj, word", [

@@ -11,16 +11,17 @@ from hypothesis import given, settings, strategies as st
 
 from novikov import algebras, linalg, scalars
 from novikov.algebras import (AlgebraError, algebra, annihilator_basis, basis_vector,
-                              change_basis_table, check_identities)
+                              change_basis_table, check_identities, nonzero_constants)
 from novikov.cohomology import (Cocycle, CocycleError, SingularMatrixError,
-                                _form_annihilator_rows, central_extension, coboundary_matrices, cocycle,
+                                _condition_rows, _form_annihilator_rows, central_extension, coboundary_matrices, cocycle,
                                 cocycle_from_expr, cocycle_from_json, cocycle_space,
                                 cocycle_to_json, has_trivial_intersection,
                                 is_automorphism, is_cocycle, split_central_extension,
                                 verify_action_formulas)
 from novikov.catalog import load
 from novikov.linalg import subspace_equal
-from oracle import cocycle_space_dims, h2_rep_count, random_products, rank_frac, table
+from oracle import (_cocycle_rows, cocycle_space_dims, h2_rep_count, random_products,
+                    rank_frac, rref_frac, table)
 
 
 def vec(*xs):
@@ -105,6 +106,26 @@ def test_cocycle_space_dims_match_oracle_on_random_tables():
         z2, b2 = cocycle_space_dims(tbl)
         assert cocycle_space(a).dims == (z2, b2, h2_rep_count(tbl)), products
 
+
+
+def test_condition_rows_span_the_full_system(cat):
+    # Only the rows with j < k (type 0) and i < j (type 1) are formed, at
+    # most n^2(n-1); their reduced form is the oracle's for all 2n^3
+    # conditions, on random tables and on the constant Novikov tables.
+    rng = random.Random(31)
+    tables = [(n, random_products(rng, n)) for n in (2, 3, 4, 5) for _ in range(10)]
+    tables += [(a.dim, [(i + 1, j + 1, k + 1, Fraction(str(c)))
+                        for i, j, k, c in nonzero_constants(a.table)])
+               for a in map(cat.get, cat.entries) if not a.params]
+    for idx, (n, products) in enumerate(tables):
+        a = algebra(f"table_{idx}", n, [(i, j, k, str(c)) for i, j, k, c in products])
+        rows = _condition_rows(n, a.constants[1])
+        assert len(rows) <= n * n * (n - 1), products
+        red, pivots = linalg.rref(rows)
+        want, want_pivots = rref_frac(_cocycle_rows(table(n, products)))
+        assert pivots == want_pivots, products
+        assert [[Fraction(str(row.get(c, 0))) for c in range(n * n)] for row in red] \
+            == want[:len(pivots)], products
 
 def test_b2_and_h2_choice_is_greedy_selection(cat):
     # B2: each nonzero coboundary slice not in the span of those kept before

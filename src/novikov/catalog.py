@@ -24,8 +24,8 @@ import sympy as sp
 from . import scalars
 from .algebras import (Algebra, AlgebraError, _table_differences, algebra_from_json,
                        instantiate_table, invariant_profile, substitute)
-from .cohomology import (ActionCase, central_extension, cocycle_from_expr,
-                         has_trivial_intersection, is_cocycle)
+from .cohomology import (ActionCase, CocycleError, central_extension,
+                         cocycle_from_expr, has_trivial_intersection)
 from .scalars import grammar_str, parse_scalar
 
 __all__ = [
@@ -44,7 +44,6 @@ __all__ = [
 class CatalogEntry:
     name: str
     listing: str           # dim1 | dim2 | dim3 | dim4 | limit | aux
-    source: str
     pure_expected: bool
     algebra: Algebra
 
@@ -61,12 +60,8 @@ class ExtensionWitness:
     base: str
     base_params: dict
     cocycle_expr: str
-    params: tuple[str, ...]
-    constraints_printed: tuple[str, ...]
     target: str
     target_params: dict
-    case: str
-    note: str = ""
 
 
 @dataclass(frozen=True)
@@ -100,26 +95,30 @@ class Catalog:
         ``dim`` selects the published listing for that dimension (auxiliary
         presentations and the limit families are excluded unless asked for
         via ``table``); ``table`` filters on the listing key directly
-        ('A' is an alias for the 4-dimensional table); any other ``table``
-        raises :class:`AlgebraError` naming the accepted values.
+        ('A' is an alias for the 4-dimensional table).  Raises
+        :class:`AlgebraError` for any other ``table``, for a ``dim`` with no
+        listing, and for a ``table`` that holds no algebra of dimension
+        ``dim``, so that a typo does not read as an empty listing.
         """
+        listings = sorted({entry.listing for entry in self.entries.values()})
         if table is not None:
-            listings = sorted({entry.listing for entry in self.entries.values()})
             if table not in ("A", "a", *listings):
                 raise AlgebraError(f"unknown table {table!r}; expected A, a or "
                                    f"one of {', '.join(listings)}")
             key = "dim4" if table in ("A", "a") else table
-        out = []
-        for entry in self.entries.values():
-            if table is not None:
-                if entry.listing != key:
-                    continue
-            elif dim is not None:
-                if entry.listing != f"dim{dim}":
-                    continue
-            if dim is not None and entry.algebra.dim != dim:
-                continue
-            out.append(entry)
+        elif dim is not None:
+            key = f"dim{dim}"
+            if key not in listings:
+                dims = ", ".join(x[3:] for x in listings if x.startswith("dim"))
+                raise AlgebraError(f"no listing of dimension {dim}; "
+                                   f"expected one of {dims}")
+        else:
+            key = None
+        out = [entry for entry in self.entries.values()
+               if (key is None or entry.listing == key)
+               and (dim is None or entry.algebra.dim == dim)]
+        if not out:
+            raise AlgebraError(f"table {table!r} holds no algebra of dimension {dim}")
         return out
 
 
@@ -168,7 +167,6 @@ def load() -> Catalog:
         entries[a.name] = CatalogEntry(
             name=a.name,
             listing=meta.get("listing", "aux"),
-            source=meta.get("source", ""),
             pure_expected=bool(meta.get("pure", False)),
             algebra=a,
         )
@@ -176,10 +174,8 @@ def load() -> Catalog:
     witnesses = tuple(
         ExtensionWitness(
             id=w["id"], base=w["base"], base_params=w.get("base_params", {}),
-            cocycle_expr=w["cocycle"], params=tuple(w.get("params", ())),
-            constraints_printed=tuple(w.get("constraints_printed", ())),
-            target=w["target"], target_params=w.get("target_params", {}),
-            case=w["case"], note=w.get("note", ""),
+            cocycle_expr=w["cocycle"], target=w["target"],
+            target_params=w.get("target_params", {}),
         )
         for w in read("extension_witnesses.json"))
 
@@ -258,13 +254,14 @@ def check_witness(cat: Catalog, w: ExtensionWitness) -> list[dict]:
     failures = []
     base = cat.get(w.base, w.base_params)
     theta = cocycle_from_expr(base, w.cocycle_expr)
-    if not is_cocycle(base, theta):
+    try:
+        ext = central_extension(base, [theta]).result.table
+    except CocycleError:
         failures.append({"witness": w.id, "problem": "not a cocycle"})
         return failures
     if not has_trivial_intersection(base, [theta]):
         failures.append({"witness": w.id,
                          "problem": "annihilator intersection nonzero"})
-    ext = central_extension(base, [theta]).result.table
     target = instantiate_table(cat.entry(w.target).algebra, w.target_params)
     if len(ext) != len(target):
         failures.append({"witness": w.id, "problem": "dimension mismatch"})

@@ -333,67 +333,15 @@ def _num_all(nested: Sequence, subs: Mapping, digits: int) -> list:
     return convert(nested)
 
 
-def _lu(a: Sequence[Sequence]) -> tuple[list[list], list[int]]:
-    """LU factorisation of the square matrix ``a`` (rows of mpmath numbers)
-    with mpmath's row pivoting: ``mpmath.mp.LU_decomp`` step for step on
-    lists, so the factors come out bit for bit the same at the working
-    precision.  Returns L and U packed in one new matrix and the pivot row
-    of each step; raises ``ZeroDivisionError`` when ``a`` is numerically
-    singular, and also when a column has no nonzero pivot candidate left,
-    where ``LU_decomp`` fails with a ``TypeError``.
-
-    An elimination step whose factor is an exact zero is skipped: it would
-    subtract zeros, which leaves every entry (none is wider than the working
-    precision) as it is.
-
-    Unlike :func:`_lu_solve` it stays on mpmath numbers: it mirrors
-    ``LU_decomp``'s ``fsum`` and ``absmin`` pivot search line for line, which
-    keeps its ``test_lu_*`` comparisons with mpmath direct, and it runs once
-    per basis, not once per right-hand side, so converting its n^2 entries
-    to and from raw values costs little."""
-    ctx = mpmath.mp
-    a = [list(row) for row in a]
-    n = len(a)
-    # each pivot has to be bigger than this
-    tol = ctx.absmin(max(ctx.fsum((a[i][j] for i in range(n)), absolute=1)
-                         for j in range(n)) * ctx.eps)
-    perm = [None] * (n - 1)
-    for j in range(n - 1):
-        # pivot: the largest |a[k][j]| relative to the row's remaining sum
-        biggest = 0
-        for k in range(j, n):
-            s = ctx.fsum([ctx.absmin(a[k][m]) for m in range(j, n)])
-            if ctx.absmin(s) <= tol:
-                raise ZeroDivisionError("matrix is numerically singular")
-            current = 1 / s * ctx.absmin(a[k][j])
-            if current > biggest:
-                biggest = current
-                perm[j] = k
-        if perm[j] is None:
-            raise ZeroDivisionError("matrix is numerically singular")
-        a[j], a[perm[j]] = a[perm[j]], a[j]
-        pivot = a[j]
-        if ctx.absmin(pivot[j]) <= tol:
-            raise ZeroDivisionError("matrix is numerically singular")
-        for i in range(j + 1, n):
-            row = a[i]
-            row[j] /= pivot[j]
-            if row[j]:
-                for k in range(j + 1, n):
-                    row[k] -= row[j] * pivot[k]
-    if ctx.absmin(a[n - 1][n - 1]) <= tol:
-        raise ZeroDivisionError("matrix is numerically singular")
-    return a, perm
-
-
 def _lu_solve(lu: Sequence[Sequence], perm: Sequence[int], b: Sequence,
               prec: int) -> list:
-    """The solution x of A x = b from ``_lu(A)``, on raw mpmath values: the
-    entries of ``lu`` and ``b`` are ``_mpc_`` tuples, and so are those of x.
-    It is ``mpmath.mp.L_solve`` then ``U_solve`` step for step at ``prec``
-    bits, rounding to nearest as mpmath's operators do, so x is bit for bit
-    what they give at that working precision.  As in :func:`_lu`, a product
-    with an exact zero factor is not subtracted."""
+    """The solution x of A x = b from ``mpmath.mp.LU_decomp(A)``'s factors and
+    pivots, on raw mpmath values: the entries of ``lu`` and ``b`` are
+    ``_mpc_`` tuples, and so are those of x.  It is ``mpmath.mp.L_solve``
+    then ``U_solve`` step for step at ``prec`` bits, rounding to nearest as
+    mpmath's operators do, so x is bit for bit what they give at that
+    working precision.  A product with an exact zero factor is not
+    subtracted: it would leave the entry as it is."""
     x = list(b)
     n = len(x)
     for k, p in enumerate(perm):
@@ -474,9 +422,10 @@ def verify_numeric(w: DegenerationWitness, cat: Catalog,
                     # the 10 extra bits mpmath.lu_solve factors and solves at.
                     with mpmath.mp.extraprec(10):
                         try:
-                            lu, perm = _lu([[ctx.make_mpc(x) for x in col]
-                                            for col in zip(*b_num)])
-                        except ZeroDivisionError:
+                            lu, perm = ctx.LU_decomp(ctx.matrix(
+                                [[ctx.make_mpc(x) for x in col] for col in zip(*b_num)]))
+                        except (ZeroDivisionError, TypeError):
+                            # TypeError: a column has no pivot candidate left
                             pass
                 if lu is None:
                     report.passed = False
@@ -484,7 +433,8 @@ def verify_numeric(w: DegenerationWitness, cat: Catalog,
                         "problem": "basis numerically singular",
                         "t": str(t_val)})
                     continue
-                lu = [[x._mpc_ for x in row] for row in lu]
+                # A matrix stores its zero entries as mpf.
+                lu = [[ctx.mpc(lu[i, j])._mpc_ for j in range(n)] for i in range(n)]
                 support = [[(p, x) for p, x in enumerate(row) if x != mpc_zero]
                            for row in b_num]
                 # The products, the solve and the rescaling on raw values,

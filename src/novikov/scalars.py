@@ -47,8 +47,6 @@ from . import linalg
 
 __all__ = [
     "T",
-    "I",
-    "Rational",
     "ScalarError",
     "ZeroDenominatorError",
     "NumericDivisionError",
@@ -65,12 +63,6 @@ __all__ = [
 
 #: The distinguished degeneration variable.  Positive: t -> 0+ along the reals.
 T = sp.Symbol("t", positive=True)
-
-#: The imaginary unit of the Gaussian-rational constant field.
-I = sp.I
-
-#: Exact rational numbers (arbitrary-precision numerator/denominator).
-Rational = sp.Rational
 
 ScalarLike = Union[sp.Expr, int, str]
 

@@ -93,6 +93,9 @@ def test_check_witness_negative_control(cat):
     assert check_witness(cat, corrupted) == [
         {"witness": "X08", "problem": "structure constants differ",
          "at": [3, 1, 4], "extension": "2", "target": "1"}]
+    # a form that is not a cocycle fails with that one problem only
+    assert check_witness(cat, replace(w, cocycle_expr="D12 + D31 + D23")) == [
+        {"witness": "X08", "problem": "not a cocycle"}]
 
 
 def test_indistinguishable_pairs():
@@ -100,6 +103,12 @@ def test_indistinguishable_pairs():
     # the implemented invariants cannot separate these two; recorded, not failed
     assert ("N4_15", "N4_17") in pairs
     assert pairs == sorted(set(pairs)) and all(a < b for a, b in pairs)
+
+
+@pytest.mark.parametrize("dim, table", [(7, None), (0, None), (4, "dim3"), (3, "A")])
+def test_list_entries_refuses_an_empty_selection(cat, dim, table):
+    with pytest.raises(AlgebraError):
+        cat.list_entries(dim=dim, table=table)
 
 
 def test_catalog_purity_flags(cat):
@@ -121,7 +130,7 @@ def _one_param_entry(constraints=()):
     # constraint, and the sampler must still give up on one.
     a = replace(algebra("probe", 1, [(1, 1, 1, "alpha")], params=["alpha"]),
                 constraints=constraints)
-    return CatalogEntry("probe", "aux", "", False, a)
+    return CatalogEntry("probe", "aux", False, a)
 
 
 @pytest.mark.parametrize("entry, count", [

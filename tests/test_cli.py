@@ -66,6 +66,15 @@ def test_catalog_list_unknown_table_is_usage_error(capsys):
     assert code == 0 and "Ntriv_2" in out
 
 
+def test_catalog_list_empty_selection_is_usage_error(capsys):
+    code, out, err = run(capsys, "catalog", "list", "--dim", "7")
+    assert_usage_error(code, out, err, "no listing of dimension 7", "1, 2, 3, 4")
+    code, out, err = run(capsys, "catalog", "list", "--dim", "4", "--table", "dim3")
+    assert_usage_error(code, out, err, "table 'dim3' holds no algebra of dimension 4")
+    code, out, _ = run(capsys, "catalog", "list", "--table", "limit", "--dim", "4")
+    assert code == 0 and "Ntriv_2" in out and "Ntriv_3" in out
+
+
 def test_catalog_show_unicode_alias(capsys):
     code, out, _ = run(capsys, "catalog", "show", "𝒩⁴₂₀")
     assert code == 0 and "N4_20" in out

@@ -14,7 +14,7 @@ from novikov.algebras import AlgebraError, change_basis_table, derivation_dim
 from novikov.catalog import load
 from novikov import degeneration
 from novikov.degeneration import (DEFAULT_DIGITS, DEFAULT_SCHEDULE, DegenerationWitness,
-                                  TierError, _lu, _lu_solve, _num, apply_fallback,
+                                  TierError, _lu_solve, _num, apply_fallback,
                                   build_reachability,
                                   check_necessary, detect_tier, free_symbols_of,
                                   load_witnesses, verify_all, verify_exact,
@@ -306,34 +306,23 @@ def test_numeric_tier_reports_pivotless_basis_as_singular(cat):
 _LU_DPS = 140
 
 
-def _mp_lu(a):
-    """mpmath's own factorisation of the rows ``a``."""
-    return mpmath.mp.LU_decomp(mpmath.matrix(a))
-
-
-def _mp_lu_solve(lu, perm, b):
-    return mpmath.mp.U_solve(lu, mpmath.mp.L_solve(lu, mpmath.matrix(b), perm))
-
-
-def _assert_lu_as_mpmath(a, b):
-    """``_lu``/``_lu_solve`` give bit for bit what mpmath gives for the
-    rows ``a`` and the right-hand side ``b``, or both find ``a`` singular."""
-    with mpmath.mp.extraprec(10):
-        try:
-            want_lu, want_perm = _mp_lu(a)
-        except ZeroDivisionError:
-            with pytest.raises(ZeroDivisionError):
-                _lu(a)
-            return None
-        lu, perm = _lu(a)
-        want_x = _mp_lu_solve(want_lu, want_perm, b)
-        # _lu_solve runs on raw values at the working precision
-        x = _lu_solve([[v._mpc_ for v in row] for row in lu], perm,
-                      [mpmath.mpc(v)._mpc_ for v in b], mpmath.mp.prec)
+def _assert_lu_solve_as_mpmath(a, b):
+    """``_lu_solve`` on ``LU_decomp``'s factors of the rows ``a`` gives bit for
+    bit what ``L_solve`` then ``U_solve`` give for the right-hand side ``b``.
+    Returns the pivots, or None when ``a`` is singular."""
     n = len(a)
-    assert perm == want_perm
-    assert all(lu[i][j] == want_lu[i, j] for i in range(n) for j in range(n))
-    assert all(mpmath.mp.make_mpc(x[i]) == want_x[i] for i in range(n))
+    ctx = mpmath.mp
+    with ctx.extraprec(10):
+        try:
+            lu, perm = ctx.LU_decomp(ctx.matrix(a))
+        except (ZeroDivisionError, TypeError):
+            # TypeError: a column has no pivot candidate left
+            return None
+        want_x = ctx.U_solve(lu, ctx.L_solve(lu, ctx.matrix(b), perm))
+        # _lu_solve runs on raw values at the working precision
+        x = _lu_solve([[ctx.mpc(lu[i, j])._mpc_ for j in range(n)] for i in range(n)],
+                      perm, [ctx.mpc(v)._mpc_ for v in b], ctx.prec)
+    assert all(ctx.make_mpc(x[i]) == want_x[i] for i in range(n))
     return perm
 
 
@@ -356,13 +345,7 @@ def test_lu_matches_mpmath_bit_for_bit(entries, rhs):
     with mpmath.workdps(_LU_DPS):
         a = [[_gaussian_over(*e) for e in row] for row in entries]
         b = [_gaussian_over(*e) for e in rhs]
-        try:
-            _assert_lu_as_mpmath(a, b)
-        except TypeError:
-            # LU_decomp's own failure when a column has no pivot candidate;
-            # the list version reports that case as singular instead.
-            with pytest.raises(ZeroDivisionError):
-                _lu(a)
+        _assert_lu_solve_as_mpmath(a, b)
 
 
 def test_lu_matches_mpmath_with_row_swaps():
@@ -374,39 +357,8 @@ def test_lu_matches_mpmath_with_row_swaps():
             a = [[rand() for _ in range(4)] for _ in range(4)]
             a[0][0] = mpmath.mpc(0)          # the first step must swap
             b = [rand() for _ in range(4)]
-            perm = _assert_lu_as_mpmath(a, b)
+            perm = _assert_lu_solve_as_mpmath(a, b)
             assert perm[0] != 0
-
-
-def test_lu_keeps_the_first_of_tied_pivots():
-    # rows 1 and 2 tie for the first pivot (1/2 of each row's sum)
-    with mpmath.workdps(_LU_DPS):
-        a = [[mpmath.mpc(x) for x in row] for row in
-             [[1, 1, 0, 0], [2, 0, 2, 0], [0, 1, 1, 1], [0, 1, 0, 3]]]
-        b = [mpmath.mpc(k, 1) / 3 for k in range(4)]
-        assert _assert_lu_as_mpmath(a, b)[0] == 0
-
-
-def test_lu_singular_matrix_raises_like_mpmath():
-    rng = random.Random(11)
-    with mpmath.workdps(_LU_DPS):
-        row = [mpmath.mpc(rng.uniform(-1, 1), rng.uniform(-1, 1)) for _ in range(4)]
-        a = [row, [mpmath.mpc(1), 0, 0, 0], list(row), [0, 0, 0, mpmath.mpc(2)]]
-        with mpmath.mp.extraprec(10):
-            with pytest.raises(ZeroDivisionError):
-                _mp_lu(a)
-            with pytest.raises(ZeroDivisionError):
-                _lu(a)
-
-
-def test_lu_without_pivot_candidate_is_singular():
-    one, zero = mpmath.mpc(1), mpmath.mpc(0)
-    a = [[one, one, zero], [one, one, one], [zero, zero, one]]
-    with mpmath.workdps(_LU_DPS), mpmath.mp.extraprec(10):
-        with pytest.raises(TypeError):
-            _mp_lu(a)
-        with pytest.raises(ZeroDivisionError):
-            _lu(a)
 
 
 # ---------------------------------------------------------------------------

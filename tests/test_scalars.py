@@ -9,11 +9,12 @@ import mpmath
 import pytest
 import sympy as sp
 from hypothesis import given, settings, strategies as st
+from sympy import I, Rational
 
 from novikov import linalg
 from novikov.degeneration import (_num, _sample_conditions, free_symbols_of,
                                   load_witnesses)
-from novikov.scalars import (I, NumericDivisionError, ParseError, Rational, T, _Parser,
+from novikov.scalars import (NumericDivisionError, ParseError, T, _Parser,
                              ZeroDenominatorError, admissible_points,
                              grammar_str, is_root_free, parse_scalar,
                              random_rational, subs_map, substitute, vanishes)

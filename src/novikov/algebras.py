@@ -56,7 +56,6 @@ __all__ = [
     "derived_power_dims",
     "derivation_dim",
     "substitute",
-    "instantiate_table",
     "invariant_profile",
 ]
 
@@ -66,7 +65,11 @@ class AlgebraError(ValueError):
 
 
 class ConstraintViolation(AlgebraError):
-    """A parameter assignment hit a declared-nonzero constraint."""
+    """A parameter assignment hit a declared-nonzero ``constraint``."""
+
+    def __init__(self, message: str, constraint: sp.Expr):
+        super().__init__(message)
+        self.constraint = constraint
 
 
 @dataclass(frozen=True)
@@ -167,7 +170,9 @@ def _linear_coordinates(text: str, names: Sequence[str],
     leftover = terms.pop(sp.S.One, None)
     if not set(terms) <= set(syms) or leftover is not None and sp.cancel(leftover) != 0:
         return None
-    coords = [_cancelled(terms.get(s, sp.Integer(0))) for s in syms]
+    # A Rational is already in cancel form; most coefficients are.
+    coords = [c if c.is_Rational else sp.cancel(c)
+              for c in (terms.get(s, sp.Integer(0)) for s in syms)]
     if params is not None:
         declared = set(params)
         if any(not c.is_Rational and not c.free_symbols <= declared for c in coords):
@@ -481,45 +486,42 @@ def derivation_dim(a: Algebra, at: Mapping | None = None) -> int:
 
 
 def substitute(a: Algebra, at: Mapping) -> Algebra:
-    """Instantiate every declared parameter at exact values: the table of
-    :func:`instantiate_table`, each entry in ``cancel`` form.
+    """Instantiate every declared parameter of ``a`` at the values of ``at``:
+    numbers, or expressions that may hold ``t``, other symbols and roots (a
+    degeneration's source and target).  Each entry free of symbols is in
+    ``cancel`` form; the others are left as substituted.
 
     Raises :class:`AlgebraError` if the assignment names an undeclared
-    parameter or leaves one out, and :class:`ConstraintViolation` if a
-    declared-nonzero expression vanishes at the assignment.
+    parameter, leaves one out or puts a pole in an entry, and
+    :class:`ConstraintViolation` if a declared-nonzero expression vanishes at
+    the assignment (as a rational function, when the values hold symbols).
     """
     subs = scalars.subs_map(at)
     undeclared = sorted(str(s) for s in subs if s not in a.params)
     if undeclared:
         raise AlgebraError(f"{a.name}: undeclared parameters {undeclared}")
-    table = instantiate_table(a, subs)
+    missing = [str(p) for p in a.params if p not in subs]
+    if missing:
+        raise AlgebraError(f"missing assignment for {missing}")
     for cons in a.constraints:
         if scalars.vanishes(cons, subs):
             raise ConstraintViolation(
-                f"constraint violated: {grammar_str(cons)} = 0 for {a.name}")
+                f"constraint violated: {grammar_str(cons)} = 0 for {a.name}", cons)
     label = a.name + "(" + ", ".join(
         f"{p}={grammar_str(subs[p])}" for p in a.params) + ")" if a.params else a.name
+
+    def entry(x: sp.Expr) -> sp.Expr:
+        value = scalars.substitute(x, subs)
+        if value.is_Rational:
+            return value
+        if value.has(sp.zoo, sp.nan):
+            raise AlgebraError(f"{label}: structure constant {grammar_str(x)} has a pole")
+        # Callers convert a symbolic table to field elements or to numbers.
+        return value if value.free_symbols else sp.cancel(value)
+
     return Algebra(label, a.dim, (),
-                   tuple(tuple(tuple(map(_cancelled, row)) for row in plane)
-                         for plane in table), ())
-
-
-def _cancelled(x: sp.Expr) -> sp.Expr:
-    # A Rational is already in cancel form; most values at a rational point are.
-    return x if x.is_Rational else sp.cancel(x)
-
-
-def instantiate_table(a: Algebra, at: Mapping) -> Table:
-    """Like :func:`substitute` but unrestricted: values may involve t or new
-    symbols (parametrized-index degenerations, witness targets).  Checks only
-    that every parameter is assigned, no constraint: the degeneration
-    source's "not identically zero" check is done by its caller."""
-    subs = scalars.subs_map(at)
-    missing = [p for p in a.params if p not in subs]
-    if missing:
-        raise AlgebraError(f"missing assignment for {[str(m) for m in missing]}")
-    return tuple(tuple(tuple(scalars.substitute(x, subs) for x in row) for row in plane)
-                 for plane in a.table)
+                   tuple(tuple(tuple(map(entry, row)) for row in plane)
+                         for plane in a.table), ())
 
 
 def invariant_profile(a: Algebra, at: Mapping | None = None) -> InvariantProfile:

@@ -23,7 +23,7 @@ import sympy as sp
 
 from . import scalars
 from .algebras import (Algebra, AlgebraError, _table_differences, algebra_from_json,
-                       instantiate_table, invariant_profile, substitute)
+                       invariant_profile, substitute)
 from .cohomology import (ActionCase, CocycleError, central_extension,
                          cocycle_from_expr, has_trivial_intersection)
 from .scalars import grammar_str, parse_scalar
@@ -81,12 +81,9 @@ class Catalog:
         return self.entries[key]
 
     def get(self, name: str, params: Mapping | None = None) -> Algebra:
-        """Instantiated algebra; generic (symbolic) when params is None."""
-        entry = self.entry(name)
-        a = entry.algebra
-        if params:
-            return substitute(a, params)
-        return a
+        """Instantiated algebra; generic (symbolic) when params is empty."""
+        a = self.entry(name).algebra
+        return substitute(a, params) if params else a
 
     def list_entries(self, dim: int | None = None,
                      table: str | None = None) -> list[CatalogEntry]:
@@ -218,34 +215,26 @@ def list_entries(dim: int | None = None, table: str | None = None) -> list[Catal
 # Catalog checks
 # ---------------------------------------------------------------------------
 
-#: Draws :func:`_admissible_samples` makes before giving up.
-MAX_SAMPLE_ATTEMPTS = 1000
-
-
 def _admissible_samples(entry: CatalogEntry, rng, count: int) -> list[dict]:
     """``count`` distinct random rational points where no constraint vanishes.
 
-    Raises :class:`AlgebraError` after :data:`MAX_SAMPLE_ATTEMPTS` draws, e.g.
-    when the constraints reject every draw or ``count`` exceeds the number
-    of distinct draws.
+    Raises :class:`AlgebraError` when its stream of admissible points runs
+    dry (:data:`~novikov.scalars.MAX_DRAWS` draws), e.g. when the
+    constraints reject every draw or ``count`` exceeds the number of
+    distinct draws.
     """
     if not entry.algebra.params:
         return [{}]
     points = scalars.admissible_points(rng, entry.algebra.params,
-                                       entry.algebra.constraints, MAX_SAMPLE_ATTEMPTS)
-    out = []
-    seen = set()
+                                       entry.algebra.constraints)
+    out = {}        # the first draw of each distinct point, in draw order
     while len(out) < count:
         point = next(points, None)
         if point is None:
             raise AlgebraError(f"{entry.name}: found {len(out)} of {count} admissible "
-                               f"samples in {MAX_SAMPLE_ATTEMPTS} draws")
-        assign = {str(p): v for p, v in point.items()}
-        key = tuple(sorted((k, str(v)) for k, v in assign.items()))
-        if key not in seen:
-            seen.add(key)
-            out.append(assign)
-    return out
+                               f"samples in {scalars.MAX_DRAWS} draws")
+        out.setdefault(tuple(point.values()), {str(p): v for p, v in point.items()})
+    return list(out.values())
 
 
 def check_witness(cat: Catalog, w: ExtensionWitness) -> list[dict]:
@@ -262,7 +251,7 @@ def check_witness(cat: Catalog, w: ExtensionWitness) -> list[dict]:
     if not has_trivial_intersection(base, [theta]):
         failures.append({"witness": w.id,
                          "problem": "annihilator intersection nonzero"})
-    target = instantiate_table(cat.entry(w.target).algebra, w.target_params)
+    target = substitute(cat.entry(w.target).algebra, w.target_params).table
     if len(ext) != len(target):
         failures.append({"witness": w.id, "problem": "dimension mismatch"})
         return failures
@@ -277,8 +266,8 @@ def check_witness(cat: Catalog, w: ExtensionWitness) -> list[dict]:
     return failures
 
 
-def indistinguishable_pairs(samples: int = 3,
-                            seed: int = 20260810) -> list[tuple[str, str]]:
+def indistinguishable_pairs(
+        samples: int = 3, seed: int = scalars.DEFAULT_SEED) -> list[tuple[str, str]]:
     """Pairs of 4-dimensional or limit families that the implemented
     invariants cannot tell apart: their invariant profiles agree at the
     generic point (constant families) or at ``samples`` admissible points."""

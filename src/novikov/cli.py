@@ -13,16 +13,16 @@ import os
 import sys
 
 from . import acceptance
-from .algebras import (AlgebraError, algebra_from_json, check_identities,
-                       derivation_dim, invariant_profile, parse_vector,
-                       vector_str)
+from .algebras import (AlgebraError, algebra_from_json, annihilator_basis,
+                       check_identities, derivation_dim, invariant_profile,
+                       parse_vector, substitute, vector_str)
 from .catalog import canonical_name, load as load_catalog
 from .cohomology import (CocycleError, central_extension, cocycle_from_expr,
                          cocycle_from_json, cocycle_space, cocycle_to_json)
 from .degeneration import (DEFAULT_DIGITS, DEFAULT_SCHEDULE, build_reachability,
                            check_necessary, load_witnesses, verify_all,
                            verify_witness, witness_from_json)
-from .scalars import T, grammar_str, parse_scalar
+from .scalars import DEFAULT_SEED, T, grammar_str, parse_scalar
 
 PASS, FAIL, USAGE = 0, 1, 2
 
@@ -74,16 +74,11 @@ def _read_json(path: str):
 
 def _resolve(args):
     """Catalog name or JSON file path -> instantiated algebra."""
-    cat = load_catalog()
     params = _parse_params(getattr(args, "param", None))
-    name = args.name
-    if _is_file(name):
-        a = algebra_from_json(_read_json(name))
-        if params:
-            from .algebras import substitute
-            a = substitute(a, params)
-        return a
-    return cat.get(name, params or None)
+    if _is_file(args.name):
+        a = algebra_from_json(_read_json(args.name))
+        return substitute(a, params) if params else a
+    return load_catalog().get(args.name, params)
 
 
 def _profile_payload(a) -> dict:
@@ -110,7 +105,7 @@ def cmd_catalog(args) -> int:
             for e in entries])
         return PASS
     # show
-    a = cat.get(args.name, _parse_params(args.param) or None)
+    a = cat.get(args.name, _parse_params(args.param))
     entry = cat.entry(args.name)
     lines = [f"{a.name}  (dim {a.dim}, listing {entry.listing})"]
     products = []
@@ -128,7 +123,6 @@ def cmd_catalog(args) -> int:
 
 
 def cmd_check(args) -> int:
-    from .algebras import annihilator_basis
     a = _resolve(args)
     payload = _profile_payload(a)
     flags = check_identities(a)
@@ -144,7 +138,7 @@ def cmd_check(args) -> int:
 
 def cmd_cohomology(args) -> int:
     cat = load_catalog()
-    a = cat.get(args.name, _parse_params(args.param) or None)
+    a = cat.get(args.name, _parse_params(args.param))
     space = cocycle_space(a)
     z2, b2, h2 = space.dims
     payload = {"algebra": a.name, "dim_z2": z2, "dim_b2": b2, "dim_h2": h2,
@@ -171,7 +165,7 @@ def cmd_cohomology(args) -> int:
 
 def cmd_extend(args) -> int:
     cat = load_catalog()
-    a = cat.get(args.name, _parse_params(args.param) or None)
+    a = cat.get(args.name, _parse_params(args.param))
     thetas = []
     for spec_text in args.cocycle:
         if _is_file(spec_text):
@@ -212,7 +206,7 @@ def cmd_extend(args) -> int:
 
 def cmd_split(args) -> int:
     cat = load_catalog()
-    a = cat.get(args.name, _parse_params(args.param) or None)
+    a = cat.get(args.name, _parse_params(args.param))
     vectors = [parse_vector(text.strip(), a.dim, a.params)
                for text in args.subspace.split(",") if text.strip()]
     split, ok = acceptance.split_roundtrip(a, vectors)
@@ -304,10 +298,7 @@ def cmd_report(args) -> int:
     payload = {"config": {"digits": DEFAULT_DIGITS, "seed": args.seed},
                "criteria": [r.to_dict() for r in results],
                "passed": all(r.passed for r in results)}
-    if args.format == "json":
-        print(json.dumps(payload, indent=2, sort_keys=True, default=str))
-    else:
-        print("overall:", "PASS" if payload["passed"] else "FAIL")
+    _emit(args, payload, ["overall: " + ("PASS" if payload["passed"] else "FAIL")])
     return PASS if payload["passed"] else FAIL
 
 
@@ -321,7 +312,7 @@ def build_parser() -> argparse.ArgumentParser:
         description="Cohomology, central extensions and degeneration "
                     "verification for nilpotent Novikov algebras.")
     parser.add_argument("--format", choices=("text", "json"), default="text")
-    parser.add_argument("--seed", type=int, default=20260810,
+    parser.add_argument("--seed", type=int, default=DEFAULT_SEED,
                         help="seed for all sampled checks (reports are "
                              "byte-identical for a fixed seed)")
     sub = parser.add_subparsers(dest="command", required=True)

@@ -24,7 +24,7 @@ from . import linalg, scalars
 from .algebras import (Algebra, AlgebraError, Vector, _annihilator_rows,
                        _change_basis, _json_field, _linear_coordinates,
                        annihilator_basis, basis_vector, nonzero_constants)
-from .scalars import T, grammar_str, parse_scalar
+from .scalars import DEFAULT_SEED, T, grammar_str, parse_scalar
 
 __all__ = [
     "Cocycle",
@@ -416,7 +416,7 @@ class ActionCaseReport:
 
 
 def verify_action_formulas(case: ActionCase, samples: int = 20,
-                           seed: int = 20260810) -> ActionCaseReport:
+                           seed: int = DEFAULT_SEED) -> ActionCaseReport:
     """Check the published alpha -> alpha* formulas against direct conjugation.
 
     The template must be an automorphism of the base, generically.  The
@@ -434,11 +434,11 @@ def verify_action_formulas(case: ActionCase, samples: int = 20,
     n = a.dim
     if not is_automorphism(a, case.template):
         raise AlgebraError(f"{case.case_id}: template is not an automorphism")
-    rng = random.Random(seed)
     free_syms = list(case.template_vars) + list(case.coeff_vars) + list(a.params)
     # The template is polynomial, so its determinant at a point is the
     # generic determinant evaluated there.
-    nonzero = [*case.invertibility, *a.constraints, linalg.det(case.template)]
+    points = scalars.admissible_points(random.Random(seed), free_syms, [
+        *case.invertibility, *a.constraints, linalg.det(case.template)])
     field, (phi, nablas, coeffs, alpha, reading, slices) = linalg.to_field(
         case.template, [nab.matrix for nab in case.nablas], case.coeff_vars,
         case.alpha_star, [entry for _, _, entry in case.matrix_reading],
@@ -453,7 +453,7 @@ def verify_action_formulas(case: ActionCase, samples: int = 20,
     class_ok = True
 
     for _ in range(samples):
-        assign = next(scalars.admissible_points(rng, free_syms, nonzero, 200), None)
+        assign = next(points, None)
         if assign is None:
             raise AlgebraError(f"{case.case_id}: could not sample an invertible template")
         const, (slices_at, nablas_at, conj_at, alpha_at, reading_at) = linalg.evaluate(

@@ -19,6 +19,7 @@ through the witness's ``tier`` field.
 
 from __future__ import annotations
 
+import itertools
 import random
 from dataclasses import asdict, dataclass, field, replace
 from functools import lru_cache
@@ -30,11 +31,11 @@ from mpmath.libmp import (mpc_abs, mpc_add, mpc_div, mpc_div_mpf, mpc_mul,
                           mpc_mul_mpf, mpc_sub, mpc_zero, round_nearest)
 
 from . import linalg, scalars
-from .algebras import (AlgebraError, _change_basis, _json_field,
-                       _json_optional, derivation_dim, instantiate_table)
+from .algebras import (AlgebraError, ConstraintViolation, _change_basis,
+                       _json_field, _json_optional, derivation_dim, substitute)
 from .catalog import Catalog
-from .scalars import (T, NumericDivisionError, grammar_str, is_root_free,
-                      parse_scalar)
+from .scalars import (DEFAULT_SEED, T, NumericDivisionError, grammar_str,
+                      is_root_free, parse_scalar)
 
 __all__ = [
     "DegenerationWitness",
@@ -190,19 +191,11 @@ class WitnessReport:
 # ---------------------------------------------------------------------------
 
 def _source_table(cat: Catalog, w: DegenerationWitness):
-    name, param_map = w.source, w.source_params
-    entry = cat.entry(name)
-    source = entry.algebra
-    subs = scalars.subs_map(param_map)
-    for cons in source.constraints:
-        if scalars.vanishes(cons, subs):
-            raise AlgebraError(
-                f"{w.id}: source constraint {grammar_str(cons)} vanishes identically")
-    return instantiate_table(source, subs), name
-
-
-def _target_table(cat: Catalog, w: DegenerationWitness):
-    return instantiate_table(cat.entry(w.target).algebra, w.target_params)
+    try:
+        return substitute(cat.entry(w.source).algebra, w.source_params).table
+    except ConstraintViolation as exc:
+        raise AlgebraError(f"{w.id}: source constraint "
+                           f"{grammar_str(exc.constraint)} vanishes identically") from None
 
 
 # ---------------------------------------------------------------------------
@@ -219,11 +212,11 @@ def verify_exact(w: DegenerationWitness, cat: Catalog) -> WitnessReport:
     limit itself is built only for a failure's message."""
     if detect_tier(w) != "exact":
         raise TierError(f"{w.id}: radical-bearing witness; use verify_numeric")
-    table, source_name = _source_table(cat, w)
+    table = _source_table(cat, w)
     n = len(table)
     rows = [[parse_scalar(x) for x in row] for row in w.basis]
-    report = WitnessReport(w.id, source_name, w.target, "exact", True, note=w.note)
-    target = _target_table(cat, w)
+    report = WitnessReport(w.id, w.source, w.target, "exact", True, note=w.note)
+    target = substitute(cat.entry(w.target).algebra, w.target_params).table
     K, new_table, (target_k,) = _change_basis(table, rows, target)
     if new_table is None:
         report.passed = False
@@ -269,10 +262,6 @@ def _at_t_zero(poly, t_pos: int):
 # ---------------------------------------------------------------------------
 # Numeric tier
 # ---------------------------------------------------------------------------
-
-#: Draws for one admissible parameter point before giving up.
-SAMPLE_ATTEMPTS = 500
-
 
 def _check_samples(samples: int) -> None:
     """Reject a sample count below 1: no sampled point would be checked."""
@@ -362,7 +351,7 @@ def _lu_solve(lu: Sequence[Sequence], perm: Sequence[int], b: Sequence,
 
 def verify_numeric(w: DegenerationWitness, cat: Catalog,
                    digits: int = DEFAULT_DIGITS, samples: int = 3,
-                   seed: int = 20260810) -> WitnessReport:
+                   seed: int = DEFAULT_SEED) -> WitnessReport:
     """High-precision verification of radical-bearing witnesses on
     :data:`DEFAULT_SCHEDULE`.
 
@@ -372,16 +361,15 @@ def verify_numeric(w: DegenerationWitness, cat: Catalog,
     ``samples`` is below 1.
     """
     _check_samples(samples)
-    rng = random.Random(seed)
-    table, source_name = _source_table(cat, w)
-    target = _target_table(cat, w)
+    table = _source_table(cat, w)
+    target = substitute(cat.entry(w.target).algebra, w.target_params).table
     n = len(table)
     basis_rows = [[parse_scalar(x) for x in row] for row in w.basis]
-    report = WitnessReport(w.id, source_name, w.target, "numeric", True,
+    report = WitnessReport(w.id, w.source, w.target, "numeric", True,
                            heuristic=True, note=w.note)
     syms = free_symbols_of(w)
-    sample_count = samples if syms else 1
-    nonzero = _sample_conditions(w, cat)
+    points = itertools.repeat({}) if not syms else scalars.admissible_points(
+        random.Random(seed), syms, _sample_conditions(w, cat))
     floor = mpmath.mpf(10) ** (-sp.Rational(digits, 2))
     max_residual = mpmath.mpf(0)
     decay = None
@@ -389,9 +377,8 @@ def verify_numeric(w: DegenerationWitness, cat: Catalog,
     with mpmath.workdps(digits + 20):
         ctx, prec = mpmath.mp, mpmath.mp.prec
         slack = 1 + mpmath.mpf(10) ** -6      # rounded at this precision
-        for _ in range(sample_count):
-            assign = next(scalars.admissible_points(
-                rng, syms, nonzero, SAMPLE_ATTEMPTS), None) if syms else {}
+        for _ in range(samples if syms else 1):
+            assign = next(points, None)
             if assign is None:
                 raise AlgebraError(f"{w.id}: failed to sample admissible parameters")
             report.samples.append({str(k): grammar_str(v)
@@ -504,7 +491,7 @@ def apply_fallback(w: DegenerationWitness) -> DegenerationWitness:
 
 
 def verify_witness(w: DegenerationWitness, cat: Catalog,
-                   samples: int = 3, seed: int = 20260810) -> WitnessReport:
+                   samples: int = 3, seed: int = DEFAULT_SEED) -> WitnessReport:
     """Verify one witness, honoring the tier hint and the fallback protocol.
 
     A witness with a recorded fallback is always run literally first; only
@@ -541,7 +528,7 @@ def verify_witness(w: DegenerationWitness, cat: Catalog,
 
 
 def verify_all(cat: Catalog, samples: int = 3,
-               seed: int = 20260810) -> list[WitnessReport]:
+               seed: int = DEFAULT_SEED) -> list[WitnessReport]:
     return sorted((verify_witness(w, cat, samples, seed)
                    for w in load_witnesses(cat)), key=lambda r: r.id)
 
@@ -568,7 +555,7 @@ _DEFAULT_T_POOL = ("1/2", "1/3", "2/7", "3/5", "5/2")
 
 
 def check_necessary(w: DegenerationWitness, cat: Catalog,
-                    samples: int = 3, seed: int = 20260810) -> NecessaryReport:
+                    samples: int = 3, seed: int = DEFAULT_SEED) -> NecessaryReport:
     """Derivation-dimension necessary condition at sampled parameters.
 
     A row whose index is constant in t asserts a proper degeneration between
@@ -578,13 +565,18 @@ def check_necessary(w: DegenerationWitness, cat: Catalog,
     dimension: there the necessary condition is the weak inequality
     dim Der(source) <= dim Der(target) (equality occurs, e.g. when the
     target also realizes the minimal derivation dimension).  Identical
-    source and target are skipped.  Raises :class:`AlgebraError` when
-    ``samples`` is below 1.
+    source and target are skipped.
+
+    The points come from one stream of admissible points.  A point at which
+    a derivation dimension cannot be formed is skipped; if no point gives a
+    row, the report names the last such error as the cause.  A row without
+    free symbols stops at the first such point, which every later point
+    would repeat.  Raises :class:`AlgebraError` when ``samples`` is below 1,
+    or when the stream runs dry and no point was skipped.
     """
     _check_samples(samples)
     if w.source == w.target and not w.source_params:
         return NecessaryReport(w.id, w.source, w.target, True, True)
-    rng = random.Random(seed)
     source = cat.entry(w.source).algebra
     target = cat.entry(w.target).algebra
     syms = free_symbols_of(w)
@@ -592,59 +584,42 @@ def check_necessary(w: DegenerationWitness, cat: Catalog,
     t_pool = [sp.Rational(x) for x in (w.necessary_t or _DEFAULT_T_POOL)]
     mode = "weak-family-index" if uses_t else "strict"
     report = NecessaryReport(w.id, w.source, w.target, False, True, mode)
-    nonzero = _sample_conditions(w, cat)
+    points = itertools.repeat({}) if not syms else scalars.admissible_points(
+        random.Random(seed), syms, _sample_conditions(w, cat))
 
     made = 0
-    attempt = 0
     cause = None
-    while made < samples and attempt < 200:
-        attempt += 1
-        assign = next(scalars.admissible_points(
-            rng, syms, nonzero, SAMPLE_ATTEMPTS), None) if syms else {}
-        if assign is None:
-            raise AlgebraError(f"{w.id}: failed to sample admissible parameters")
+    for assign in points:
         t_val = t_pool[made % len(t_pool)] if uses_t else None
-
-        src_vals = {}
-        ok = True
-        for p, v in w.source_params.items():
-            value = scalars.substitute(parse_scalar(v), assign)
-            if t_val is not None:
-                value = scalars.substitute(value, {T: t_val})
-            if not value.is_Rational:
-                # nsimplify may rewrite an exact rational with radicals.
-                value = sp.nsimplify(value, rational=False)
-                if not is_root_free(value):
-                    ok = False
-                    break
-                value = sp.cancel(value)
-            src_vals[p] = value
-        if ok:
-            try:
-                d_src = derivation_dim(source, src_vals)
-                tgt_vals = {p: scalars.substitute(parse_scalar(v), assign)
-                            for p, v in w.target_params.items()}
-                d_tgt = derivation_dim(target, tgt_vals)
-            except AlgebraError as exc:
-                ok, cause = False, str(exc)
-        if not ok:
+        at = assign if t_val is None else {**assign, T: t_val}
+        src_vals = {p: scalars.substitute(parse_scalar(v), at)
+                    for p, v in w.source_params.items()}
+        try:
+            d_src = derivation_dim(source, src_vals)
+            d_tgt = derivation_dim(target, {p: scalars.substitute(parse_scalar(v), assign)
+                                            for p, v in w.target_params.items()})
+        except AlgebraError as exc:
+            cause = str(exc)
             if not syms:
-                break       # the next attempt would repeat this one
+                break       # the next point would repeat this one
             continue
         made += 1
         required_ok = d_src < d_tgt if mode == "strict" else d_src <= d_tgt
-        row = {"assignment": {str(k): grammar_str(v) for k, v in
-                              sorted(assign.items(), key=str)},
-               "t": grammar_str(t_val) if t_val is not None else None,
-               "source_params": {k: grammar_str(v) for k, v in sorted(src_vals.items())},
-               "dim_der_source": d_src, "dim_der_target": d_tgt,
-               "strict_increase": d_src < d_tgt,
-               "required_ok": required_ok}
-        report.rows.append(row)
+        report.rows.append({
+            "assignment": {str(k): grammar_str(v) for k, v in
+                           sorted(assign.items(), key=str)},
+            "t": grammar_str(t_val) if t_val is not None else None,
+            "source_params": {k: grammar_str(v) for k, v in sorted(src_vals.items())},
+            "dim_der_source": d_src, "dim_der_target": d_tgt,
+            "strict_increase": d_src < d_tgt,
+            "required_ok": required_ok})
         if not required_ok:
             report.passed = False
-        if not syms and not uses_t:
+        if made == samples or not (syms or uses_t):
             break
+    else:
+        if cause is None:
+            raise AlgebraError(f"{w.id}: failed to sample admissible parameters")
     if made == 0:
         report.passed = False
         report.rows.append({"problem": "no admissible sample found"}

@@ -51,6 +51,8 @@ __all__ = [
     "ZeroDenominatorError",
     "NumericDivisionError",
     "ParseError",
+    "DEFAULT_SEED",
+    "MAX_DRAWS",
     "parse_scalar",
     "grammar_str",
     "is_root_free",
@@ -166,7 +168,10 @@ class _Parser:
         base = self.base()
         if self.peek() == "^":
             self.next()
-            base = sp.Pow(base, self.integer())
+            exp = self.integer()
+            if exp < 0 and _is_zero_divisor(base):
+                raise ZeroDenominatorError("zero denominator")
+            base = sp.Pow(base, exp)
         return sign * base
 
     def integer(self) -> sp.Integer:
@@ -300,6 +305,12 @@ def vanishes(e: sp.Expr, m: Mapping[sp.Symbol, sp.Expr]) -> bool:
     return sp.cancel(substitute(e, m)) == 0
 
 
+#: The seed of every sampled check unless the caller gives another.
+DEFAULT_SEED = 20260810
+#: Draws one stream of :func:`admissible_points` makes before it runs dry.
+MAX_DRAWS = 1000
+
+
 def random_rational(rng: random.Random) -> sp.Rational:
     """num/den with num in +-1..9 and den in 1..7, drawn in that order."""
     num = rng.choice([n for n in range(-9, 10) if n != 0])
@@ -308,16 +319,16 @@ def random_rational(rng: random.Random) -> sp.Rational:
 
 
 def admissible_points(rng: random.Random, syms: Sequence[sp.Symbol],
-                      nonzero: Sequence[sp.Expr],
-                      attempts: int) -> Iterator[dict[sp.Symbol, sp.Rational]]:
+                      nonzero: Sequence[sp.Expr]) -> Iterator[dict[sp.Symbol, sp.Rational]]:
     """Random rational points ``{s: value}``, drawn in the order of ``syms``
-    at most ``attempts`` times; yields each draw at which no ``nonzero``
-    expression vanishes.  Callers give up when it runs dry.
+    at most :data:`MAX_DRAWS` times; yields each draw at which no
+    ``nonzero`` expression vanishes.  A sampled check takes all its points
+    from one such stream and gives up when it runs dry.
 
     The conditions are polynomials in ``syms``; they are converted to field
     elements once and only evaluated at each draw."""
     field, conditions = _condition_field(tuple(nonzero))
-    for _ in range(attempts):
+    for _ in range(MAX_DRAWS):
         point = {s: random_rational(rng) for s in syms}
         _, (values,) = linalg.evaluate(field, point, conditions)
         if all(values):
@@ -326,6 +337,7 @@ def admissible_points(rng: random.Random, syms: Sequence[sp.Symbol],
 
 @lru_cache(maxsize=256)
 def _condition_field(nonzero: tuple[sp.Expr, ...]) -> tuple[object, tuple]:
-    # Samplers restart with the same conditions for every point they need.
+    # A Table-B row's conditions are sampled by criteria 6 and 7 and by its
+    # fallback run; each family's by criteria 1 and 4.
     field, (conditions,) = linalg.to_field(nonzero)
     return field, tuple(conditions)

@@ -14,7 +14,7 @@ import pytest
 from novikov import acceptance
 from novikov.algebras import AlgebraError, basis_vector
 from novikov.catalog import load
-from novikov.cohomology import cocycle_space
+from novikov.cohomology import cocycle_space, verify_action_formulas
 
 
 @pytest.fixture(scope="module")
@@ -140,6 +140,19 @@ def test_cli_report_full_exits_zero():
     assert proc.returncode == 0, proc.stdout + proc.stderr
     assert proc.stdout.count("[PASS]") == 8
     assert "overall: PASS" in proc.stdout
+
+
+def test_seed_reaches_the_action_formula_check(monkeypatch):
+    seeds = []
+
+    def recording(case, samples=20, seed=None):
+        seeds.append(seed)
+        return verify_action_formulas(case, samples, seed)
+
+    monkeypatch.setattr(acceptance, "verify_action_formulas", recording)
+    cat = load()
+    assert acceptance.criterion_extension_witnesses(cat, seed=5).passed
+    assert seeds == [5] * len(cat.action_cases)
 
 
 #: Count and sha256 of the newline-joined names of the library calls that

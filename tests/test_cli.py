@@ -192,6 +192,14 @@ def test_witness_file_with_vanishing_source_constraint_is_usage_error(capsys, tm
     assert err == "error: W: source constraint alpha vanishes identically\n"
 
 
+def test_witness_file_with_undeclared_source_param_is_usage_error(capsys, tmp_path):
+    path = tmp_path / "w.json"
+    path.write_text(json.dumps({**_WITNESS, "source_params": {"beta": "1"}}))
+    code, out, err = run(capsys, "degenerate", "verify", "--row", str(path))
+    assert_usage_error(code, out, err)
+    assert err == "error: N4_09: undeclared parameters ['beta']\n"
+
+
 @pytest.mark.parametrize("fallback", [5, "x"])
 def test_witness_file_fallback_of_wrong_type_is_usage_error(capsys, tmp_path, fallback):
     path = tmp_path / "w.json"
@@ -306,6 +314,34 @@ def test_malformed_json_file_names_the_file(capsys, tmp_path, command):
 def test_param_with_free_symbol_is_usage_error(capsys, value, symbol):
     code, out, err = run(capsys, "check", "N4_20", "--param", f"alpha={value}")
     assert_usage_error(code, out, err, "--param alpha", f"free symbol {symbol}")
+
+
+@pytest.mark.parametrize("value", ["0^-1", "(1-1)^-1", "(alpha-alpha)^-1"])
+def test_param_with_negative_power_of_zero_is_usage_error(capsys, value):
+    code, out, err = run(capsys, "check", "N4_20", "--param", f"alpha={value}")
+    assert_usage_error(code, out, err, "zero denominator")
+
+
+@pytest.mark.parametrize("value", ["0^-1", "(1-1)^-1", "(a-a)^-1"])
+def test_algebra_file_with_negative_power_of_zero_is_usage_error(capsys, tmp_path,
+                                                                 value):
+    path = tmp_path / "alg.json"
+    path.write_text(json.dumps({"name": "x", "dim": 2, "params": ["a"],
+                                "products": [{"i": 1, "j": 1, "k": 2, "c": value}]}))
+    code, out, err = run(capsys, "check", str(path))
+    assert_usage_error(code, out, err, "zero denominator")
+
+
+def test_param_at_a_pole_of_an_algebra_file_is_usage_error(capsys, tmp_path):
+    path = tmp_path / "alg.json"
+    path.write_text(json.dumps({"name": "x", "dim": 2, "params": ["alpha"],
+                                "products": [{"i": 1, "j": 1, "k": 2,
+                                              "c": "1/alpha"}]}))
+    code, out, err = run(capsys, "check", str(path), "--param", "alpha=0")
+    assert_usage_error(code, out, err)
+    assert err == "error: x(alpha=0): structure constant alpha^-1 has a pole\n"
+    code, out, _ = run(capsys, "check", str(path), "--param", "alpha=2")
+    assert code == 0 and out.startswith("x(alpha=2): novikov=True")
 
 
 def test_repeated_param_is_usage_error(capsys):

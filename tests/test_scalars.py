@@ -2,6 +2,7 @@
 evaluation conventions, the field axioms, field arithmetic against
 ``cancel``, and the cross-check properties."""
 
+import itertools
 import operator
 import random
 
@@ -14,8 +15,8 @@ from sympy import I, Rational
 from novikov import linalg
 from novikov.degeneration import (_num, _sample_conditions, free_symbols_of,
                                   load_witnesses)
-from novikov.scalars import (NumericDivisionError, ParseError, T, _Parser,
-                             ZeroDenominatorError, admissible_points,
+from novikov.scalars import (MAX_DRAWS, NumericDivisionError, ParseError, T,
+                             _Parser, ZeroDenominatorError, admissible_points,
                              grammar_str, is_root_free, parse_scalar,
                              random_rational, subs_map, substitute, vanishes)
 
@@ -55,6 +56,18 @@ def test_parse_rejects_garbage():
 def test_parse_zero_denominator_rejected():
     with pytest.raises(ZeroDenominatorError):
         parse_scalar("1/(lam - lam)")
+
+
+@pytest.mark.parametrize("text", ["0^-1", "(1-1)^-1", "(alpha-alpha)^-1",
+                                  "2*(1-1)^-3"])
+def test_parse_negative_power_of_zero_rejected(text):
+    with pytest.raises(ZeroDenominatorError):
+        _Parser(text).parse()
+
+
+def test_parse_nonnegative_power_of_zero_is_kept():
+    assert parse_scalar("0^2") == 0 and parse_scalar("(alpha-alpha)^0") == 1
+    assert parse_scalar("lam^-2") == sp.Symbol("lam") ** -2
 
 
 @pytest.mark.parametrize("text, zero", [
@@ -268,7 +281,22 @@ def _sampled_condition_sets(cat):
 def test_admissible_points_draw_like_the_expression_sampler(cat, seed):
     rejected = 0
     for syms, nonzero in _sampled_condition_sets(cat):
-        got = list(admissible_points(random.Random(seed), syms, nonzero, 40))
-        assert got == list(_reference_points(random.Random(seed), syms, nonzero, 40))
-        rejected += 40 - len(got)
+        want = list(_reference_points(random.Random(seed), syms, nonzero, 40))
+        got = list(itertools.islice(
+            admissible_points(random.Random(seed), syms, nonzero), len(want)))
+        assert got == want       # the points of the first 40 draws
+        rejected += 40 - len(want)
     assert rejected > 0          # some condition really vanishes at some draw
+
+
+def test_admissible_points_stream_ends_after_max_draws():
+    class Counting(random.Random):
+        draws = 0
+
+        def randint(self, a, b):
+            self.draws += 1
+            return super().randint(a, b)
+
+    rng = Counting(0)
+    assert list(admissible_points(rng, [sp.Symbol("a")], [sp.Integer(0)])) == []
+    assert rng.draws == MAX_DRAWS

@@ -343,15 +343,23 @@ def _change_basis(table: Sequence, rows: Sequence[Sequence], *groups):
     """:func:`change_basis_table` on field elements.
 
     Converts ``table``, ``rows`` and any further ``groups`` of scalars into
-    one field and returns it, the new constants as its elements (``None``
-    when ``rows`` is singular) and the groups converted.
+    one field and returns it, the new constants as its elements from
+    :func:`_rebased` (``None`` when ``rows`` is singular) and the groups
+    converted.
     """
-    n = len(table)
     field, (tbl, rows, *groups) = linalg.to_field(table, rows, *groups)
+    return field, _rebased(field, nonzero_constants(tbl), rows), groups
+
+
+def _rebased(field, constants: Sequence, rows: Sequence[Sequence]) -> list | None:
+    """The dense table of the nonzero ``constants`` ``(i, j, k, c)`` in the
+    basis E_i = sum_j rows[i][j] e_j, all elements of ``field``; ``None``
+    when ``rows`` is singular.  The element kernel of a change of basis:
+    callers that hold converted constants call it without converting."""
+    n = len(rows)
     inv = linalg.invert(linalg.sparse(rows), field)
     if inv is None:
-        return field, None, groups
-    constants = nonzero_constants(tbl)
+        return None
     new = []
     for i in range(n):
         plane = []
@@ -364,13 +372,20 @@ def _change_basis(table: Sequence, rows: Sequence[Sequence], *groups):
                         w[k] += x * y
             plane.append(w)
         new.append(plane)
-    return field, new, groups
+    return new
 
 
 def _table_differences(table: Sequence, other: Sequence) -> list[tuple[int, int, int]]:
     """The places ``(i, j, k)``, in index order, where two tables of one
-    dimension differ, compared as elements after one conversion."""
+    dimension differ, compared as elements (:func:`_differences`) after one
+    conversion."""
     _, (x, y) = linalg.to_field(table, other)
+    return _differences(x, y)
+
+
+def _differences(x: Sequence, y: Sequence) -> list[tuple[int, int, int]]:
+    """The places ``(i, j, k)``, in index order, where two dense tables of
+    elements of one field and one dimension differ."""
     n = len(x)
     return [(i, j, k) for i in range(n) for j in range(n) for k in range(n)
             if x[i][j][k] - y[i][j][k]]
@@ -463,13 +478,32 @@ def derived_power_dims(a: Algebra) -> list[int]:
 def derivation_dim(a: Algebra, at: Mapping | None = None) -> int:
     """dim of {D : D(xy) = D(x)y + xD(y)}.
 
-    Generic over the parameter field when ``at`` is None, exact over Q(i)
-    at the assignment otherwise.
+    Generic over the parameter field when ``at`` is None or empty.
+    Otherwise ``at`` is a point of Q(i): every declared parameter has a
+    rational or Gaussian rational value.  The converted constants
+    (:attr:`Algebra.constants`) are evaluated there
+    (:func:`novikov.linalg.evaluate`) and the system is ranked over Q or
+    Q(i); no table is substituted or converted.  An undeclared or missing
+    parameter, a violated constraint and a pole raise what
+    :func:`substitute` raises, and a value outside Q(i) raises
+    :class:`AlgebraError` naming it.
     """
+    field, constants = a.constants
     if at:
-        a = substitute(a, at)
+        subs = _checked_assignment(a, at)
+        try:
+            _, (values,) = linalg.evaluate(field, subs, [c for *_, c in constants])
+        except ValueError as exc:
+            raise AlgebraError(f"{_instance_label(a, subs)}: {exc}") from None
+        except ZeroDivisionError:
+            for i, j, k, c in constants:
+                try:
+                    linalg.evaluate(field, subs, [c])
+                except ZeroDivisionError:
+                    raise _pole(a, subs, a.table[i][j][k]) from None
+            raise
+        constants = [(i, j, k, v) for (i, j, k, _), v in zip(constants, values) if v]
     n = a.dim
-    _, constants = a.constants
     # Row (i, j, m) is the e_m coefficient of D(e_i e_j) - D(e_i) e_j - e_i D(e_j),
     # over the unknowns d_pq (D e_p = sum_q d_pq e_q) at column p*n + q.
     terms = []
@@ -485,17 +519,11 @@ def derivation_dim(a: Algebra, at: Mapping | None = None) -> int:
     return n * n - linalg.rank(linalg.sparse_rows(terms))
 
 
-def substitute(a: Algebra, at: Mapping) -> Algebra:
-    """Instantiate every declared parameter of ``a`` at the values of ``at``:
-    numbers, or expressions that may hold ``t``, other symbols and roots (a
-    degeneration's source and target).  Each entry free of symbols is in
-    ``cancel`` form; the others are left as substituted.
-
-    Raises :class:`AlgebraError` if the assignment names an undeclared
-    parameter, leaves one out or puts a pole in an entry, and
-    :class:`ConstraintViolation` if a declared-nonzero expression vanishes at
-    the assignment (as a rational function, when the values hold symbols).
-    """
+def _checked_assignment(a: Algebra, at: Mapping) -> dict:
+    """The :func:`~novikov.scalars.subs_map` of ``at``, after the checks
+    :func:`substitute` and :func:`derivation_dim` share: it names every
+    declared parameter of ``a`` and no other, and no declared-nonzero
+    constraint vanishes at it."""
     subs = scalars.subs_map(at)
     undeclared = sorted(str(s) for s in subs if s not in a.params)
     if undeclared:
@@ -507,19 +535,43 @@ def substitute(a: Algebra, at: Mapping) -> Algebra:
         if scalars.vanishes(cons, subs):
             raise ConstraintViolation(
                 f"constraint violated: {grammar_str(cons)} = 0 for {a.name}", cons)
-    label = a.name + "(" + ", ".join(
+    return subs
+
+
+def _instance_label(a: Algebra, subs: Mapping) -> str:
+    """The name of ``a`` at a checked assignment, e.g. ``N4_20(alpha=2)``."""
+    return a.name + "(" + ", ".join(
         f"{p}={grammar_str(subs[p])}" for p in a.params) + ")" if a.params else a.name
+
+
+def _pole(a: Algebra, subs: Mapping, x: sp.Expr) -> AlgebraError:
+    return AlgebraError(f"{_instance_label(a, subs)}: structure constant "
+                        f"{grammar_str(x)} has a pole")
+
+
+def substitute(a: Algebra, at: Mapping) -> Algebra:
+    """Instantiate every declared parameter of ``a`` at the values of ``at``:
+    numbers, or expressions that may hold ``t``, other symbols and roots (a
+    degeneration's source and target).  Each entry free of symbols is in
+    ``cancel`` form; the others are left as substituted.
+
+    Raises :class:`AlgebraError` if the assignment names an undeclared
+    parameter, leaves one out or puts a pole in an entry, and
+    :class:`ConstraintViolation` if a declared-nonzero expression vanishes at
+    the assignment (as a rational function, when the values hold symbols).
+    """
+    subs = _checked_assignment(a, at)
 
     def entry(x: sp.Expr) -> sp.Expr:
         value = scalars.substitute(x, subs)
         if value.is_Rational:
             return value
         if value.has(sp.zoo, sp.nan):
-            raise AlgebraError(f"{label}: structure constant {grammar_str(x)} has a pole")
+            raise _pole(a, subs, x)
         # Callers convert a symbolic table to field elements or to numbers.
         return value if value.free_symbols else sp.cancel(value)
 
-    return Algebra(label, a.dim, (),
+    return Algebra(_instance_label(a, subs), a.dim, (),
                    tuple(tuple(tuple(map(entry, row)) for row in plane)
                          for plane in a.table), ())
 

@@ -21,11 +21,11 @@ from typing import Mapping
 
 import sympy as sp
 
-from . import scalars
-from .algebras import (Algebra, AlgebraError, _table_differences, algebra_from_json,
-                       invariant_profile, substitute)
-from .cohomology import (ActionCase, CocycleError, central_extension,
-                         cocycle_from_expr, has_trivial_intersection)
+from . import linalg, scalars
+from .algebras import (Algebra, AlgebraError, _differences, algebra_from_json,
+                       invariant_profile, nonzero_constants, substitute)
+from .cohomology import (ActionCase, _intersection_trivial, _satisfies_conditions,
+                         cocycle_from_expr)
 from .scalars import grammar_str, parse_scalar
 
 __all__ = [
@@ -239,28 +239,45 @@ def _admissible_samples(entry: CatalogEntry, rng, count: int) -> list[dict]:
 
 def check_witness(cat: Catalog, w: ExtensionWitness) -> list[dict]:
     """A witness must be a cocycle with trivial annihilator intersection whose
-    extension has exactly the target's structure constants."""
-    failures = []
+    extension has exactly the target's structure constants.
+
+    The base table, the cocycle and the target table are converted into one
+    field in a single :func:`novikov.linalg.to_field` call.  The cocycle
+    condition, Ann(theta) ∩ Ann(A) = 0 and the comparison with the target
+    run on those elements, through the kernels of :func:`is_cocycle`,
+    :func:`has_trivial_intersection` and
+    :func:`~novikov.algebras._table_differences`; the extension is formed
+    as elements only.  A form that is not a cocycle is the one failure;
+    otherwise a nonzero intersection, then a dimension mismatch (which
+    ends the check) or each differing constant, in index order.
+    """
     base = cat.get(w.base, w.base_params)
     theta = cocycle_from_expr(base, w.cocycle_expr)
-    try:
-        ext = central_extension(base, [theta]).result.table
-    except CocycleError:
-        failures.append({"witness": w.id, "problem": "not a cocycle"})
-        return failures
-    if not has_trivial_intersection(base, [theta]):
+    target = substitute(cat.entry(w.target).algebra, w.target_params).table
+    field, (table, matrix, other) = linalg.to_field(base.table, theta.matrix, target)
+    n = base.dim
+    constants = nonzero_constants(table)
+    if not _satisfies_conditions(field, constants, matrix):
+        return [{"witness": w.id, "problem": "not a cocycle"}]
+    failures = []
+    if not _intersection_trivial(field, n, constants, [matrix]):
         failures.append({"witness": w.id,
                          "problem": "annihilator intersection nonzero"})
-    target = substitute(cat.entry(w.target).algebra, w.target_params).table
-    if len(ext) != len(target):
+    if len(other) != n + 1:
         failures.append({"witness": w.id, "problem": "dimension mismatch"})
         return failures
-    for i, j, k in _table_differences(ext, target):
+    # e_i e_j = sum_k c_ij^k e_k + theta(e_i, e_j) e_(n+1); e_(n+1) is central.
+    zero = [field.zero] * (n + 1)
+    ext = [[[*table[i][j], matrix[i][j]] for j in range(n)] + [zero] for i in range(n)]
+    ext.append([zero] * (n + 1))
+    for i, j, k in _differences(ext, other):
+        written = (sp.Integer(0) if i == n or j == n
+                   else theta.matrix[i][j] if k == n else base.table[i][j][k])
         failures.append({
             "witness": w.id,
             "problem": "structure constants differ",
             "at": [i + 1, j + 1, k + 1],
-            "extension": grammar_str(ext[i][j][k]),
+            "extension": grammar_str(written),
             "target": grammar_str(target[i][j][k]),
         })
     return failures

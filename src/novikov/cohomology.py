@@ -22,8 +22,8 @@ import sympy as sp
 
 from . import linalg, scalars
 from .algebras import (Algebra, AlgebraError, Vector, _annihilator_rows,
-                       _change_basis, _json_field, _linear_coordinates,
-                       annihilator_basis, basis_vector, nonzero_constants)
+                       _change_basis, _json_field, _linear_coordinates, _rebased,
+                       basis_vector, nonzero_constants)
 from .scalars import DEFAULT_SEED, T, grammar_str, parse_scalar
 
 __all__ = [
@@ -182,9 +182,15 @@ def is_cocycle(a: Algebra, theta: Cocycle) -> bool:
     if theta.algebra.dim != a.dim:
         raise CocycleError("dimension mismatch")
     field, (table, matrix) = linalg.to_field(a.table, theta.matrix)
+    return _satisfies_conditions(field, nonzero_constants(table), matrix)
+
+
+def _satisfies_conditions(field, constants: Sequence, matrix: Sequence) -> bool:
+    """:func:`is_cocycle` on elements of ``field``: the nonzero constants
+    ``(i, j, k, c)`` and the n x n matrix of a form."""
     vec = [x for row in matrix for x in row]
     return not any(sum((x * vec[col] for col, x in row.items()), field.zero)
-                   for row in _condition_rows(a.dim, nonzero_constants(table)))
+                   for row in _condition_rows(len(matrix), constants))
 
 
 def coboundary_matrices(a: Algebra) -> list[Cocycle]:
@@ -251,8 +257,15 @@ def has_trivial_intersection(a: Algebra, thetas: Sequence[Cocycle]) -> bool:
     if any(theta.algebra.dim != n for theta in thetas):
         raise CocycleError("dimension mismatch")
     field, (table, matrices) = linalg.to_field(a.table, [theta.matrix for theta in thetas])
+    return _intersection_trivial(field, n, nonzero_constants(table), matrices)
+
+
+def _intersection_trivial(field, n: int, constants: Sequence, matrices: Sequence) -> bool:
+    """:func:`has_trivial_intersection` on elements of ``field``: the
+    nonzero constants ``(i, j, k, c)`` of an n-dimensional algebra and the
+    matrices of the forms."""
     vectors = (linalg.nullspace(_form_annihilator_rows(matrices, n), n, field)
-               + linalg.nullspace(_annihilator_rows(nonzero_constants(table)), n, field))
+               + linalg.nullspace(_annihilator_rows(constants), n, field))
     return linalg.rank(vectors) == len(vectors)
 
 
@@ -309,9 +322,11 @@ def split_central_extension(a: Algebra, w_vectors: Sequence[Sequence]) -> SplitE
     recovered cocycles, and the full change-of-basis rows (complement vectors
     first, then the W vectors).  Rebuilding with
     :func:`central_extension` reproduces A's constants in that basis.
-    W ⊆ Ann(A) is decided exactly, so every product with a W vector is zero
-    in that basis; of the new constants, which one change of basis gives as
-    field elements, only the quotient and cocycle entries are converted.
+    The table and W are converted into one field once.  W ⊆ Ann(A) is
+    decided exactly on the annihilator's null vectors over that field, so
+    every product with a W vector is zero in the new basis; the change of
+    basis (:func:`novikov.algebras._rebased`) runs on the same elements, and
+    only the quotient and cocycle entries are converted back.
     """
     n = a.dim
     w_rows = [[sp.cancel(sp.sympify(x)) for x in w] for w in w_vectors]
@@ -320,16 +335,18 @@ def split_central_extension(a: Algebra, w_vectors: Sequence[Sequence]) -> SplitE
         raise AlgebraError("W must have dimension >= 1")
     if any(len(w) != n for w in w_rows):
         raise AlgebraError(f"W vectors must have {n} entries")
-    _, (ann, w_elems) = linalg.to_field(annihilator_basis(a), w_rows)
-    ann, w_elems = linalg.sparse(ann), linalg.sparse(w_elems)
-    if linalg.rank(ann + w_elems) > len(ann):
+    field, (table, w_elems) = linalg.to_field(a.table, w_rows)
+    constants = nonzero_constants(table)
+    ann = linalg.nullspace(_annihilator_rows(constants), n, field)
+    w_sparse = linalg.sparse(w_elems)
+    if linalg.rank(ann + w_sparse) > len(ann):
         raise AlgebraError("W not contained in Ann")
-    pivots = linalg.rref(w_elems)[1]
+    pivots = linalg.rref(w_sparse)[1]
     if len(pivots) != s:
         raise AlgebraError("W vectors are dependent")
     complement = [j for j in range(n) if j not in pivots]
-    rows = [basis_vector(n, j) for j in complement] + [tuple(w) for w in w_rows]
-    field, new, _ = _change_basis(a.table, rows)
+    units = [[field.one if k == j else field.zero for k in range(n)] for j in complement]
+    new = _rebased(field, constants, units + w_elems)
     m = n - s
     new_table = [[[linalg.to_expr(field, x) for x in new[i][j]] for j in range(m)]
                  for i in range(m)]
@@ -340,7 +357,8 @@ def split_central_extension(a: Algebra, w_vectors: Sequence[Sequence]) -> SplitE
         Cocycle(quotient, tuple(tuple(new_table[i][j][m + r] for j in range(m))
                                 for i in range(m)))
         for r in range(s))
-    return SplitExtension(quotient, thetas, tuple(tuple(r) for r in rows))
+    rows = [basis_vector(n, j) for j in complement] + [tuple(w) for w in w_rows]
+    return SplitExtension(quotient, thetas, tuple(rows))
 
 
 # ---------------------------------------------------------------------------

@@ -567,7 +567,9 @@ def check_necessary(w: DegenerationWitness, cat: Catalog,
     target also realizes the minimal derivation dimension).  Identical
     source and target are skipped.
 
-    The points come from one stream of admissible points.  A point at which
+    The points come from one stream of admissible points.  A side whose
+    parameter values hold no free symbol and no t has its derivation
+    dimension formed once per call, not once per point.  A point at which
     a derivation dimension cannot be formed is skipped; if no point gives a
     row, the report names the last such error as the cause.  A row without
     free symbols stops at the first such point, which every later point
@@ -586,6 +588,25 @@ def check_necessary(w: DegenerationWitness, cat: Catalog,
     report = NecessaryReport(w.id, w.source, w.target, False, True, mode)
     points = itertools.repeat({}) if not syms else scalars.admissible_points(
         random.Random(seed), syms, _sample_conditions(w, cat))
+    point_free = {side: not any(parse_scalar(v).free_symbols for v in params.values())
+                  for side, params in (("source", w.source_params),
+                                       ("target", w.target_params))}
+    fixed: dict = {}    # side -> the dimension or AlgebraError of a point-free side
+
+    def dim_der(side: str, a, values: dict) -> int:
+        # derivation_dim, formed once per call for a side no point moves
+        if side in fixed:
+            result = fixed[side]
+        else:
+            try:
+                result = derivation_dim(a, values)
+            except AlgebraError as exc:
+                result = exc
+            if point_free[side]:
+                fixed[side] = result
+        if isinstance(result, AlgebraError):
+            raise result
+        return result
 
     made = 0
     cause = None
@@ -595,9 +616,10 @@ def check_necessary(w: DegenerationWitness, cat: Catalog,
         src_vals = {p: scalars.substitute(parse_scalar(v), at)
                     for p, v in w.source_params.items()}
         try:
-            d_src = derivation_dim(source, src_vals)
-            d_tgt = derivation_dim(target, {p: scalars.substitute(parse_scalar(v), assign)
-                                            for p, v in w.target_params.items()})
+            d_src = dim_der("source", source, src_vals)
+            d_tgt = dim_der("target", target,
+                            {p: scalars.substitute(parse_scalar(v), assign)
+                             for p, v in w.target_params.items()})
         except AlgebraError as exc:
             cause = str(exc)
             if not syms:

@@ -29,7 +29,7 @@ back as expressions scaled by the lcm of their denominators.
 :func:`subspace_equal` compares the spans of two lists of expression
 vectors with one conversion and three ranks, and :func:`det` gives the
 determinant of a dense expression matrix.  :func:`evaluate` gives the
-values of elements at a rational point, in the constant field ``QQ`` or
+values of elements at a point of Q(i), in the constant field ``QQ`` or
 ``QQ_I``, with no expression work.
 """
 
@@ -101,22 +101,29 @@ def _nested(f, x):
 
 def evaluate(field, point, *groups) -> tuple[object, list]:
     """The elements of ``field`` in nested ``groups`` at ``point``, a map
-    ``{symbol: rational}`` that gives every generator of ``field`` a value.
+    ``{symbol: value}`` that gives every generator of ``field`` a value in
+    Q(i): a sympy ``Rational`` or a Gaussian rational such as ``i/2``.
 
-    Returns the constant field (``QQ`` or ``QQ_I``) and the values, in the
-    groups' nesting.  Each numerator and denominator is summed term by term,
-    its ground coefficients (``ZZ`` or ``ZZ_I``) times values of the
-    constant field: ``PolyElement.evaluate`` wants values in the ground
-    domain, so it fails for ``ZZ(x)`` at 1/2.  A pole at ``point`` raises
-    ``ZeroDivisionError``.
+    Returns the constant field and the values, in the groups' nesting.  The
+    constant field is ``QQ_I`` when ``field`` has Gaussian coefficients or a
+    value has a nonzero imaginary part, so a Gaussian point over a real
+    field is allowed; otherwise it is ``QQ``.  Each numerator and
+    denominator is summed term by term, its ground coefficients (``ZZ`` or
+    ``ZZ_I``) times values of the constant field: ``PolyElement.evaluate``
+    wants values in the ground domain, so it fails for ``ZZ(x)`` at 1/2.
+    A value outside Q(i) raises ``ValueError`` naming it, and a pole at
+    ``point`` raises ``ZeroDivisionError``.
     """
+    parts = {s: _gaussian_parts(s, v) for s, v in point.items()}
     if not field.is_FractionField:
         return field, [_nested(lambda x: x, g) for g in groups]
-    const = field.domain.get_field()
     missing = [s for s in field.symbols if s not in point]
     if missing:
         raise ValueError(f"no value for {', '.join(map(str, missing))}")
-    values = [const.from_sympy(point[s]) for s in field.symbols]
+    const = field.domain.get_field()
+    if const.is_QQ and any(parts[s][1] for s in field.symbols):
+        const = sp.QQ_I
+    values = [const(*parts[s]) if const.is_QQ_I else parts[s][0] for s in field.symbols]
 
     def at(poly):
         total = const.zero
@@ -129,6 +136,16 @@ def evaluate(field, point, *groups) -> tuple[object, list]:
 
     return const, [_nested(lambda x: at(x.numer) / at(x.denom) if x else const.zero, g)
                    for g in groups]
+
+
+def _gaussian_parts(symbol, value) -> tuple:
+    # The real and imaginary parts of a value in Q(i), as QQ elements.
+    if isinstance(value, sp.Rational):
+        return sp.QQ(value.p, value.q), sp.QQ.zero
+    re, im = sp.sympify(value).as_real_imag()
+    if not (re.is_Rational and im.is_Rational):
+        raise ValueError(f"value {value} of {symbol} is not in Q(i)")
+    return sp.QQ(re.p, re.q), sp.QQ(im.p, im.q)
 
 
 def to_expr(field, x) -> sp.Expr:

@@ -51,6 +51,8 @@ __all__ = [
     "ZeroDenominatorError",
     "NumericDivisionError",
     "ParseError",
+    "MAX_POWER_BITS",
+    "MAX_POWER_DEGREE",
     "DEFAULT_SEED",
     "MAX_DRAWS",
     "parse_scalar",
@@ -105,6 +107,12 @@ def _tokenize(text: str) -> list[str]:
         tokens.append(m.group(0).strip())
         pos = m.end()
     return [tok for tok in tokens if tok]
+
+
+#: Largest estimated size, in bits, of a power the parser builds.
+MAX_POWER_BITS = 65536
+#: Largest exponent of a symbol the parser lets a power fold to.
+MAX_POWER_DEGREE = 10000
 
 
 class _Parser:
@@ -171,8 +179,34 @@ class _Parser:
             exp = self.integer()
             if exp < 0 and _is_zero_divisor(base):
                 raise ZeroDenominatorError("zero denominator")
+            self.check_power(base, exp)
             base = sp.Pow(base, exp)
         return sign * base
+
+    def check_power(self, base: sp.Expr, exp: sp.Integer) -> None:
+        """Refuse a power too large to build, before sympy builds it, with
+        :class:`ParseError`.  A base with symbols may fold to a degree of at
+        most :data:`MAX_POWER_DEGREE`: sympy folds ``(alpha^1000)^1000`` into
+        ``alpha^1000000``, so the largest integer exponent inside the base
+        counts too.  Any base but 0, 1 and -1 is estimated at the largest
+        bit length of the numbers in it (at least 1), and that times
+        ``|exp|`` may be at most :data:`MAX_POWER_BITS`.  Every power is
+        checked as it is parsed, so nested powers such as ``(2^1000)^1000``
+        are refused too."""
+        n = abs(int(exp))
+        if base.free_symbols:
+            degree = n * max((abs(int(p.exp)) for p in base.atoms(sp.Pow)
+                              if p.exp.is_Integer), default=1)
+            if degree > MAX_POWER_DEGREE:
+                raise ParseError(f"power of degree {degree} exceeds the limit "
+                                 f"{MAX_POWER_DEGREE} in {self.text!r}")
+        if base.is_Integer and abs(base) <= 1:
+            return
+        bits = n * max((max(abs(r.p), r.q).bit_length() for r in base.atoms(sp.Rational)),
+                       default=1)
+        if bits > MAX_POWER_BITS:
+            raise ParseError(f"power of about {bits} bits exceeds the limit "
+                             f"{MAX_POWER_BITS} in {self.text!r}")
 
     def integer(self) -> sp.Integer:
         sign = 1

@@ -153,7 +153,9 @@ def h2_rep_count(tbl):
     return rank_frac(z2 + slices) - rank_frac(slices)
 
 
-def derivation_dim_frac(tbl):
+def _derivation_rows(tbl):
+    """Row (i, j, m) of D(e_i e_j) = D(e_i) e_j + e_i D(e_j) over the
+    unknowns d_pq at column p*n + q; linear in the table's entries."""
     n = len(tbl)
     rows = []
     for i, j, m in product(range(n), repeat=3):
@@ -164,9 +166,25 @@ def derivation_dim_frac(tbl):
             row[i * n + p] -= tbl[p][j][m]
         for q in range(n):
             row[j * n + q] -= tbl[i][q][m]
-        if any(row):
-            rows.append(row)
-    return n * n - rank_frac(rows)
+        rows.append(row)
+    return rows
+
+
+def derivation_dim_frac(tbl):
+    n = len(tbl)
+    return n * n - rank_frac([row for row in _derivation_rows(tbl) if any(row)])
+
+
+def derivation_dim_gaussian(re, im):
+    """The derivation dimension over Q(i) of the table ``re + i*im`` (two
+    tables of rationals).  The system is A + iB with A and B the systems
+    of ``re`` and ``im``, and a complex matrix A + iB has half the rank of
+    the rational matrix [[A, -B], [B, A]]."""
+    n = len(re)
+    a, b = _derivation_rows(re), _derivation_rows(im)
+    rows = ([ra + [-x for x in rb] for ra, rb in zip(a, b)]
+            + [rb + ra for ra, rb in zip(a, b)])
+    return n * n - rank_frac(rows) // 2
 
 
 def identity_flags(tbl):

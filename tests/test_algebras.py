@@ -18,6 +18,7 @@ from novikov.catalog import _admissible_samples
 from novikov.cohomology import cocycle_space
 from novikov.scalars import random_rational
 from oracle import (annihilator_dim, cocycle_space_dims, derivation_dim_frac,
+                    derivation_dim_gaussian,
                     derived_dims, h2_rep_count, identity_flags, random_products,
                     table)
 from test_kernel import product
@@ -230,6 +231,66 @@ def test_generic_derivation_dim_bounds_samples(cat):
 def test_derivation_constraint_violation(cat):
     with pytest.raises(ConstraintViolation):
         derivation_dim(cat.get("N3s_04"), {"lam": 0})
+
+
+def _parts_table(a):
+    """The real and imaginary parts of a table of Q(i) values, as two
+    tables of Fractions."""
+    parts = [[[sp.sympify(x).as_real_imag() for x in row] for row in plane]
+             for plane in a.table]
+    return tuple([[[Fraction(str(p[r])) for p in row] for row in plane]
+                  for plane in parts] for r in (0, 1))
+
+
+def test_derivation_dim_at_points_matches_oracle(cat):
+    # Every parametrized family at three sampled rational points and at one
+    # Gaussian point, against the Fraction oracle on the substituted table.
+    rng = random.Random(7)
+    families = [entry for entry in cat.entries.values() if entry.algebra.params]
+    assert len(families) == 9
+    for entry in families:
+        a = entry.algebra
+        gaussian = {str(p): sp.Rational(2, 3) + k + sp.I / 5
+                    for k, p in enumerate(a.params)}
+        for at in _admissible_samples(entry, rng, 3) + [gaussian]:
+            re, im = _parts_table(substitute(a, at))
+            want = (derivation_dim_gaussian(re, im) if at is gaussian
+                    else derivation_dim_frac(re))
+            assert derivation_dim(a, at) == want, (entry.name, at)
+
+
+def _raised(fn, a, at):
+    with pytest.raises(AlgebraError) as info:
+        fn(a, at)
+    return type(info.value), str(info.value)
+
+
+@pytest.mark.parametrize("products, params, constraints, at", [
+    ([(1, 1, 2, "lam")], ["lam"], ["lam"], {"lam": 0}),              # constraint zero
+    ([(1, 1, 2, "1/(a-1)"), (1, 2, 2, "a")], ["a"], [], {"a": 1}),   # pole
+    ([(1, 1, 2, "a^2/(a^2+1)")], ["a"], [], {"a": "i"}),             # Gaussian pole
+    ([(1, 1, 2, "a")], ["a"], [], {"b": 1}),                         # undeclared
+    ([(1, 1, 2, "a*b")], ["a", "b"], [], {"a": 1}),                  # missing
+], ids=["constraint", "pole", "gaussian-pole", "undeclared", "missing"])
+def test_derivation_dim_raises_what_substitute_raises(products, params, constraints, at):
+    a = algebra("x", 2, products, params=params, constraints=constraints)
+    assert _raised(derivation_dim, a, at) == _raised(substitute, a, at)
+
+
+def test_derivation_dim_pole_names_the_structure_constant():
+    a = algebra("x", 2, [(1, 1, 2, "1/(a-1)"), (1, 2, 2, "a")], params=["a"])
+    with pytest.raises(AlgebraError) as info:
+        derivation_dim(a, {"a": 1})
+    assert str(info.value) == "x(a=1): structure constant (a - 1)^-1 has a pole"
+
+
+@pytest.mark.parametrize("value", ["root(2, 2)", "root(3, 2) + i", "beta", "t"])
+def test_derivation_dim_refuses_a_point_outside_q_i(cat, value):
+    # substitute would put these into sympy's EX domain, whose zero tests
+    # are heuristic
+    with pytest.raises(AlgebraError, match=r"^N4_20\(alpha=.*\): value .* of alpha "
+                                           r"is not in Q\(i\)$"):
+        derivation_dim(cat.get("N4_20"), {"alpha": value})
 
 
 # ---------------------------------------------------------------------------

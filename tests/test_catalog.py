@@ -7,11 +7,14 @@ from dataclasses import replace
 import pytest
 import sympy as sp
 
-from novikov.algebras import (AlgebraError, ConstraintViolation, algebra,
-                              annihilator_basis, check_identities,
-                              derived_power_dims)
+from novikov.algebras import (AlgebraError, ConstraintViolation, _table_differences,
+                              algebra, annihilator_basis, check_identities,
+                              derived_power_dims, substitute)
 from novikov.catalog import (CatalogEntry, _admissible_samples, canonical_name,
                              check_witness, indistinguishable_pairs)
+from novikov.cohomology import (CocycleError, central_extension, cocycle_from_expr,
+                                has_trivial_intersection)
+from novikov.scalars import grammar_str
 
 
 def test_table_a_has_24_families(cat):
@@ -96,6 +99,50 @@ def test_check_witness_negative_control(cat):
     # a form that is not a cocycle fails with that one problem only
     assert check_witness(cat, replace(w, cocycle_expr="D12 + D31 + D23")) == [
         {"witness": "X08", "problem": "not a cocycle"}]
+
+
+def _check_witness_on_expressions(cat, w):
+    """check_witness as the expression path: the Expr extension table, the
+    intersection test and the table comparison, each converting anew."""
+    base = cat.get(w.base, w.base_params)
+    theta = cocycle_from_expr(base, w.cocycle_expr)
+    try:
+        ext = central_extension(base, [theta]).result.table
+    except CocycleError:
+        return [{"witness": w.id, "problem": "not a cocycle"}]
+    failures = []
+    if not has_trivial_intersection(base, [theta]):
+        failures.append({"witness": w.id, "problem": "annihilator intersection nonzero"})
+    target = substitute(cat.entry(w.target).algebra, w.target_params).table
+    if len(ext) != len(target):
+        return failures + [{"witness": w.id, "problem": "dimension mismatch"}]
+    return failures + [
+        {"witness": w.id, "problem": "structure constants differ", "at": [i + 1, j + 1, k + 1],
+         "extension": grammar_str(ext[i][j][k]), "target": grammar_str(target[i][j][k])}
+        for i, j, k in _table_differences(ext, target)]
+
+
+def _corrupted_witnesses(cat):
+    w = next(x for x in cat.witnesses if x.id == "X08")     # base N3s_01: e1 e1 = e2
+    return {
+        "wrong coefficient": replace(w, cocycle_expr="D12 + 2*D31"),
+        "not a cocycle": replace(w, cocycle_expr="D12 + D31 + D23"),
+        # e3 spans Ann(D12) ∩ Ann(A)
+        "intersection": replace(w, cocycle_expr="D12"),
+        "wrong dimension": replace(w, target="N3s_01"),
+    }
+
+
+def test_check_witness_matches_the_expression_path(cat):
+    corrupted = _corrupted_witnesses(cat)
+    for w in (*cat.witnesses, *corrupted.values()):
+        assert check_witness(cat, w) == _check_witness_on_expressions(cat, w), w
+    problems = {kind: [f["problem"] for f in check_witness(cat, w)]
+                for kind, w in corrupted.items()}
+    assert problems["wrong coefficient"] == ["structure constants differ"]
+    assert problems["not a cocycle"] == ["not a cocycle"]
+    assert problems["intersection"][0] == "annihilator intersection nonzero"
+    assert problems["wrong dimension"] == ["dimension mismatch"]
 
 
 def test_indistinguishable_pairs():

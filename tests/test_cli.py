@@ -322,6 +322,23 @@ def test_param_with_negative_power_of_zero_is_usage_error(capsys, value):
     assert_usage_error(code, out, err, "zero denominator")
 
 
+@pytest.mark.parametrize("value", ["2^10000000000", "(2^1000)^1000"])
+def test_param_with_huge_power_is_usage_error(capsys, value):
+    code, out, err = run(capsys, "check", "N4_20", "--param", f"alpha={value}")
+    assert_usage_error(code, out, err, "bits exceeds the limit 65536")
+
+
+@pytest.mark.parametrize("value, limit", [("a^20000", "degree"),
+                                          ("(a^1000)^1000", "degree"),
+                                          ("3^100000*a", "bits")])
+def test_algebra_file_with_huge_power_is_usage_error(capsys, tmp_path, value, limit):
+    path = tmp_path / "alg.json"
+    path.write_text(json.dumps({"name": "x", "dim": 2, "params": ["a"],
+                                "products": [{"i": 1, "j": 1, "k": 2, "c": value}]}))
+    code, out, err = run(capsys, "check", str(path))
+    assert_usage_error(code, out, err, limit, "exceeds the limit")
+
+
 @pytest.mark.parametrize("value", ["0^-1", "(1-1)^-1", "(a-a)^-1"])
 def test_algebra_file_with_negative_power_of_zero_is_usage_error(capsys, tmp_path,
                                                                  value):

@@ -18,7 +18,7 @@ from novikov.cohomology import (Cocycle, CocycleError, SingularMatrixError,
                                 cocycle_to_json, has_trivial_intersection,
                                 is_automorphism, is_cocycle, split_central_extension,
                                 verify_action_formulas)
-from novikov.catalog import load
+from novikov.catalog import _admissible_samples, load
 from novikov.linalg import subspace_equal
 from oracle import (_cocycle_rows, cocycle_space_dims, h2_rep_count, random_products,
                     rank_frac, rref_frac, table)
@@ -409,6 +409,41 @@ def test_split_basis_makes_every_annihilator_line_central(cat):
             conj = change_basis_table(a.table, split.basis_rows)
             assert all(x == 0 for j in range(4)
                        for x in (*conj[3][j], *conj[j][3])), (entry.name, w)
+
+
+def _split_on_expressions(a, w_vectors):
+    """split_central_extension as the expression path: containment against
+    the cleared annihilator basis, then the Expr change of basis."""
+    n = a.dim
+    w_rows = [[sp.cancel(sp.sympify(x)) for x in w] for w in w_vectors]
+    _, (ann, w_elems) = linalg.to_field(annihilator_basis(a), w_rows)
+    ann, w_elems = linalg.sparse(ann), linalg.sparse(w_elems)
+    assert linalg.rank(ann + w_elems) == len(ann)
+    pivots = linalg.rref(w_elems)[1]
+    rows = ([basis_vector(n, j) for j in range(n) if j not in pivots]
+            + [tuple(w) for w in w_rows])
+    conj = change_basis_table(a.table, rows)
+    m = n - len(w_rows)
+    quotient = tuple(tuple(tuple(conj[i][j][:m]) for j in range(m)) for i in range(m))
+    cocycles = [tuple(tuple(conj[i][j][m + r] for j in range(m)) for i in range(m))
+                for r in range(len(w_rows))]
+    return quotient, cocycles, tuple(rows)
+
+
+def test_split_matches_the_expression_path_on_every_annihilator_line(cat):
+    # Generically and at one admissible point of each family, as in the gate.
+    rng = random.Random(3)
+    lines = 0
+    for entry in cat.list_entries(table="A"):
+        for at in [{}] + (_admissible_samples(entry, rng, 1) if entry.algebra.params else []):
+            a = algebras.substitute(entry.algebra, at) if at else entry.algebra
+            for w in annihilator_basis(a):
+                lines += 1
+                split = split_central_extension(a, [w])
+                got = (split.quotient.table, [c.matrix for c in split.cocycles],
+                       split.basis_rows)
+                assert got == _split_on_expressions(a, [w]), (entry.name, at, w)
+    assert lines == 33
 
 
 # ---------------------------------------------------------------------------

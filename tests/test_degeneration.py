@@ -516,6 +516,21 @@ def test_necessary_stops_at_a_repeating_failure(cat, monkeypatch):
     assert len(calls) == 1
 
 
+def test_necessary_forms_a_point_free_side_once(cat, rows, monkeypatch):
+    # B23: the source N4_17 has no parameter, the target's alpha is free, so
+    # the three sampled points need one source and three target dimensions.
+    calls = []
+
+    def counting(a, at):
+        calls.append(a.name)
+        return derivation_dim(a, at)
+
+    monkeypatch.setattr(degeneration, "derivation_dim", counting)
+    rep = check_necessary(rows["B23"], cat, samples=3)
+    assert rep.passed and len(rep.rows) == 3
+    assert sorted(calls) == ["N4_17", "Ntriv_2", "Ntriv_2", "Ntriv_2"]
+
+
 def test_necessary_skips_self(cat):
     w = witness_from_json({
         "id": "self", "source": "N4_01", "source_params": {},

@@ -347,3 +347,24 @@ def test_evaluate_needs_every_generator():
     field, (elems,) = linalg.to_field([1 / a_sym])
     with pytest.raises(ZeroDivisionError):
         linalg.evaluate(field, {a_sym: sp.Integer(0)}, elems)
+
+
+def test_evaluate_gaussian_point_over_a_real_field():
+    # i*(u-1)/(u+1) is a point of Q(i) at rational u; the field of 1/(a+1)
+    # and a^2 is real, so the constant field widens to QQ_I.
+    field, (elems,) = linalg.to_field([1 / (a_sym + 1), a_sym ** 2, sp.Integer(3)])
+    assert str(field) == "ZZ(a)"
+    point = {a_sym: sp.I * (sp.Integer(3) - 1) / (sp.Integer(3) + 1)}    # i/2
+    const, (got,) = linalg.evaluate(field, point, elems)
+    assert const == sp.QQ_I
+    assert [linalg.to_expr(const, g) for g in got] == [
+        sp.Rational(4, 5) - 2 * sp.I / 5, sp.Rational(-1, 4), 3]
+    const, _ = linalg.evaluate(field, {a_sym: sp.Rational(1, 2)}, elems)
+    assert const == sp.QQ
+
+
+@pytest.mark.parametrize("value", [sp.sqrt(2), sp.Symbol("b"), sp.Float(0.5), sp.pi])
+def test_evaluate_refuses_a_value_outside_q_i(value):
+    field, (elems,) = linalg.to_field([a_sym + 1])
+    with pytest.raises(ValueError, match=r"of a is not in Q\(i\)"):
+        linalg.evaluate(field, {a_sym: value}, elems)

@@ -65,6 +65,31 @@ def test_parse_negative_power_of_zero_rejected(text):
         _Parser(text).parse()
 
 
+@pytest.mark.parametrize("text, limit", [
+    ("2^10000000000", "bits"),              # hangs without a bound
+    ("2^-10000000000", "bits"),
+    ("(2^1000)^1000", "bits"),              # each power small, the value not
+    ("2^32769", "bits"),
+    ("(1+i)^100000", "bits"),
+    ("(1000*alpha+1)^10000", "bits"),       # the coefficients, not the degree
+    ("alpha^10001", "degree"),
+    ("(alpha^1000)^1000", "degree"),        # sympy folds it to alpha^1000000
+    ("(alpha*lam^100)^101", "degree"),
+])
+def test_parse_refuses_a_huge_power(text, limit):
+    with pytest.raises(ParseError, match=f"power of .*{limit}.* exceeds the limit"):
+        parse_scalar(text)
+
+
+def test_parse_keeps_powers_within_the_limits():
+    assert parse_scalar("2^32768") == 2 ** 32768
+    assert parse_scalar("alpha^10000") == sp.Symbol("alpha") ** 10000
+    assert parse_scalar("(alpha^100)^100") == sp.Symbol("alpha") ** 10000
+    # 0, 1 and -1 do not grow
+    assert parse_scalar("1^100000000") == 1 and parse_scalar("(-1)^99999999") == -1
+    assert parse_scalar("0^100000000") == 0
+
+
 def test_parse_nonnegative_power_of_zero_is_kept():
     assert parse_scalar("0^2") == 0 and parse_scalar("(alpha-alpha)^0") == 1
     assert parse_scalar("lam^-2") == sp.Symbol("lam") ** -2

@@ -135,8 +135,9 @@ def criterion_extension_witnesses(cat: Catalog,
     """3: every recorded representative is a cocycle with trivial annihilator
     intersection whose extension equals its named target exactly; each
     action template is an automorphism generically, and the published
-    action formulas (both readings) match the conjugated cocycle, formed
-    once over the parameter field and evaluated at each sampled point."""
+    action formulas (both readings) equal the conjugated cocycle's
+    coordinates over the parameter field.  The seed only picks the
+    counterexample point of a failing formula."""
     t0 = time.time()
     failures = []
     for w in cat.witnesses:

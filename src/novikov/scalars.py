@@ -38,6 +38,7 @@ from __future__ import annotations
 
 import random
 import re
+import sys
 from functools import lru_cache
 from typing import Iterator, Mapping, Sequence, Union
 
@@ -137,9 +138,17 @@ class _Parser:
             raise ParseError(f"expected {tok!r}, got {got!r} in {self.text!r}")
 
     def parse(self) -> sp.Expr:
+        """The scalar the text denotes.  A value with a rational whose
+        numerator or denominator has more digits than Python converts to a
+        string (``sys.get_int_max_str_digits()``; 0 is no limit) is refused
+        with :class:`ParseError`, as it could not be printed."""
         e = self.expr()
         if self.peek() is not None:
             raise ParseError(f"trailing input {self.peek()!r} in {self.text!r}")
+        limit = _digit_limit()
+        if any(_too_long(n, limit) for r in e.atoms(sp.Rational) for n in (r.p, r.q)):
+            raise ParseError(f"number of more than {limit} digits "
+                             f"in {_shown(self.text)}")
         return e
 
     def expr(self) -> sp.Expr:
@@ -216,12 +225,21 @@ class _Parser:
         tok = self.next()
         if not tok.isdigit():
             raise ParseError(f"expected integer, got {tok!r} in {self.text!r}")
-        return sp.Integer(sign * int(tok))
+        return sp.Integer(sign * self.digits(tok))
+
+    def digits(self, tok: str) -> int:
+        """The integer of a digit token; one longer than Python converts
+        from a string is refused with :class:`ParseError` first."""
+        limit = _digit_limit()
+        if limit and len(tok) > limit:
+            raise ParseError(f"integer of {len(tok)} digits exceeds the limit "
+                             f"{limit} in {_shown(self.text)}")
+        return int(tok)
 
     def base(self) -> sp.Expr:
         tok = self.next()
         if tok.isdigit():
-            return sp.Integer(int(tok))
+            return sp.Integer(self.digits(tok))
         if tok == "(":
             e = self.expr()
             self.expect(")")
@@ -242,6 +260,23 @@ class _Parser:
         if re.fullmatch(r"[A-Za-z_][A-Za-z0-9_]*", tok):
             return sp.Symbol(tok)
         raise ParseError(f"unexpected token {tok!r} in {self.text!r}")
+
+
+def _digit_limit() -> int:
+    # Python's limit on the digits of an int <-> str conversion, 0 for none
+    # (and on a Python without the limit).
+    return getattr(sys, "get_int_max_str_digits", lambda: 0)()
+
+
+def _too_long(n: int, limit: int) -> bool:
+    # Whether n has more than limit decimal digits; 10^limit has about
+    # 3.32 * limit bits, so shorter numbers skip the power.
+    return bool(limit) and n.bit_length() > 3 * limit and abs(n) >= 10 ** limit
+
+
+def _shown(text: str) -> str:
+    # The text for a one-line message, elided in the middle when long.
+    return repr(text if len(text) <= 60 else f"{text[:40]}...{text[-12:]}")
 
 
 def _is_zero_divisor(d: sp.Expr) -> bool:

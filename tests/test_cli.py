@@ -339,6 +339,34 @@ def test_algebra_file_with_huge_power_is_usage_error(capsys, tmp_path, value, li
     assert_usage_error(code, out, err, limit, "exceeds the limit")
 
 
+@pytest.mark.parametrize("value, message", [
+    ("2^20000", "number of more than 4300 digits in '2^20000'"),
+    ("10^2200*10^2200", "number of more than 4300 digits in '10^2200*10^2200'"),
+    ("7" * 5000, "integer of 5000 digits exceeds the limit 4300 in '7777"),
+], ids=["power", "product", "literal"])
+def test_param_past_the_string_digit_limit_is_usage_error(capsys, value, message):
+    code, out, err = run(capsys, "check", "N4_20", "--param", f"alpha={value}")
+    assert_usage_error(code, out, err, message)
+
+
+@pytest.mark.parametrize("value, message", [
+    ("2^20000*a", "number of more than 4300 digits in '2^20000*a'"),
+    ("7" * 5000, "integer of 5000 digits exceeds the limit 4300 in '7777"),
+], ids=["power", "literal"])
+def test_algebra_file_past_the_string_digit_limit_is_usage_error(capsys, tmp_path,
+                                                                 value, message):
+    path = tmp_path / "alg.json"
+    path.write_text(json.dumps({"name": "x", "dim": 2, "params": ["a"],
+                                "products": [{"i": 1, "j": 1, "k": 2, "c": value}]}))
+    code, out, err = run(capsys, "check", str(path))
+    assert_usage_error(code, out, err, message)
+
+
+def test_param_at_the_string_digit_limit_is_accepted(capsys):
+    code, out, err = run(capsys, "check", "N4_20", "--param", "alpha=10^4299")
+    assert code == 0 and err == ""
+
+
 @pytest.mark.parametrize("value", ["0^-1", "(1-1)^-1", "(a-a)^-1"])
 def test_algebra_file_with_negative_power_of_zero_is_usage_error(capsys, tmp_path,
                                                                  value):

@@ -546,6 +546,63 @@ def test_action_counterexamples_are_pinned(cat):
                                   "reading": "matrix"}
 
 
+# The x values of the first 4 admissible draws of the default seed for
+# act-N3s_01 (_FIRST_POINT is the first).
+_FIRST_XS = (2, 1, 2, sp.Rational(1, 3))
+
+
+def test_action_formulas_are_decided_off_the_sampled_points(cat, monkeypatch):
+    # alpha*_0 plus a polynomial that vanishes at the first 4 draws: those
+    # points cannot tell the two sides apart, the field decision does, and
+    # only a later draw names the counterexample.
+    case = _act_n3s_01(cat)
+    x = sp.Symbol("x")
+    blind = replace(case, alpha_star=(case.alpha_star[0] + sp.Mul(*(x - v for v in _FIRST_XS)),)
+                    + case.alpha_star[1:])
+    drawn = []
+    streams = scalars.admissible_points
+
+    def recording(*args):
+        for point in streams(*args):
+            drawn.append(point)
+            yield point
+    monkeypatch.setattr(scalars, "admissible_points", recording)
+
+    rep = verify_action_formulas(blind, samples=4)
+    assert (rep.class_formulas_ok, rep.matrix_entries_ok, rep.counterexample) \
+        == (False, True, None)
+    assert tuple(point[x] for point in drawn) == _FIRST_XS
+    rep = verify_action_formulas(blind, samples=20)
+    assert not rep.class_formulas_ok
+    assert rep.counterexample["assignment"]["x"] == "-5/3"
+    assert (rep.counterexample["formula_index"], rep.counterexample["expected"],
+            rep.counterexample["actual"]) == (0, "5933/81", "125/81")
+
+
+def test_passing_action_cases_draw_no_point(cat, monkeypatch):
+    # The formulas are decided by one elimination over the field, so a
+    # passing case neither advances the stream nor eliminates more for
+    # more samples.
+    class Undrawable:
+        def __iter__(self):
+            return self
+
+        def __next__(self):
+            raise AssertionError("a passing case drew a sampled point")
+
+    monkeypatch.setattr(scalars, "admissible_points", lambda *args: Undrawable())
+    rrefs = []
+    rref = linalg.rref
+    monkeypatch.setattr(linalg, "rref", lambda rows: rrefs.append(1) or rref(rows))
+    for case in cat.action_cases:
+        counts = []
+        for samples in (1, 20):
+            rrefs.clear()
+            assert verify_action_formulas(case, samples=samples).passed
+            counts.append(len(rrefs))
+        assert counts[0] == counts[1], case.case_id
+
+
 def test_verify_action_formulas_rejects_a_non_automorphism_template(cat):
     case = _act_n3s_01(cat)
     rows = [list(row) for row in case.template]

@@ -5,6 +5,8 @@ evaluation conventions, the field axioms, field arithmetic against
 import itertools
 import operator
 import random
+import re
+import sys
 
 import mpmath
 import pytest
@@ -12,7 +14,7 @@ import sympy as sp
 from hypothesis import given, settings, strategies as st
 from sympy import I, Rational
 
-from novikov import linalg
+from novikov import linalg, scalars
 from novikov.degeneration import (_num, _sample_conditions, free_symbols_of,
                                   load_witnesses)
 from novikov.scalars import (MAX_DRAWS, NumericDivisionError, ParseError, T,
@@ -82,12 +84,48 @@ def test_parse_refuses_a_huge_power(text, limit):
 
 
 def test_parse_keeps_powers_within_the_limits():
-    assert parse_scalar("2^32768") == 2 ** 32768
+    # i has no number in it, so it is estimated at 1 bit: the bit bound
+    # exactly (2^32768 is refused by the digit limit first).
+    assert parse_scalar("i^65536") == 1
     assert parse_scalar("alpha^10000") == sp.Symbol("alpha") ** 10000
     assert parse_scalar("(alpha^100)^100") == sp.Symbol("alpha") ** 10000
     # 0, 1 and -1 do not grow
     assert parse_scalar("1^100000000") == 1 and parse_scalar("(-1)^99999999") == -1
     assert parse_scalar("0^100000000") == 0
+
+
+@pytest.mark.parametrize("text, message", [
+    ("2^20000", "number of more than 4300 digits in '2^20000'"),
+    ("10^2200*10^2200", "number of more than 4300 digits in '10^2200*10^2200'"),
+    ("1/10^4300", "number of more than 4300 digits"),
+    ("2^32768", "number of more than 4300 digits"),
+    ("7" * 5000, "integer of 5000 digits exceeds the limit 4300 in '7777"),
+    ("2^" + "7" * 5000, "integer of 5000 digits exceeds the limit 4300 in '2^777"),
+], ids=["power", "product", "denominator", "power-within-bit-bound", "literal", "exponent"])
+def test_parse_refuses_numbers_past_the_string_digit_limit(text, message):
+    # Python converts ints of at most 4300 digits to and from strings; a
+    # longer literal or value is refused with a line that names the text.
+    with pytest.raises(ParseError, match=re.escape(message)):
+        parse_scalar(text)
+
+
+def test_parse_keeps_numbers_at_the_string_digit_limit():
+    assert parse_scalar("10^4299") == 10 ** 4299
+    assert parse_scalar("1/10^4299") == sp.Rational(1, 10 ** 4299)
+    assert parse_scalar("9" * 4300) == 10 ** 4300 - 1
+
+
+def test_parse_digit_limit_follows_python():
+    # A limit of 0 means no limit.  Parses are cached, so the cache is
+    # cleared on both sides of the change.
+    old = sys.get_int_max_str_digits()
+    scalars._parse_text.cache_clear()
+    sys.set_int_max_str_digits(0)
+    try:
+        assert parse_scalar("2^20000") == 2 ** 20000
+    finally:
+        sys.set_int_max_str_digits(old)
+        scalars._parse_text.cache_clear()
 
 
 def test_parse_nonnegative_power_of_zero_is_kept():

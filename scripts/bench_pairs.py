@@ -12,6 +12,12 @@ host does not fall on one side only.  Pair k uses seed ``first_seed + k``
 on both sides.  A run that exits non-zero or does not print
 ``correct: true`` stops the script.
 
+After the pairs, each side runs its own tier-1 test suite once, parent
+first, with a fixed hypothesis seed (so both sides draw the same examples)
+and ``--durations=10``.  The output records each side's wall time, the
+counts of the summary line (passed, failed, ...) and the ten slowest tests
+with their phase and seconds.  A failing test is recorded, not fatal.
+
 The output JSON holds, per workload and end-to-end metric, each side's
 values, median and quartiles, the change's wins (pairs where it reads
 better; ties count for neither side), the seeds, and the environment stamp
@@ -23,6 +29,8 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
+import re
 import statistics
 import subprocess
 import sys
@@ -31,6 +39,10 @@ from pathlib import Path
 
 SIDES = ("parent", "change")
 PAIRS = 10
+TIER1 = ["-m", "pytest", "-q", "--continue-on-collection-errors",
+         "--hypothesis-seed=0", "--durations=10"]
+DURATION = re.compile(r"^([\d.]+)s (setup|call|teardown) +(\S+)$")
+COUNT = re.compile(r"(\d+) (passed|failed|error|skipped|xfailed|xpassed)")
 
 
 def run_once(checkout: Path, workload: str, seed: int, seconds: float) -> dict:
@@ -48,6 +60,22 @@ def run_once(checkout: Path, workload: str, seed: int, seconds: float) -> dict:
     return {"env": stamp["env"], "failed": result["failed"],
             "attempted": result["attempted"],
             "metrics": {k: v["value"] for k, v in result["metrics"].items()}}
+
+
+def run_tier1(checkout: Path) -> dict:
+    """One tier-1 run of the checkout's tests against its own ``src/``."""
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (str(checkout / "src"), os.environ.get("PYTHONPATH")) if p))
+    started = time.perf_counter()
+    proc = subprocess.run([sys.executable, *TIER1], cwd=checkout, env=env,
+                          capture_output=True, text=True)
+    wall = time.perf_counter() - started
+    lines = proc.stdout.splitlines()
+    slowest = [{"s": float(m[1]), "phase": m[2], "test": m[3]}
+               for m in map(DURATION.match, lines) if m]
+    counts = {kind: int(k) for k, kind in COUNT.findall(lines[-1] if lines else "")}
+    return {"wall_s": round(wall, 2), "returncode": proc.returncode,
+            "counts": counts, "slowest": slowest}
 
 
 def summary(values: list[float]) -> dict:
@@ -95,6 +123,8 @@ def main(argv=None) -> int:
             "attempted": {side: sum(r["attempted"] for r in runs[side]) for side in SIDES},
             "failed": {side: sum(r["failed"] for r in runs[side]) for side in SIDES},
         }
+    report["tier1"] = {"command": ["python", *TIER1],
+                       **{side: run_tier1(checkouts[side]) for side in SIDES}}
     report["elapsed_s"] = round(time.time() - started, 1)
     args.out.write_text(json.dumps(report, indent=1, sort_keys=True) + "\n",
                         encoding="utf-8")
@@ -105,6 +135,11 @@ def main(argv=None) -> int:
                   f"[{p['q1']:.4g}, {p['q3']:.4g}]  change {c['median']:.4g} "
                   f"[{c['q1']:.4g}, {c['q3']:.4g}]  change wins "
                   f"{m['change_wins']}/{PAIRS}")
+    for side in SIDES:
+        t = report["tier1"][side]
+        print(f"tier-1   {side:6s} {t['wall_s']:.1f} s  {t['counts']}  slowest "
+              + ", ".join(f"{d['test'].rsplit('::', 1)[-1]} {d['s']:.2f} s"
+                          for d in t["slowest"][:3]))
     return 0
 
 

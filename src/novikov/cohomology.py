@@ -196,12 +196,12 @@ def _satisfies_conditions(field, constants: Sequence, matrix: Sequence) -> bool:
 
 def coboundary_matrices(a: Algebra) -> list[Cocycle]:
     """The structure-constant slices C^(k); their span is B^2."""
+    return [_coboundary(a, k) for k in range(a.dim)]
+
+
+def _coboundary(a: Algebra, k: int) -> Cocycle:
     n = a.dim
-    out = []
-    for k in range(n):
-        rows = tuple(tuple(a.table[i][j][k] for j in range(n)) for i in range(n))
-        out.append(Cocycle(a, rows))
-    return out
+    return Cocycle(a, tuple(tuple(a.table[i][j][k] for j in range(n)) for i in range(n)))
 
 
 @dataclass(frozen=True)
@@ -222,7 +222,9 @@ def cocycle_space(a: Algebra) -> CocycleSpace:
     B^2 is spanned by the independent coboundary slices, and the H^2
     representatives are the Z^2 basis vectors outside the span of the
     slices and of the Z^2 vectors before them: both are the pivot columns
-    of one elimination on (slices | Z^2 basis).
+    of one elimination on (slices | Z^2 basis).  Each Z^2 vector is cleared
+    and wrapped once, and the H^2 representatives are those same
+    :class:`Cocycle` objects; only the chosen slices become cocycles.
     """
     n = a.dim
     field, constants = a.constants
@@ -231,13 +233,12 @@ def cocycle_space(a: Algebra) -> CocycleSpace:
     for i, j, k, c in constants:
         slices[k][i * n + j] = c
     chosen = linalg.independent_indices(slices + z2)
-    z2_vecs = [linalg.cleared_vector(field, v, n * n) for v in z2]
-    coboundaries = coboundary_matrices(a)
+    z2_basis = tuple(_vector_cocycle(a, linalg.cleared_vector(field, v, n * n)) for v in z2)
     return CocycleSpace(
         a,
-        tuple(_vector_cocycle(a, v) for v in z2_vecs),
-        tuple(coboundaries[c] for c in chosen if c < n),
-        tuple(_vector_cocycle(a, z2_vecs[c - n]) for c in chosen if c >= n),
+        z2_basis,
+        tuple(_coboundary(a, c) for c in chosen if c < n),
+        tuple(z2_basis[c - n] for c in chosen if c >= n),
     )
 
 

@@ -179,6 +179,8 @@ def _written_denominator(field, x):
     # constant denominator under a sum is spread over the sum's
     # coefficients, and then reads as 1.
     den = field.denom(x)
+    if field.is_QQ:       # an integer numerator is never a sum
+        return den
     constant = not field.is_FractionField or den.is_ground
     if constant and den != 1 and field.get_ring().to_sympy(field.numer(x)).is_Add:
         return field.get_ring().one
@@ -188,18 +190,22 @@ def _written_denominator(field, x):
 def sparse_rows(terms: Iterable[tuple]) -> list[dict]:
     """The sparse rows of a system given as ``(row, column, element)`` terms.
 
-    Row labels are any hashable keys.  Terms at one place are summed; the
-    entries that sum to zero and the rows left empty are dropped.
+    Row labels are any hashable keys.  Each term is added into its row's
+    dict as it comes, so terms at one place are summed; then each row drops
+    its entries that sum to zero, and the rows left empty are dropped.
+    Rows come out in the order their labels first appear.
     """
-    entries: dict = {}
-    for r, c, x in terms:
-        prev = entries.get((r, c))
-        entries[(r, c)] = x if prev is None else prev + x
     rows: dict = {}
-    for (r, c), x in entries.items():
-        if x:
-            rows.setdefault(r, {})[c] = x
-    return list(rows.values())
+    for r, c, x in terms:
+        row = rows.setdefault(r, {})
+        row[c] = row[c] + x if c in row else x
+    out = []
+    for row in rows.values():
+        if not all(row.values()):
+            row = {c: x for c, x in row.items() if x}
+        if row:
+            out.append(row)
+    return out
 
 
 def sparse(rows: Iterable[Sequence]) -> list[dict]:
@@ -251,10 +257,14 @@ def independent_indices(vectors: Sequence[dict]) -> list[int]:
     them.
 
     These are the pivot columns of the matrix whose columns are the
-    vectors, so zero vectors are never chosen.
+    vectors, so zero vectors are never chosen.  Each entry of a vector is
+    one entry of that matrix, so its rows are built directly.
     """
-    return rref(sparse_rows((r, i, x) for i, v in enumerate(vectors)
-                            for r, x in v.items()))[1]
+    rows: dict = {}
+    for i, v in enumerate(vectors):
+        for r, x in v.items():
+            rows.setdefault(r, {})[i] = x
+    return rref(list(rows.values()))[1]
 
 
 def invert(m_rows: Sequence[dict], field) -> list[dict] | None:

@@ -262,10 +262,9 @@ class _Parser:
         raise ParseError(f"unexpected token {tok!r} in {self.text!r}")
 
 
-def _digit_limit() -> int:
-    # Python's limit on the digits of an int <-> str conversion, 0 for none
-    # (and on a Python without the limit).
-    return getattr(sys, "get_int_max_str_digits", lambda: 0)()
+# Python's limit on the digits of an int <-> str conversion, 0 for none
+# (and on a Python without the limit).
+_digit_limit = getattr(sys, "get_int_max_str_digits", lambda: 0)
 
 
 def _too_long(n: int, limit: int) -> bool:
@@ -298,13 +297,15 @@ def parse_scalar(text: ScalarLike) -> sp.Expr:
         return text
     if isinstance(text, int):
         return sp.Integer(text)
-    return _parse_text(str(text))
+    return _parse_text(str(text), _digit_limit())
 
 
 @lru_cache(maxsize=4096)
-def _parse_text(text: str) -> sp.Expr:
+def _parse_text(text: str, digit_limit: int) -> sp.Expr:
     # Data files and reports repeat the same few strings thousands of times;
-    # expressions are immutable, so one parse serves every caller.
+    # expressions are immutable, so one parse serves every caller.  The
+    # digit limit is part of the key: a parse admitted under one limit is
+    # not served under a stricter one.
     return _Parser(text).parse()
 
 

@@ -244,6 +244,66 @@ def test_sparse_rows_sum_terms_and_drop_zeros():
     assert linalg.sparse([[one, field.zero], [field.zero, field.zero]]) == [{0: one}, {}]
 
 
+def _summed_reference(terms):
+    """Expression terms summed per (row, column) in cancel form, the zero
+    sums and empty rows dropped, rows in the order their labels appear."""
+    sums: dict = {}
+    for r, c, x in terms:
+        row = sums.setdefault(r, {})
+        row[c] = row.get(c, 0) + x
+    rows = ({c: sp.cancel(x) for c, x in row.items()} for row in sums.values())
+    return [row for row in ({c: x for c, x in row.items() if x != 0} for row in rows) if row]
+
+
+@st.composite
+def _cancelling_terms(draw, values):
+    """Terms of a system: random ones, the negatives of some of them (so
+    entries cancel inside a row) and a row whose terms all cancel."""
+    terms = draw(st.lists(st.tuples(st.integers(0, 3), st.integers(0, 4), values),
+                          max_size=12))
+    negated = draw(st.lists(st.sampled_from(terms), max_size=4)) if terms else []
+    gone = draw(st.lists(st.tuples(st.just("gone"), st.integers(0, 4), values),
+                         min_size=1, max_size=3))
+    terms += [(r, c, -x) for r, c, x in negated + gone] + gone
+    return draw(st.permutations(terms))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.one_of(_cancelling_terms(_rational),
+                 _cancelling_terms(st.one_of(_rational, _lam_fn))))
+def test_sparse_rows_match_summed_reference(terms):
+    field, (elems,) = linalg.to_field([x for *_, x in terms])
+    rows = linalg.sparse_rows((r, c, x) for (r, c, _), x in zip(terms, elems))
+    assert [{c: linalg.to_expr(field, x) for c, x in row.items()} for row in rows] \
+        == _summed_reference(terms)
+
+
+@st.composite
+def _sparse_vectors(draw):
+    """Sparse vectors of 5 coordinates over Q, with zero and repeated ones."""
+    entry = st.fractions(min_value=-3, max_value=3, max_denominator=3).filter(bool)
+    vectors = draw(st.lists(st.dictionaries(st.integers(0, 4), entry, max_size=3),
+                            max_size=6))
+    vectors += [{}] + draw(st.lists(st.sampled_from(vectors), max_size=3)) if vectors else [{}]
+    return draw(st.permutations(vectors))
+
+
+@settings(max_examples=60, deadline=None)
+@given(_sparse_vectors())
+def test_independent_indices_is_greedy_selection_by_rank(vectors):
+    # the oracle's ranks over Fraction: keep a vector when it raises the rank
+    kept, want = [], []
+    for i, v in enumerate(vectors):
+        dense = [v.get(c, Fraction(0)) for c in range(5)]
+        if rank_frac(kept + [dense]) > len(kept):
+            kept.append(dense)
+            want.append(i)
+    field, (elems,) = linalg.to_field(
+        [sp.Rational(x.numerator, x.denominator) for v in vectors for x in v.values()])
+    it = iter(elems)
+    assert linalg.independent_indices([{c: next(it) for c in v} for v in vectors]) == want
+
+
 def test_field_entry_points_take_and_give_sparse_rows():
     field, (elems,) = linalg.to_field([[1, 2], [3, 4]])
     rows = linalg.sparse(elems)

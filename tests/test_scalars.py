@@ -128,6 +128,19 @@ def test_parse_digit_limit_follows_python():
         scalars._parse_text.cache_clear()
 
 
+def test_parse_cache_follows_the_digit_limit():
+    # A value admitted with no limit is not served again from the parse
+    # cache once the limit is back.
+    old = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        assert parse_scalar("2^20000") == 2 ** 20000
+    finally:
+        sys.set_int_max_str_digits(old)
+    with pytest.raises(ParseError, match="number of more than 4300 digits in '2\\^20000'"):
+        parse_scalar("2^20000")
+
+
 def test_parse_nonnegative_power_of_zero_is_kept():
     assert parse_scalar("0^2") == 0 and parse_scalar("(alpha-alpha)^0") == 1
     assert parse_scalar("lam^-2") == sp.Symbol("lam") ** -2

@@ -30,7 +30,7 @@ from typing import Iterable, Mapping, Sequence
 import sympy as sp
 
 from . import linalg, scalars
-from .scalars import T, grammar_str, parse_scalar
+from .scalars import grammar_str, parse_scalar
 
 Vector = tuple[sp.Expr, ...]
 Table = tuple[tuple[Vector, ...], ...]
@@ -193,14 +193,11 @@ def algebra(name: str, dim: int, products: Iterable[tuple], params: Sequence = (
             constraints: Sequence = ()) -> Algebra:
     """Build an algebra from 1-based sparse products (i, j, k, coefficient).
 
-    Each parameter is a symbol or an identifier string, declared once, and
-    each index an integer (not a bool) in range; no nonzero constraint may
-    be identically zero.  Anything else raises :class:`AlgebraError` naming
-    it."""
-    for p in params:
-        if not (isinstance(p, sp.Symbol) or isinstance(p, str) and p.isidentifier()):
-            raise AlgebraError(f"{name}: 'params' entry {p!r} is not an identifier")
-    param_syms = tuple(p if isinstance(p, sp.Symbol) else sp.Symbol(p) for p in params)
+    Each parameter is a symbol or an identifier string other than ``t`` and
+    ``i`` (:func:`_symbols_of`), declared once, and each index an integer
+    (not a bool) in range; no nonzero constraint may be identically zero.
+    Anything else raises :class:`AlgebraError` naming it."""
+    param_syms = _symbols_of(params, name, "params")
     if len(set(param_syms)) < len(param_syms):
         raise AlgebraError(f"{name}: 'params' {list(map(str, param_syms))} "
                            f"repeats an entry")
@@ -222,8 +219,6 @@ def algebra(name: str, dim: int, products: Iterable[tuple], params: Sequence = (
                 if extra:
                     raise AlgebraError(
                         f"{name}: undeclared symbols {sorted(map(str, extra))}")
-                if T in x.free_symbols:
-                    raise AlgebraError(f"{name}: t may not appear in constants")
     cons = tuple(parse_scalar(c) for c in constraints)
     for text, c in zip(constraints, cons):
         if scalars.vanishes(c, {}):
@@ -260,6 +255,30 @@ def algebra_to_json(a: Algebra) -> dict:
     }
 
 
+def _symbols_of(names: Sequence, where: str, key: str) -> tuple[sp.Symbol, ...]:
+    """The symbols of ``names``, each a symbol or an identifier string.  The
+    grammar reserves ``t`` (the degeneration variable) and ``i`` (the
+    imaginary unit), so neither name is a symbol; an entry that is not an
+    identifier or is reserved raises :class:`AlgebraError` naming it."""
+    for p in names:
+        if not (isinstance(p, sp.Symbol) or isinstance(p, str) and p.isidentifier()):
+            raise AlgebraError(f"{where}: {key!r} entry {p!r} is not an identifier")
+        if str(p) in ("t", "i"):
+            raise AlgebraError(f"{where}: {key!r} entry {str(p)!r} is reserved "
+                               f"by the expression grammar")
+    return tuple(p if isinstance(p, sp.Symbol) else sp.Symbol(p) for p in names)
+
+
+def _json_keys(obj: Mapping, keys: Sequence[str], where: str) -> None:
+    """Refuse a key of the JSON object ``obj`` that is not one of ``keys``
+    with :class:`AlgebraError` naming it: a misspelt optional key would
+    otherwise be ignored without a word."""
+    unknown = [key for key in obj if key not in keys]
+    if unknown:
+        raise AlgebraError(f"{where}: unknown key {unknown[0]!r}; "
+                           f"expected one of {', '.join(keys)}")
+
+
 def _json_field(obj, key: str, where: str):
     if not isinstance(obj, Mapping) or key not in obj:
         raise AlgebraError(f"{where}: missing key {key!r}")
@@ -277,19 +296,34 @@ def _json_optional(obj: Mapping, key: str, where: str, kind: type = list):
     return value
 
 
+def _json_product(obj, keys: str, where: str) -> tuple:
+    """The values of the one-letter ``keys`` of a product or cocycle entry,
+    in order; a missing or unknown key raises :class:`AlgebraError`."""
+    values = tuple(_json_field(obj, key, where) for key in keys)
+    _json_keys(obj, tuple(keys), where)
+    return values
+
+
+_ALGEBRA_KEYS = ("name", "dim", "params", "constraints_nonzero", "products", "meta")
+
+
 def algebra_from_json(obj: Mapping) -> Algebra:
     """Algebra from its JSON object.  A missing ``name``, ``dim`` or product
-    key, a ``dim`` that is not an integer in 1..:data:`MAX_DIM`, a ``products``,
-    ``params`` or ``constraints_nonzero`` that is not a list, or a
-    ``params`` entry that is not an identifier string, raises
+    key, a key outside the schema (``name``, ``dim``, ``params``,
+    ``constraints_nonzero``, ``products`` and ``meta``; ``i``, ``j``, ``k``
+    and ``c`` in a product), a ``dim`` that is not an integer in
+    1..:data:`MAX_DIM`, a ``products``, ``params`` or
+    ``constraints_nonzero`` that is not a list, or a ``params`` entry that
+    is not an identifier string or is ``t`` or ``i``, raises
     :class:`AlgebraError` naming it."""
     name = _json_field(obj, "name", "algebra JSON")
     where = f"algebra {name!r}"
+    _json_keys(obj, _ALGEBRA_KEYS, where)
     dim = _json_field(obj, "dim", where)
     if isinstance(dim, bool) or not isinstance(dim, int) or not 1 <= dim <= MAX_DIM:
         raise AlgebraError(f"{where}: dim must be a positive integer at most "
                            f"{MAX_DIM}, got {dim!r}")
-    products = [tuple(_json_field(p, key, f"{where}: product") for key in "ijkc")
+    products = [_json_product(p, "ijkc", f"{where}: product")
                 for p in _json_optional(obj, "products", where)]
     return algebra(name, dim, products, params=_json_optional(obj, "params", where),
                    constraints=_json_optional(obj, "constraints_nonzero", where))

@@ -23,7 +23,8 @@ import sympy as sp
 
 from . import linalg, scalars
 from .algebras import (Algebra, AlgebraError, Vector, _annihilator_rows,
-                       _change_basis, _json_field, _linear_coordinates, _rebased,
+                       _change_basis, _json_field, _json_keys, _json_product,
+                       _linear_coordinates, _rebased,
                        basis_vector, nonzero_constants)
 from .scalars import DEFAULT_SEED, T, grammar_str, parse_scalar
 
@@ -126,14 +127,15 @@ def cocycle_to_json(c: Cocycle) -> dict:
 
 def cocycle_from_json(a: Algebra, obj: Mapping) -> Cocycle:
     """Cocycle from its JSON object.  An object without an ``entries`` list,
-    an entry without ``i``, ``j`` or ``c``, or an index that is not an
-    integer in range raises :class:`CocycleError`."""
+    an entry without ``i``, ``j`` or ``c``, a key outside the schema
+    (``algebra`` and ``entries``; ``i``, ``j`` and ``c`` in an entry), or an
+    index that is not an integer in range raises :class:`CocycleError`."""
     try:
         entries = _json_field(obj, "entries", "cocycle JSON")
+        _json_keys(obj, ("algebra", "entries"), "cocycle JSON")
         if not isinstance(entries, list):
             raise CocycleError(f"cocycle JSON: 'entries' must be a list, got {entries!r}")
-        entries = [tuple(_json_field(e, key, "cocycle JSON: entry") for key in "ijc")
-                   for e in entries]
+        entries = [_json_product(e, "ijc", "cocycle JSON: entry") for e in entries]
     except AlgebraError as exc:
         raise CocycleError(str(exc)) from None
     return cocycle(a, entries)

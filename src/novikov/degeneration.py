@@ -13,15 +13,15 @@ stated basis E_i^t.  Verification has two tiers:
   conjugated constant must approach its target monotonically and land
   within tolerance at the final t.
 
-The tier is chosen automatically by expression inspection and can be forced
-through the witness's ``tier`` field.
+The tier is decided from the expressions (:func:`detect_tier`), never set by
+the row.  :func:`witness_from_json` parses a witness's text once.
 """
 
 from __future__ import annotations
 
 import itertools
 import random
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import asdict, dataclass, field, fields, replace
 from functools import lru_cache
 from typing import Mapping, Sequence
 
@@ -32,10 +32,11 @@ from mpmath.libmp import (mpc_abs, mpc_add, mpc_div, mpc_div_mpf, mpc_mul,
 
 from . import linalg, scalars
 from .algebras import (AlgebraError, ConstraintViolation, _change_basis,
-                       _json_field, _json_optional, derivation_dim, substitute)
+                       _json_field, _json_keys, _json_optional, _symbols_of,
+                       derivation_dim, substitute)
 from .catalog import Catalog
-from .scalars import (DEFAULT_SEED, T, NumericDivisionError, grammar_str,
-                      is_root_free, parse_scalar)
+from .scalars import (DEFAULT_SEED, T, NumericDivisionError, ScalarError,
+                      grammar_str, is_root_free, parse_scalar)
 
 __all__ = [
     "DegenerationWitness",
@@ -73,69 +74,110 @@ RESIDUAL_TOLERANCE = mpmath.mpf(10) ** -8
 
 @dataclass(frozen=True)
 class DegenerationWitness:
+    """A degeneration row as :func:`witness_from_json` parses it: its
+    expressions are scalars (in ``fallback`` too) and ``symbols`` symbols."""
+
     id: str
     source: str
     source_params: dict
     target: str
     target_params: dict
-    basis: tuple[tuple[str, ...], ...]
-    tier: str = "auto"
-    avoid: tuple[str, ...] = ()
-    symbols: tuple[str, ...] = ()
-    necessary_t: tuple[str, ...] = ()
+    basis: tuple[tuple[sp.Expr, ...], ...]
+    avoid: tuple[sp.Expr, ...] = ()
+    symbols: tuple[sp.Symbol, ...] = ()
+    necessary_t: tuple[sp.Rational, ...] = ()
     fallback: dict | None = None
     note: str = ""
 
 
+_WITNESS_KEYS = tuple(f.name for f in fields(DegenerationWitness))
+_FALLBACK_KEYS = ("source", "source_params", "basis", "reason")
+
+
 def witness_from_json(obj: Mapping) -> DegenerationWitness:
-    """Witness from its JSON object.  A missing ``id``, ``source``,
-    ``target`` or ``basis``, a ``basis`` that is not a list of rows, a
-    ``source_params`` or ``target_params`` that is not an object, an
-    ``avoid``, ``symbols`` or ``necessary_t`` that is not a list, or a
-    ``fallback`` that is neither an object nor null, raises
-    :class:`AlgebraError` naming it.  A null ``fallback`` means none.  A
-    ``"free"`` target parameter is read as the parameter's own name."""
+    """Witness from its JSON object, the one place that parses a witness's
+    grammar text.  An expression is a grammar string or an integer (not a
+    bool); a ``"free"`` target parameter is the parameter's own symbol, and
+    a null ``fallback`` means none.  A missing ``id``, ``source``, ``target``
+    or ``basis``, a key outside the schema, or a value of another shape
+    raises :class:`AlgebraError` naming the witness and the key: among
+    others a ``basis`` that is not square, a ``symbols`` entry that is ``t``
+    or ``i``, and a ``necessary_t`` entry that is not a positive rational
+    or on a row whose source parameters hold no t."""
     wid = _json_field(obj, "id", "witness JSON")
     where = f"witness {wid!r}"
-    source, target, basis = (_json_field(obj, key, where)
-                             for key in ("source", "target", "basis"))
-    if not isinstance(basis, list) or not all(isinstance(row, list) for row in basis):
-        raise AlgebraError(f"{where}: 'basis' must be a list of rows, got {basis!r}")
+    _json_keys(obj, _WITNESS_KEYS, where)
+    source, target = (_json_field(obj, key, where) for key in ("source", "target"))
+    source_params = _params(obj, "source_params", where)
+    necessary_t = _exprs(obj, "necessary_t", where)
+    for x, value in zip(obj.get("necessary_t", ()), necessary_t):
+        if not (value.is_Rational and value > 0):
+            raise AlgebraError(f"{where}: 'necessary_t' entry {x!r} is not "
+                               f"a positive rational")
+    if necessary_t and not any(v.has(T) for v in source_params.values()):
+        raise AlgebraError(f"{where}: 'necessary_t' is given, but no "
+                           f"'source_params' value holds t")
     fallback = obj.get("fallback")
     if fallback is not None and not isinstance(fallback, dict):
         raise AlgebraError(f"{where}: 'fallback' must be an object or null, got {fallback!r}")
+    if fallback:
+        inner = f"{where}: 'fallback'"
+        _json_keys(fallback, _FALLBACK_KEYS, inner)
+        fallback = dict(fallback)
+        if "basis" in fallback:
+            fallback["basis"] = _basis(fallback, inner)
+        if "source_params" in fallback:
+            fallback["source_params"] = _params(fallback, "source_params", inner)
     return DegenerationWitness(
-        id=wid,
-        source=source,
-        source_params=dict(_json_optional(obj, "source_params", where, dict)),
-        target=target,
-        target_params={p: p if v == "free" else v for p, v in
-                       _json_optional(obj, "target_params", where, dict).items()},
-        basis=tuple(tuple(row) for row in basis),
-        tier=obj.get("tier", "auto"),
-        avoid=tuple(_json_optional(obj, "avoid", where)),
-        symbols=tuple(_json_optional(obj, "symbols", where)),
-        necessary_t=tuple(_json_optional(obj, "necessary_t", where)),
-        fallback=fallback,
-        note=obj.get("note", ""),
-    )
+        id=wid, source=source, source_params=source_params, target=target,
+        target_params={p: sp.Symbol(p) if v == "free" else _expr(v, where, "target_params")
+                       for p, v in _json_optional(obj, "target_params", where, dict).items()},
+        basis=_basis(obj, where), avoid=_exprs(obj, "avoid", where),
+        symbols=_symbols_of(_json_optional(obj, "symbols", where), where, "symbols"),
+        necessary_t=necessary_t, fallback=fallback or None, note=obj.get("note", ""))
+
+
+def _expr(x, where: str, key: str) -> sp.Expr:
+    """The scalar of the expression ``x`` under ``key``."""
+    if isinstance(x, bool) or not isinstance(x, (str, int)):
+        raise AlgebraError(f"{where}: {key!r} entry {x!r} is not an expression")
+    try:
+        return parse_scalar(x)
+    except ScalarError as exc:
+        raise AlgebraError(f"{where}: {key!r}: {exc}") from None
+
+
+def _exprs(obj: Mapping, key: str, where: str) -> tuple[sp.Expr, ...]:
+    return tuple(_expr(x, where, key) for x in _json_optional(obj, key, where))
+
+
+def _params(obj: Mapping, key: str, where: str) -> dict:
+    return {p: _expr(v, where, key) for p, v in _json_optional(obj, key, where, dict).items()}
+
+
+def _basis(obj: Mapping, where: str) -> tuple[tuple[sp.Expr, ...], ...]:
+    basis = _json_field(obj, "basis", where)
+    if not isinstance(basis, list) or not all(isinstance(row, list) for row in basis):
+        raise AlgebraError(f"{where}: 'basis' must be a list of rows, got {basis!r}")
+    if any(len(row) != len(basis) for row in basis):
+        raise AlgebraError(f"{where}: 'basis' must be square, got rows of lengths "
+                           f"{[len(row) for row in basis]}")
+    return tuple(tuple(_expr(x, where, "basis") for x in row) for row in basis)
+
+
+def _printed(x):
+    # A witness field as JSON: scalars in the grammar, tuples as lists.
+    if isinstance(x, dict):
+        return {k: _printed(v) for k, v in x.items()}
+    if isinstance(x, (tuple, list)):
+        return [_printed(v) for v in x]
+    return grammar_str(x) if isinstance(x, sp.Basic) else x
 
 
 def witness_to_json(w: DegenerationWitness) -> dict:
-    out = {"id": w.id, "source": w.source, "source_params": w.source_params,
-           "target": w.target, "target_params": w.target_params,
-           "basis": [list(row) for row in w.basis], "tier": w.tier}
-    if w.avoid:
-        out["avoid"] = list(w.avoid)
-    if w.symbols:
-        out["symbols"] = list(w.symbols)
-    if w.necessary_t:
-        out["necessary_t"] = list(w.necessary_t)
-    if w.fallback:
-        out["fallback"] = w.fallback
-    if w.note:
-        out["note"] = w.note
-    return out
+    """The JSON object :func:`witness_from_json` reads back as ``w``."""
+    return {k: _printed(v) for k, v in vars(w).items()
+            if v or k in ("id", "source", "target", "basis")}
 
 
 def load_witnesses(cat: Catalog) -> list[DegenerationWitness]:
@@ -143,22 +185,16 @@ def load_witnesses(cat: Catalog) -> list[DegenerationWitness]:
 
 
 def _all_exprs(w: DegenerationWitness) -> list[sp.Expr]:
-    exprs = [parse_scalar(x) for row in w.basis for x in row]
-    exprs += [parse_scalar(v) for v in w.source_params.values()]
-    exprs += [parse_scalar(v) for v in w.target_params.values()]
-    return exprs
+    return [x for row in w.basis for x in row] + [
+        *w.source_params.values(), *w.target_params.values()]
 
 
 def free_symbols_of(w: DegenerationWitness) -> tuple[sp.Symbol, ...]:
-    syms: set[sp.Symbol] = set(sp.Symbol(s) for s in w.symbols)
-    for e in _all_exprs(w):
-        syms |= (e.free_symbols - {T})
+    syms = set(w.symbols).union(*(e.free_symbols for e in _all_exprs(w))) - {T}
     return tuple(sorted(syms, key=str))
 
 
 def detect_tier(w: DegenerationWitness) -> str:
-    if w.tier in ("exact", "numeric"):
-        return w.tier
     return "exact" if all(is_root_free(e) for e in _all_exprs(w)) else "numeric"
 
 
@@ -190,12 +226,21 @@ class WitnessReport:
 # Source and target structure constants
 # ---------------------------------------------------------------------------
 
-def _source_table(cat: Catalog, w: DegenerationWitness):
+def _tables(cat: Catalog, w: DegenerationWitness) -> tuple:
+    """The source and target tables at the row's parameters.  A source
+    constraint that vanishes, or a family whose dimension is not the
+    basis's, raises :class:`AlgebraError`."""
     try:
-        return substitute(cat.entry(w.source).algebra, w.source_params).table
+        source = substitute(cat.entry(w.source).algebra, w.source_params).table
     except ConstraintViolation as exc:
         raise AlgebraError(f"{w.id}: source constraint "
                            f"{grammar_str(exc.constraint)} vanishes identically") from None
+    target = substitute(cat.entry(w.target).algebra, w.target_params).table
+    for name, table in ((w.source, source), (w.target, target)):
+        if len(table) != len(w.basis):
+            raise AlgebraError(f"{w.id}: 'basis' has {len(w.basis)} rows, but "
+                               f"{name} has dimension {len(table)}")
+    return source, target
 
 
 # ---------------------------------------------------------------------------
@@ -212,12 +257,10 @@ def verify_exact(w: DegenerationWitness, cat: Catalog) -> WitnessReport:
     limit itself is built only for a failure's message."""
     if detect_tier(w) != "exact":
         raise TierError(f"{w.id}: radical-bearing witness; use verify_numeric")
-    table = _source_table(cat, w)
+    table, target = _tables(cat, w)
     n = len(table)
-    rows = [[parse_scalar(x) for x in row] for row in w.basis]
     report = WitnessReport(w.id, w.source, w.target, "exact", True, note=w.note)
-    target = substitute(cat.entry(w.target).algebra, w.target_params).table
-    K, new_table, (target_k,) = _change_basis(table, rows, target)
+    K, new_table, (target_k,) = _change_basis(table, w.basis, target)
     if new_table is None:
         report.passed = False
         report.failures.append({"problem": "basis matrix singular as an expression"})
@@ -273,9 +316,8 @@ def _sample_conditions(w: DegenerationWitness, cat: Catalog) -> list[sp.Expr]:
     """What a sampled parameter point must keep nonzero: the row's ``avoid``
     list and the target's constraints at the row's target parameters."""
     target_vals = scalars.subs_map(w.target_params)
-    return [parse_scalar(x) for x in w.avoid] + [
-        scalars.substitute(cons, target_vals)
-        for cons in cat.entry(w.target).algebra.constraints]
+    return [*w.avoid, *(scalars.substitute(cons, target_vals)
+                        for cons in cat.entry(w.target).algebra.constraints)]
 
 
 def _num(e: sp.Expr, digits: int) -> mpmath.mpc:
@@ -361,10 +403,8 @@ def verify_numeric(w: DegenerationWitness, cat: Catalog,
     ``samples`` is below 1.
     """
     _check_samples(samples)
-    table = _source_table(cat, w)
-    target = substitute(cat.entry(w.target).algebra, w.target_params).table
+    table, target = _tables(cat, w)
     n = len(table)
-    basis_rows = [[parse_scalar(x) for x in row] for row in w.basis]
     report = WitnessReport(w.id, w.source, w.target, "numeric", True,
                            heuristic=True, note=w.note)
     syms = free_symbols_of(w)
@@ -386,9 +426,8 @@ def verify_numeric(w: DegenerationWitness, cat: Catalog,
             target_num = _num_all(target, assign, digits)
             residuals: dict[tuple, list] = {}
             for t_val in DEFAULT_SCHEDULE:
-                subs = dict(assign)
-                subs[T] = t_val
-                raw = _num_all(basis_rows, subs, digits)
+                subs = {**assign, T: t_val}
+                raw = _num_all(w.basis, subs, digits)
                 # Row-scale the basis: Laurent rows span hundreds of orders
                 # of magnitude at the final t, which would otherwise wreck
                 # the LU solve.  E_i = s_i * Ehat_i rescales the conjugated
@@ -481,18 +520,14 @@ def apply_fallback(w: DegenerationWitness) -> DegenerationWitness:
     """The corrected variant recorded alongside a defective literal row."""
     if not w.fallback:
         raise AlgebraError(f"{w.id}: no fallback recorded")
-    return replace(
-        w,
-        source=w.fallback.get("source", w.source),
-        source_params=dict(w.fallback.get("source_params", w.source_params)),
-        basis=tuple(tuple(row) for row in w.fallback.get("basis", w.basis)),
-        fallback=None,
-    )
+    return replace(w, **{k: v for k, v in w.fallback.items() if k != "reason"},
+                   fallback=None)
 
 
 def verify_witness(w: DegenerationWitness, cat: Catalog,
                    samples: int = 3, seed: int = DEFAULT_SEED) -> WitnessReport:
-    """Verify one witness, honoring the tier hint and the fallback protocol.
+    """Verify one witness in the tier :func:`detect_tier` decides, under the
+    fallback protocol.
 
     A witness with a recorded fallback is always run literally first; only
     if the literal run fails is the fallback patch applied, and both
@@ -502,8 +537,7 @@ def verify_witness(w: DegenerationWitness, cat: Catalog,
     _check_samples(samples)
 
     def run(witness):
-        tier = detect_tier(witness)
-        if tier == "exact":
+        if detect_tier(witness) == "exact":
             return verify_exact(witness, cat)
         return verify_numeric(witness, cat, samples=samples, seed=seed)
 
@@ -551,7 +585,7 @@ class NecessaryReport:
         return asdict(self)
 
 
-_DEFAULT_T_POOL = ("1/2", "1/3", "2/7", "3/5", "5/2")
+_DEFAULT_T_POOL = tuple(map(parse_scalar, ("1/2", "1/3", "2/7", "3/5", "5/2")))
 
 
 def check_necessary(w: DegenerationWitness, cat: Catalog,
@@ -582,13 +616,13 @@ def check_necessary(w: DegenerationWitness, cat: Catalog,
     source = cat.entry(w.source).algebra
     target = cat.entry(w.target).algebra
     syms = free_symbols_of(w)
-    uses_t = any(parse_scalar(v).has(T) for v in w.source_params.values())
-    t_pool = [sp.Rational(x) for x in (w.necessary_t or _DEFAULT_T_POOL)]
+    uses_t = any(v.has(T) for v in w.source_params.values())
+    t_pool = w.necessary_t or _DEFAULT_T_POOL
     mode = "weak-family-index" if uses_t else "strict"
     report = NecessaryReport(w.id, w.source, w.target, False, True, mode)
     points = itertools.repeat({}) if not syms else scalars.admissible_points(
         random.Random(seed), syms, _sample_conditions(w, cat))
-    point_free = {side: not any(parse_scalar(v).free_symbols for v in params.values())
+    point_free = {side: not any(v.free_symbols for v in params.values())
                   for side, params in (("source", w.source_params),
                                        ("target", w.target_params))}
     fixed: dict = {}    # side -> the dimension or AlgebraError of a point-free side
@@ -613,13 +647,11 @@ def check_necessary(w: DegenerationWitness, cat: Catalog,
     for assign in points:
         t_val = t_pool[made % len(t_pool)] if uses_t else None
         at = assign if t_val is None else {**assign, T: t_val}
-        src_vals = {p: scalars.substitute(parse_scalar(v), at)
-                    for p, v in w.source_params.items()}
+        src_vals = {p: scalars.substitute(v, at) for p, v in w.source_params.items()}
         try:
             d_src = dim_der("source", source, src_vals)
-            d_tgt = dim_der("target", target,
-                            {p: scalars.substitute(parse_scalar(v), assign)
-                             for p, v in w.target_params.items()})
+            d_tgt = dim_der("target", target, {p: scalars.substitute(v, assign)
+                                               for p, v in w.target_params.items()})
         except AlgebraError as exc:
             cause = str(exc)
             if not syms:
@@ -692,23 +724,14 @@ def build_reachability(reports: Sequence[WitnessReport],
                        cat: Catalog) -> ReachabilityReport:
     """Family-level reachability of every classified family from the two
     source families, using only witnesses that verified."""
-    edges = []
-    for r in reports:
-        if not r.passed:
-            continue
-        edges.append((r.source, r.target))
+    edges = [(r.source, r.target) for r in reports if r.passed]
 
     expected = sorted(e.name for e in cat.entries.values()
                       if e.listing in ("dim4", "limit"))
     nodes = set(expected) | {s for s, _ in edges} | {d for _, d in edges}
     reached = set(SOURCES)
-    changed = True
-    while changed:
-        changed = False
-        for src, dst in edges:
-            if src in reached and dst not in reached:
-                reached.add(dst)
-                changed = True
+    while new := {dst for src, dst in edges if src in reached} - reached:
+        reached |= new
     reachable = {name: name in reached for name in sorted(nodes)}
     all_expected = all(reachable.get(name, False) for name in expected)
     no_incoming = all(dst not in SOURCES for _, dst in edges)

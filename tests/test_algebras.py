@@ -387,6 +387,13 @@ def test_algebra_validation():
         algebra("bad", 2, [(1, 1, 2, "t")], params=["t"])
 
 
+@pytest.mark.parametrize("name", ["t", "i"])
+def test_grammar_reserved_names_are_not_parameters(name):
+    # t is the degeneration variable and i the imaginary unit
+    with pytest.raises(AlgebraError, match=f"x: 'params' entry '{name}' is reserved"):
+        algebra("x", 1, [], params=[name])
+
+
 def test_json_roundtrip(cat):
     a = cat.get("N4_22")
     b = algebra_from_json(algebra_to_json(a))

@@ -208,6 +208,75 @@ def test_witness_file_fallback_of_wrong_type_is_usage_error(capsys, tmp_path, fa
     assert_usage_error(code, out, err, "'fallback' must be an object or null")
 
 
+_T_ROW = {"source": "N4_06", "source_params": {"alpha": "t"}}
+_RAGGED = [["t", "0", "0", "0"], ["0", "t", "0"], ["0", "0", "t", "0"], ["0", "0", "0", "t"]]
+
+
+@pytest.mark.parametrize("change, message", [
+    ({"tier": "auto"}, "unknown key 'tier'"),
+    ({"fallback": {"basis": _WITNESS["basis"], "tier": "exact"}},
+     "'fallback': unknown key 'tier'"),
+    ({"basis": _WITNESS["basis"][:3]}, "'basis' must be square, got rows of lengths [4, 4, 4]"),
+    ({"basis": _RAGGED}, "'basis' must be square, got rows of lengths [4, 3, 4, 4]"),
+    ({"fallback": {"basis": _RAGGED}}, "'fallback': 'basis' must be square"),
+    ({"basis": [["t", "0"], ["0", "t"]]}, "'basis' has 2 rows, but N4_09 has dimension 4"),
+    ({"target": "zero_3"}, "'basis' has 4 rows, but zero_3 has dimension 3"),
+    ({"symbols": [5]}, "'symbols' entry 5 is not an identifier"),
+    ({"symbols": ["t"]}, "'symbols' entry 't' is reserved"),
+    ({"symbols": ["i"]}, "'symbols' entry 'i' is reserved"),
+    ({**_T_ROW, "necessary_t": ["x"]}, "'necessary_t' entry 'x' is not a positive rational"),
+    ({**_T_ROW, "necessary_t": ["root(2,2)"]}, "'necessary_t' entry 'root(2,2)' is not"),
+    ({**_T_ROW, "necessary_t": ["0"]}, "'necessary_t' entry '0' is not a positive rational"),
+    ({**_T_ROW, "necessary_t": ["0.5"]}, "'necessary_t': unexpected character '.'"),
+    ({"necessary_t": ["1/2"]}, "'necessary_t' is given, but no 'source_params' value holds t"),
+    ({"basis": [[None, "0", "0", "0"], *_WITNESS["basis"][1:]]},
+     "'basis' entry None is not an expression"),
+    ({"basis": [[True, "0", "0", "0"], *_WITNESS["basis"][1:]]},
+     "'basis' entry True is not an expression"),
+    ({"source_params": {"alpha": 0.5}, "source": "N4_06"},
+     "'source_params' entry 0.5 is not an expression"),
+    ({"avoid": [None]}, "'avoid' entry None is not an expression"),
+], ids=["tier", "fallback-tier", "short-basis", "ragged-basis", "ragged-fallback",
+        "source-dim", "target-dim", "symbol-int", "symbol-t", "symbol-i", "necessary-symbol",
+        "necessary-root", "necessary-zero", "necessary-decimal", "necessary-without-t",
+        "null-entry", "bool-entry", "float-param", "null-avoid"])
+def test_witness_file_outside_the_schema_is_usage_error(capsys, tmp_path, change, message):
+    path = tmp_path / "w.json"
+    path.write_text(json.dumps({**_WITNESS, **change}))
+    code, out, err = run(capsys, "degenerate", "verify", "--row", str(path))
+    assert_usage_error(code, out, err, message)
+    assert err.startswith("error: witness 'W': ") or err.startswith("error: W: ")
+
+
+@pytest.mark.parametrize("obj, message", [
+    ({"name": "a1", "dim": 1, "params": ["a"], "constraint_nonzero": ["a"],
+      "products": [{"i": 1, "j": 1, "k": 1, "c": "1/a"}]},
+     "algebra 'a1': unknown key 'constraint_nonzero'"),
+    ({"name": "x", "dim": 2, "products": [{"i": 1, "j": 1, "k": 2, "c": "1", "l": 1}]},
+     "algebra 'x': product: unknown key 'l'"),
+    ({"name": "x", "dim": 2, "params": ["t"]}, "'params' entry 't' is reserved"),
+    ({"name": "x", "dim": 2, "params": ["i"]}, "'params' entry 'i' is reserved"),
+], ids=["misspelt-constraints", "product-key", "param-t", "param-i"])
+def test_algebra_file_outside_the_schema_is_usage_error(capsys, tmp_path, obj, message):
+    path = tmp_path / "alg.json"
+    path.write_text(json.dumps(obj))
+    code, out, err = run(capsys, "check", str(path))
+    assert_usage_error(code, out, err, message)
+
+
+@pytest.mark.parametrize("obj, message", [
+    ({"algebra": "N3s_01", "entries": [{"i": 1, "j": 2, "c": "1"}], "entrys": []},
+     "cocycle JSON: unknown key 'entrys'"),
+    ({"entries": [{"i": 1, "j": 2, "c": "1", "k": 3}]},
+     "cocycle JSON: entry: unknown key 'k'"),
+], ids=["top-level", "entry"])
+def test_cocycle_file_outside_the_schema_is_usage_error(capsys, tmp_path, obj, message):
+    path = tmp_path / "cocycle.json"
+    path.write_text(json.dumps(obj))
+    code, out, err = run(capsys, "extend", "N3s_01", "--cocycle", str(path))
+    assert_usage_error(code, out, err, message)
+
+
 @pytest.mark.parametrize("command", [
     ("degenerate", "verify", "--row", "B23"),
     ("graph", "components"),

@@ -124,7 +124,7 @@ def test_free_target_param_is_the_param_itself():
     free = witness_from_json({**_WITNESS, "target_params": {"lam": "free"}})
     named = witness_from_json({**_WITNESS, "target_params": {"lam": "lam"}})
     assert free == named
-    assert free.target_params == {"lam": "lam"}
+    assert free.target_params == {"lam": sp.Symbol("lam")}
 
 
 def test_vanishing_source_constraint_is_refused(cat):
@@ -233,7 +233,7 @@ def test_scaled_identity_residual_at_noise_floor(cat):
     # automorphism of this family, so every conjugated constant is exact
     w = witness_from_json({
         "id": "scaled", "source": "N4_02", "source_params": {"lam": "2"},
-        "target": "N4_02", "target_params": {"lam": "2"}, "tier": "numeric",
+        "target": "N4_02", "target_params": {"lam": "2"},
         "basis": [["root(2,t)", "0", "0", "0"], ["0", "t", "0", "0"],
                    ["0", "0", "t*root(2,t)", "0"], ["0", "0", "0", "t^2"]]})
     rep = verify_numeric(w, cat, digits=60)
@@ -278,7 +278,7 @@ def test_numeric_values_are_memoised_per_precision(cat, rows):
 def test_numeric_tier_rejects_singular_basis(cat, basis):
     w = witness_from_json({
         "id": "sing", "source": "N4_01", "source_params": {},
-        "target": "N4_01", "target_params": {}, "tier": "numeric",
+        "target": "N4_01", "target_params": {},
         "basis": basis})
     rep = verify_numeric(w, cat)
     assert not rep.passed
@@ -293,7 +293,7 @@ def test_numeric_tier_reports_pivotless_basis_as_singular(cat):
     # basis has an all-zero column below the diagonal: no pivot candidate.
     w = witness_from_json({
         "id": "nopivot", "source": "N4_01", "source_params": {},
-        "target": "N4_01", "target_params": {}, "tier": "numeric",
+        "target": "N4_01", "target_params": {},
         "basis": [["t", "t", "0", "0"], ["t", "t", "0", "0"],
                   ["0", "t", "t", "0"], ["0", "0", "0", "t"]]})
     rep = verify_numeric(w, cat)
@@ -415,11 +415,10 @@ def test_transitivity_by_basis_composition(cat, rows):
     rows_b = [[parse_scalar(x) for x in row] for row in w_b.basis]
     composed = [[sp.cancel(sum(rows_b[i][k] * rows_a[k][j] for k in range(4)))
                  for j in range(4)] for i in range(4)]
-    from novikov.scalars import grammar_str
     w = DegenerationWitness(
         id="B15*B14", source=w_a.source, source_params=w_a.source_params,
         target=w_b.target, target_params=w_b.target_params,
-        basis=tuple(tuple(grammar_str(x) for x in row) for row in composed))
+        basis=tuple(map(tuple, composed)))
     rep = verify_exact(w, cat)
     assert rep.passed, rep.failures
 
@@ -458,6 +457,32 @@ def test_witness_json_basis_must_be_a_list_of_rows(basis):
 def test_witness_json_optional_key_of_wrong_type_is_named(key, value, what):
     with pytest.raises(AlgebraError, match=f"witness 'W': '{key}' must be {what}"):
         witness_from_json({**_WITNESS, key: value})
+
+
+def test_witness_fields_are_parsed_once(rows):
+    # The reader leaves no grammar text behind, in the fallback too.
+    b24, b05 = rows["B24"], rows["B05"]
+    u = sp.Symbol("u")
+    assert b24.symbols == (u,) and b24.avoid == (u + 1,)
+    assert b24.target_params == {"alpha": sp.I * (u - 1) / (u + 1)}
+    assert b24.fallback["source"] == "N4_04"
+    assert all(isinstance(v, sp.Expr) for v in b24.fallback["source_params"].values())
+    assert b05.necessary_t == (4, sp.Rational(1, 2), sp.Rational(4, 27))
+    assert all(isinstance(x, sp.Expr) for w in rows.values()
+               for basis in (w.basis, (w.fallback or {}).get("basis", ()))
+               for row in basis for x in row)
+
+
+@pytest.mark.parametrize("verify", [verify_exact, verify_numeric])
+@pytest.mark.parametrize("change, message", [
+    ({"basis": [["t", "0"], ["0", "t"]]}, "W: 'basis' has 2 rows, but N4_09 has dimension 4"),
+    ({"target": "zero_3"}, "W: 'basis' has 4 rows, but zero_3 has dimension 3"),
+], ids=["source", "target"])
+def test_basis_of_another_dimension_is_refused(cat, verify, change, message):
+    w = witness_from_json({**_WITNESS, **change})
+    with pytest.raises(AlgebraError) as exc:
+        verify(w, cat)
+    assert str(exc.value) == message
 
 
 def test_free_symbols(rows):

@@ -1,6 +1,7 @@
 """Deterministic exact linear algebra, cross-checked against the independent
 Fraction-based oracle."""
 
+import itertools
 import random
 from fractions import Fraction
 
@@ -178,6 +179,55 @@ def _check_det(m):
     assert sp.cancel(linalg.det(m) - want) == 0
 
 
+def _coefficients(poly_expr):
+    """The coefficients of a polynomial in lam, highest first, as Fractions."""
+    return [Fraction(int(c.p), int(c.q)) for c in sp.Poly(poly_expr, lam).all_coeffs()]
+
+
+def _at(coefficients, x):
+    value = Fraction(0)
+    for c in coefficients:
+        value = value * x + c
+    return value
+
+
+def _leibniz_det(a):
+    """The determinant of a square matrix of Fractions as the signed sum
+    over all permutations."""
+    n = len(a)
+    total = Fraction(0)
+    for perm in itertools.permutations(range(n)):
+        inversions = sum(perm[i] > perm[j] for i, j in itertools.combinations(range(n), 2))
+        term = Fraction(-1 if inversions % 2 else 1)
+        for i, j in enumerate(perm):
+            term *= a[i][j]
+        total += term
+    return total
+
+
+def _check_det_at_points(m):
+    """``linalg.det(m) = P/Q`` over Q(lam), proved at points.
+
+    Write each entry as p/q and let E be the product of all the q.  Then
+    det(m) E is a polynomial of degree at most d = (sum over rows of the
+    largest deg p) + deg E, so F = P E - Q det(m) E has degree at most
+    max(deg P + deg E, deg Q + d).  At a point x where no q vanishes, F(x)
+    is zero iff P(x) = Q(x) det(m(x)), with the determinant of the
+    evaluated matrix summed exactly over Fractions.  F is zero at more
+    distinct points x >= 4 than its degree, so F is the zero polynomial
+    and P/Q is the determinant."""
+    entries = [[[_coefficients(part) for part in sp.fraction(sp.together(e))]
+                for e in row] for row in m]
+    p_det, q_det = (_coefficients(part)
+                    for part in sp.fraction(sp.together(linalg.det(m))))
+    deg_e = sum(len(q) - 1 for row in entries for _, q in row)
+    deg_det_e = sum(max(len(p) - 1 for p, _ in row) for row in entries) + deg_e
+    bound = max(len(p_det) - 1 + deg_e, len(q_det) - 1 + deg_det_e)
+    for x in range(4, 5 + bound):
+        a = [[_at(p, x) / _at(q, x) for p, q in row] for row in entries]
+        assert _at(p_det, x) == _at(q_det, x) * _leibniz_det(a)
+
+
 @settings(max_examples=40, deadline=None)
 @given(_matrices(_gauss))
 def test_rref_properties_gaussian(m):
@@ -199,7 +249,7 @@ def test_det_gaussian(m):
 @settings(max_examples=25, deadline=None)
 @given(_matrices(_lam_fn, square=True))
 def test_det_rational_functions(m):
-    _check_det(m)
+    _check_det_at_points(m)
 
 
 # ---------------------------------------------------------------------------

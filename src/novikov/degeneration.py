@@ -117,6 +117,9 @@ def witness_from_json(obj: Mapping) -> DegenerationWitness:
     if necessary_t and not any(v.has(T) for v in source_params.values()):
         raise AlgebraError(f"{where}: 'necessary_t' is given, but no "
                            f"'source_params' value holds t")
+    note = obj.get("note", "")
+    if not isinstance(note, str):
+        raise AlgebraError(f"{where}: 'note' must be a string, got {note!r}")
     fallback = obj.get("fallback")
     if fallback is not None and not isinstance(fallback, dict):
         raise AlgebraError(f"{where}: 'fallback' must be an object or null, got {fallback!r}")
@@ -134,7 +137,7 @@ def witness_from_json(obj: Mapping) -> DegenerationWitness:
                        for p, v in _json_optional(obj, "target_params", where, dict).items()},
         basis=_basis(obj, where), avoid=_exprs(obj, "avoid", where),
         symbols=_symbols_of(_json_optional(obj, "symbols", where), where, "symbols"),
-        necessary_t=necessary_t, fallback=fallback or None, note=obj.get("note", ""))
+        necessary_t=necessary_t, fallback=fallback or None, note=note)
 
 
 def _expr(x, where: str, key: str) -> sp.Expr:

@@ -236,10 +236,12 @@ _RAGGED = [["t", "0", "0", "0"], ["0", "t", "0"], ["0", "0", "t", "0"], ["0", "0
     ({"source_params": {"alpha": 0.5}, "source": "N4_06"},
      "'source_params' entry 0.5 is not an expression"),
     ({"avoid": [None]}, "'avoid' entry None is not an expression"),
+    ({"note": 5, "target": "N4_01", "fallback": {"reason": "r", "basis": _WITNESS["basis"]}},
+     "'note' must be a string, got 5"),
 ], ids=["tier", "fallback-tier", "short-basis", "ragged-basis", "ragged-fallback",
         "source-dim", "target-dim", "symbol-int", "symbol-t", "symbol-i", "necessary-symbol",
         "necessary-root", "necessary-zero", "necessary-decimal", "necessary-without-t",
-        "null-entry", "bool-entry", "float-param", "null-avoid"])
+        "null-entry", "bool-entry", "float-param", "null-avoid", "note-int"])
 def test_witness_file_outside_the_schema_is_usage_error(capsys, tmp_path, change, message):
     path = tmp_path / "w.json"
     path.write_text(json.dumps({**_WITNESS, **change}))

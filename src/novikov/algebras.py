@@ -298,10 +298,19 @@ def _json_optional(obj: Mapping, key: str, where: str, kind: type = list):
 
 def _json_product(obj, keys: str, where: str) -> tuple:
     """The values of the one-letter ``keys`` of a product or cocycle entry,
-    in order; a missing or unknown key raises :class:`AlgebraError`."""
+    in order; a missing or unknown key, or a coefficient ``c`` that is not
+    an expression (:func:`_is_expression`), raises :class:`AlgebraError`."""
     values = tuple(_json_field(obj, key, where) for key in keys)
     _json_keys(obj, tuple(keys), where)
+    if not _is_expression(values[-1]):
+        raise AlgebraError(f"{where}: 'c' entry {values[-1]!r} is not an expression")
     return values
+
+
+def _is_expression(x) -> bool:
+    """Whether the JSON value ``x`` can hold an expression: grammar text or
+    an integer, but not a bool, a float or null."""
+    return isinstance(x, (str, int)) and not isinstance(x, bool)
 
 
 _ALGEBRA_KEYS = ("name", "dim", "params", "constraints_nonzero", "products", "meta")
@@ -311,14 +320,18 @@ def algebra_from_json(obj: Mapping) -> Algebra:
     """Algebra from its JSON object.  A missing ``name``, ``dim`` or product
     key, a key outside the schema (``name``, ``dim``, ``params``,
     ``constraints_nonzero``, ``products`` and ``meta``; ``i``, ``j``, ``k``
-    and ``c`` in a product), a ``dim`` that is not an integer in
-    1..:data:`MAX_DIM`, a ``products``, ``params`` or
-    ``constraints_nonzero`` that is not a list, or a ``params`` entry that
+    and ``c`` in a product), a ``name`` that is not a string, a ``dim`` that
+    is not an integer in 1..:data:`MAX_DIM`, a ``products``, ``params`` or
+    ``constraints_nonzero`` that is not a list, a ``meta`` that is not an
+    object, a ``c`` that is not an expression, or a ``params`` entry that
     is not an identifier string or is ``t`` or ``i``, raises
     :class:`AlgebraError` naming it."""
     name = _json_field(obj, "name", "algebra JSON")
+    if not isinstance(name, str):
+        raise AlgebraError(f"algebra JSON: 'name' must be a string, got {name!r}")
     where = f"algebra {name!r}"
     _json_keys(obj, _ALGEBRA_KEYS, where)
+    _json_optional(obj, "meta", where, dict)
     dim = _json_field(obj, "dim", where)
     if isinstance(dim, bool) or not isinstance(dim, int) or not 1 <= dim <= MAX_DIM:
         raise AlgebraError(f"{where}: dim must be a positive integer at most "

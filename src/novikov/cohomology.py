@@ -128,8 +128,9 @@ def cocycle_to_json(c: Cocycle) -> dict:
 def cocycle_from_json(a: Algebra, obj: Mapping) -> Cocycle:
     """Cocycle from its JSON object.  An object without an ``entries`` list,
     an entry without ``i``, ``j`` or ``c``, a key outside the schema
-    (``algebra`` and ``entries``; ``i``, ``j`` and ``c`` in an entry), or an
-    index that is not an integer in range raises :class:`CocycleError`."""
+    (``algebra`` and ``entries``; ``i``, ``j`` and ``c`` in an entry), a
+    ``c`` that is not grammar text or an integer, or an index that is not an
+    integer in range raises :class:`CocycleError`."""
     try:
         entries = _json_field(obj, "entries", "cocycle JSON")
         _json_keys(obj, ("algebra", "entries"), "cocycle JSON")

@@ -32,8 +32,8 @@ from mpmath.libmp import (mpc_abs, mpc_add, mpc_div, mpc_div_mpf, mpc_mul,
 
 from . import linalg, scalars
 from .algebras import (AlgebraError, ConstraintViolation, _change_basis,
-                       _json_field, _json_keys, _json_optional, _symbols_of,
-                       derivation_dim, substitute)
+                       _is_expression, _json_field, _json_keys, _json_optional,
+                       _symbols_of, derivation_dim, substitute)
 from .catalog import Catalog
 from .scalars import (DEFAULT_SEED, T, NumericDivisionError, ScalarError,
                       grammar_str, is_root_free, parse_scalar)
@@ -101,10 +101,13 @@ def witness_from_json(obj: Mapping) -> DegenerationWitness:
     a null ``fallback`` means none.  A missing ``id``, ``source``, ``target``
     or ``basis``, a key outside the schema, or a value of another shape
     raises :class:`AlgebraError` naming the witness and the key: among
-    others a ``basis`` that is not square, a ``symbols`` entry that is ``t``
-    or ``i``, and a ``necessary_t`` entry that is not a positive rational
-    or on a row whose source parameters hold no t."""
+    others an ``id`` that is not a string, a ``basis`` that is not square,
+    a ``symbols`` entry that is ``t`` or ``i``, and a ``necessary_t`` entry
+    that is not a positive rational or on a row whose source parameters
+    hold no t."""
     wid = _json_field(obj, "id", "witness JSON")
+    if not isinstance(wid, str):
+        raise AlgebraError(f"witness JSON: 'id' must be a string, got {wid!r}")
     where = f"witness {wid!r}"
     _json_keys(obj, _WITNESS_KEYS, where)
     source, target = (_json_field(obj, key, where) for key in ("source", "target"))
@@ -142,7 +145,7 @@ def witness_from_json(obj: Mapping) -> DegenerationWitness:
 
 def _expr(x, where: str, key: str) -> sp.Expr:
     """The scalar of the expression ``x`` under ``key``."""
-    if isinstance(x, bool) or not isinstance(x, (str, int)):
+    if not _is_expression(x):
         raise AlgebraError(f"{where}: {key!r} entry {x!r} is not an expression")
     try:
         return parse_scalar(x)

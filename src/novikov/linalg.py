@@ -17,11 +17,14 @@ RREF, and every basis derived from it, is unique and reproducible
 bit-for-bit.
 
 Expressions cross at the boundary helpers.  :func:`to_field` converts
-nested groups of them into elements of the smallest field holding every
-entry (``QQ``, ``QQ_I`` or a fraction field such as ``ZZ_I(alpha, lam)``):
-groups of ``Rational`` entries alone go straight to ``QQ``, any others
-through one ``construct_domain(..., field=True)`` call.  Their sums, products
-and zero tests are exact with no simplification step.  :func:`to_expr`
+nested groups of them into elements of one field (``QQ``, ``QQ_I`` or a
+fraction field such as ``ZZ_I(alpha, lam)``) in one flat pass: groups of
+``Rational`` entries alone go straight to ``QQ``; for any others the field
+is built from their free symbols and whether they hold ``i``, and each
+distinct entry is converted on its own.  A scalar outside the root-free
+fragment is refused with ``ValueError``, so no entry ever lands in sympy's
+``EX`` domain, whose zero tests are heuristic.  Sums, products and zero
+tests of the elements are exact with no simplification step.  :func:`to_expr`
 brings an element back in canonical ``cancel`` form, so equal rational
 functions come out syntactically identical (over ``QQ`` the converted
 ``Rational`` already is), and :func:`cleared_vector` brings a sparse vector
@@ -35,12 +38,16 @@ values of elements at a point of Q(i), in the constant field ``QQ`` or
 
 from __future__ import annotations
 
+from functools import lru_cache
+from itertools import islice
 from typing import Iterable, Sequence
 
 import sympy as sp
-from sympy.polys.constructor import construct_domain
+from sympy.core.numbers import ImaginaryUnit
 from sympy.polys.matrices import DomainMatrix
 from sympy.polys.matrices.sdm import sdm_irref
+from sympy.polys.polyerrors import CoercionFailed
+from sympy.polys.polyutils import _sort_gens
 
 Vector = tuple[sp.Expr, ...]
 
@@ -64,34 +71,77 @@ __all__ = [
 def to_field(*groups) -> tuple[object, list]:
     """Convert nested lists/tuples of scalars into elements of one field.
 
+    Each level of a group holds either lists/tuples only or scalars only.
     When every distinct entry is a sympy ``Rational`` the field is ``QQ``
-    and each entry converts as ``QQ(p, q)``, which is what
-    ``construct_domain`` gives for such entries; otherwise one
-    ``construct_domain(..., field=True)`` call covers every distinct entry
-    of every group.  Returns the field and the groups, same nesting, as
-    lists of field elements.
+    and each entry converts as ``QQ(p, q)``.  Otherwise the field is built
+    from the entries' symbols: ``ZZ(gens)``, or ``ZZ_I(gens)`` when an entry
+    holds ``i``, with the distinct free symbols as generators in the order
+    sympy's ``construct_domain`` gives them; with no symbols it is ``QQ`` or
+    ``QQ_I``.  Each distinct entry is converted once.  An entry that is not
+    a rational function over Q(i), such as a root, raises ``ValueError``
+    naming it.  Returns the field and the groups, same nesting, as lists of
+    field elements.
     """
-    index: dict = {}
-
-    def collect(x):
-        if isinstance(x, (list, tuple)):
-            for y in x:
-                collect(y)
-        else:
-            index.setdefault(x, len(index))
-
-    for g in groups:
-        collect(g)
-    if all(isinstance(x, sp.Rational) for x in index):
-        field, elems = sp.QQ, [sp.QQ(x.p, x.q) for x in index]
+    flat: list = []
+    shapes = [_flatten(g, flat) for g in groups]
+    distinct = dict.fromkeys(flat)
+    if all(isinstance(x, sp.Rational) for x in distinct):
+        field = sp.QQ
+        for x in distinct:
+            distinct[x] = sp.QQ(x.p, x.q)
     else:
-        field, elems = construct_domain(list(index), field=True)
+        exprs = [sp.sympify(x) for x in distinct]
+        atoms = set().union(*(e.atoms(sp.Symbol, ImaginaryUnit) for e in exprs))
+        gaussian = sp.I in atoms
+        atoms.discard(sp.I)
+        field = _field(gaussian, frozenset(atoms))
+        for x, e in zip(distinct, exprs):
+            distinct[x] = _element(field, e)
+    elems = map(distinct.__getitem__, flat)
+    return field, [_unflatten(shape, elems) for shape in shapes]
 
-    def rebuild(x):
-        return ([rebuild(y) for y in x] if isinstance(x, (list, tuple))
-                else elems[index[x]])
 
-    return field, [rebuild(g) for g in groups]
+def _flatten(group, flat: list):
+    # Extends flat by the scalars of group, in order, and returns its shape:
+    # the length of a list of scalars, or the list of its members' shapes.
+    if group and isinstance(group[0], (list, tuple)):
+        return [_flatten(g, flat) for g in group]
+    flat.extend(group)
+    return len(group)
+
+
+def _unflatten(shape, elems):
+    # The next elements of the iterator elems as lists of the given shape.
+    if isinstance(shape, int):
+        return list(islice(elems, shape))
+    return [_unflatten(s, elems) for s in shape]
+
+
+@lru_cache(maxsize=256)
+def _field(gaussian: bool, symbols: frozenset):
+    # The field of rational functions in symbols over Q or Q(i).
+    if not symbols:
+        return sp.QQ_I if gaussian else sp.QQ
+    return (sp.ZZ_I if gaussian else sp.ZZ).frac_field(*_sort_gens(symbols))
+
+
+def _element(field, e):
+    # e as an element of field.  A number that is not written a + b*i, such
+    # as (1 + i)^2, is converted from its real and imaginary parts.  Over
+    # ZZ_I a constant keeps the denominator of its QQ_I value, which may
+    # share a factor with the numerator ((1 + i)/2 = i/(1 + i)), so it is
+    # cancelled into the form field arithmetic gives.
+    try:
+        x = field.from_sympy(e)
+    except (CoercionFailed, ValueError):
+        if not field.is_FractionField:
+            re, im = e.as_real_imag()
+            if re.is_Rational and im.is_Rational and (field.is_QQ_I or not im):
+                return field.from_sympy(re + im * sp.I)
+        raise ValueError(f"scalar {e} is not a rational function over Q(i)") from None
+    if field.is_FractionField and field.domain.is_ZZ_I and x.numer.is_ground:
+        return field.field.new(x.numer, x.denom)
+    return x
 
 
 def _nested(f, x):

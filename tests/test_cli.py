@@ -163,6 +163,11 @@ def test_undeclared_param_is_usage_error(capsys):
     ({"name": "x", "dim": 2, "params": ["a"], "constraints_nonzero": ["a-a"]},
      "'constraints_nonzero' entry 'a-a' is identically zero"),
     ({"name": "x", "dim": 1000000}, "at most 16, got 1000000"),
+    ({"name": 5, "dim": 2}, "algebra JSON: 'name' must be a string, got 5"),
+    ({"name": "x", "dim": 2, "meta": 5}, "algebra 'x': 'meta' must be an object, got 5"),
+    *[({"name": "x", "dim": 2, "products": [{"i": 1, "j": 1, "k": 2, "c": c}]},
+       f"algebra 'x': product: 'c' entry {c!r} is not an expression")
+      for c in (None, True, 0.5)],
 ])
 def test_algebra_file_schema_error_is_usage_error(capsys, tmp_path, obj, word):
     path = tmp_path / "alg.json"
@@ -181,6 +186,23 @@ def test_degenerate_verify_accepts_witness_file(capsys, tmp_path):
     path.write_text(json.dumps({**_WITNESS, "fallback": None}))
     code, out, _ = run(capsys, "degenerate", "verify", "--row", str(path))
     assert code == 0 and out.startswith("W: N4_09 -> zero_4  [exact] pass")
+
+
+def test_degenerate_verify_fails_a_wrong_witness_file_without_fallback(capsys, tmp_path):
+    path = tmp_path / "w.json"
+    path.write_text(json.dumps({**_WITNESS, "basis": [["1", "0", "0", "0"],
+                                                      *_WITNESS["basis"][1:]]}))
+    code, out, err = run(capsys, "degenerate", "verify", "--row", str(path))
+    assert (code, out, err) == (1, "W: N4_09 -> zero_4  [exact] FAIL\n", "")
+
+
+def test_root_in_a_structure_constant_is_usage_error(capsys, tmp_path):
+    path = tmp_path / "alg.json"
+    path.write_text(json.dumps({"name": "x", "dim": 2,
+                                "products": [{"i": 1, "j": 1, "k": 2, "c": "root(2, 3)"}]}))
+    code, out, err = run(capsys, "check", str(path))
+    assert_usage_error(code, out, err)
+    assert err == "error: scalar sqrt(3) is not a rational function over Q(i)\n"
 
 
 def test_witness_file_with_vanishing_source_constraint_is_usage_error(capsys, tmp_path):
@@ -238,16 +260,17 @@ _RAGGED = [["t", "0", "0", "0"], ["0", "t", "0"], ["0", "0", "t", "0"], ["0", "0
     ({"avoid": [None]}, "'avoid' entry None is not an expression"),
     ({"note": 5, "target": "N4_01", "fallback": {"reason": "r", "basis": _WITNESS["basis"]}},
      "'note' must be a string, got 5"),
+    ({"id": [1]}, "witness JSON: 'id' must be a string, got [1]"),
 ], ids=["tier", "fallback-tier", "short-basis", "ragged-basis", "ragged-fallback",
         "source-dim", "target-dim", "symbol-int", "symbol-t", "symbol-i", "necessary-symbol",
         "necessary-root", "necessary-zero", "necessary-decimal", "necessary-without-t",
-        "null-entry", "bool-entry", "float-param", "null-avoid", "note-int"])
+        "null-entry", "bool-entry", "float-param", "null-avoid", "note-int", "id-list"])
 def test_witness_file_outside_the_schema_is_usage_error(capsys, tmp_path, change, message):
     path = tmp_path / "w.json"
     path.write_text(json.dumps({**_WITNESS, **change}))
     code, out, err = run(capsys, "degenerate", "verify", "--row", str(path))
     assert_usage_error(code, out, err, message)
-    assert err.startswith("error: witness 'W': ") or err.startswith("error: W: ")
+    assert err.startswith(("error: witness 'W': ", "error: W: ", "error: witness JSON: "))
 
 
 @pytest.mark.parametrize("obj, message", [
@@ -343,7 +366,11 @@ def test_new_symbol_in_cocycle_is_a_parameter(capsys):
     ({"entries": [{"i": 1, "j": 2}]}, "'c'"),
     ({"entries": [{"i": "1", "j": 2, "c": "1"}]}, "not an integer"),
     ({"entries": [{"i": True, "j": 2, "c": "1"}]}, "True,2"),
-], ids=["list", "entries-not-list", "entry-without-c", "string-index", "bool-index"])
+    ({"entries": [{"i": 1, "j": 2, "c": True}]}, "'c' entry True is not an expression"),
+    ({"entries": [{"i": 1, "j": 2, "c": None}]}, "'c' entry None is not an expression"),
+    ({"entries": [{"i": 1, "j": 2, "c": 0.5}]}, "'c' entry 0.5 is not an expression"),
+], ids=["list", "entries-not-list", "entry-without-c", "string-index", "bool-index",
+        "bool-c", "null-c", "float-c"])
 def test_malformed_cocycle_file_is_usage_error(capsys, tmp_path, obj, word):
     from novikov.catalog import load
     from novikov.cohomology import CocycleError, cocycle_from_json

@@ -394,6 +394,17 @@ def test_literal_rows_run_before_fallback(cat, rows):
     assert verify_exact(patched, cat).passed
 
 
+def test_failing_row_without_fallback_reports_the_failure(cat):
+    # a failing literal run on a row with no fallback is the verdict:
+    # E_1 = e_1 keeps e_1 e_1 = e_2 = E_2 / t, which has no limit
+    w = witness_from_json({"id": "W", "source": "N4_09", "target": "zero_4",
+                           "basis": [["1", "0", "0", "0"], ["0", "t", "0", "0"],
+                                     ["0", "0", "t", "0"], ["0", "0", "0", "t"]]})
+    rep = verify_witness(w, cat)
+    assert not rep.passed and rep.failures
+    assert not rep.used_fallback and rep.literal_outcome is None
+
+
 def test_exact_rows_also_pass_numeric_tier(cat, rows):
     # cross-validation of the two tiers on every Laurent-rational row
     # (corrected fallback form for the two defective literal rows)

@@ -379,19 +379,65 @@ def test_entry_points_leave_their_rows_unchanged():
     assert rows == before
 
 
-@pytest.mark.parametrize("entries", [
-    [sp.Integer(0), sp.Integer(0)],
-    [sp.Integer(3), sp.Integer(-7), sp.Integer(0)],
-    [sp.Rational(1, 2), sp.Integer(5), sp.Rational(-10 ** 40, 3), sp.Integer(0)],
-    [],
-], ids=["zeros", "integers", "mixed", "empty"])
-def test_rational_entries_convert_as_construct_domain_does(entries):
+def _flat(x):
+    """The scalars of nested lists/tuples, in order."""
+    return [y for z in x for y in _flat(z)] if isinstance(x, (list, tuple)) else [x]
+
+
+def _shape(x):
+    return [_shape(y) for y in x] if isinstance(x, (list, tuple)) else None
+
+
+_alpha = sp.Symbol("alpha")
+
+
+@pytest.mark.parametrize("groups", [
+    ([sp.Integer(0), sp.Integer(0)],),
+    ([sp.Integer(3), sp.Integer(-7), sp.Integer(0)],),
+    ([sp.Rational(1, 2), sp.Integer(5), sp.Rational(-10 ** 40, 3), sp.Integer(0)],),
+    ([],),
+    ([_alpha, lam / 2, scalars.T ** 2, sp.Integer(0)],),
+    ([sp.I / 2, 1 + 3 * sp.I, sp.Rational(-2, 3)],),
+    ([(_alpha + sp.I) / (lam - 1), 1 / (_alpha * scalars.T), lam ** 2 / 3, (1 + sp.I) / 2],),
+    ([[_alpha, 0], [0, lam]], [[], [sp.I * scalars.T]], [], [sp.Integer(2)]),
+], ids=["zeros", "integers", "mixed", "empty", "symbols", "gaussian", "quotients",
+        "nested-groups"])
+def test_rational_entries_convert_as_construct_domain_does(groups):
+    _assert_converts_as_construct_domain_does(groups)
+
+
+def _assert_converts_as_construct_domain_does(groups):
     from sympy.polys.constructor import construct_domain
-    field, (elems,) = linalg.to_field(entries)
-    want_field, want = construct_domain(entries, field=True)
-    assert field == want_field == sp.QQ
-    assert elems == want
-    assert all(type(x) is type(w) for x, w in zip(elems, want))
+    field, elems = linalg.to_field(*groups)
+    want_field, want = construct_domain(_flat(groups), field=True)
+    assert field == want_field
+    assert getattr(field, "symbols", ()) == getattr(want_field, "symbols", ())
+    assert _shape(elems) == _shape(list(groups))
+    assert _flat(elems) == want
+    assert all(type(x) is type(w) for x, w in zip(_flat(elems), want))
+
+
+@pytest.mark.parametrize("scalar", [
+    sp.root(2, 3), _alpha * sp.sqrt(2), _alpha + sp.root(3, 3), sp.pi * lam],
+    ids=["constant", "product", "sum", "pi"])
+def test_a_scalar_outside_the_root_free_fragment_is_refused(scalar):
+    with pytest.raises(ValueError) as info:
+        linalg.to_field([[_alpha, 1], [scalar, 0]])
+    assert str(info.value) == f"scalar {scalar} is not a rational function over Q(i)"
+
+
+def test_a_scalar_that_expands_to_a_constant_converts_exactly():
+    from sympy.polys.constructor import construct_domain
+    e = (_alpha + 1) ** 2 - _alpha ** 2 - 2 * _alpha
+    assert construct_domain([e], field=True)[0] == sp.EX
+    field, ((x,),) = linalg.to_field([e])
+    assert str(field) == "ZZ(alpha)" and x == field.one
+
+
+def test_gaussian_constants_not_written_as_a_plus_bi_convert():
+    field, (elems,) = linalg.to_field([(1 + sp.I) ** 2, 1 / (1 + sp.I)])
+    assert field == sp.QQ_I
+    assert [linalg.to_expr(field, x) for x in elems] == [2 * sp.I, (1 - sp.I) / 2]
 
 
 def test_python_ints_and_other_entries_still_convert():
@@ -478,3 +524,33 @@ def test_evaluate_refuses_a_value_outside_q_i(value):
     field, (elems,) = linalg.to_field([a_sym + 1])
     with pytest.raises(ValueError, match=r"of a is not in Q\(i\)"):
         linalg.evaluate(field, {a_sym: value}, elems)
+
+
+def _cancelled(coeff):
+    # A quotient of polynomials in alpha, lam and t in cancel form, so no
+    # symbol and no i cancels out of it as written (construct_domain would
+    # leave out such a generator, or fall back to EX).
+    gens = [_alpha, lam, scalars.T]
+    return st.builds(lambda p, q: sp.cancel(p / q) if q != 0 else p,
+                     _poly(coeff, gens), _poly(coeff, gens))
+
+
+_integer = st.integers(-3, 3).map(sp.Integer)
+_root_free = st.one_of(
+    st.fractions(max_denominator=9).map(lambda f: sp.Rational(f.numerator, f.denominator)),
+    _cancelled(_integer),
+    _cancelled(st.builds(lambda x, y: x + y * sp.I, _integer, _integer)))
+
+
+def _nested(depth):
+    # Groups of the given depth; empty groups are drawn too.
+    inner = st.lists(_root_free, max_size=4)
+    for _ in range(depth - 1):
+        inner = st.lists(inner, max_size=3)
+    return inner
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.lists(st.integers(1, 3).flatmap(_nested), min_size=1, max_size=3))
+def test_root_free_groups_convert_as_construct_domain_does(groups):
+    _assert_converts_as_construct_domain_does(groups)

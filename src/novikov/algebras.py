@@ -166,7 +166,12 @@ def _linear_coordinates(text: str, names: Sequence[str],
     terms free of them do not cancel to zero, or, when ``params`` is given,
     a coefficient holds another symbol than ``params`` (``t`` included)."""
     syms = [sp.Symbol(s) for s in names]
-    terms = sp.expand(parse_scalar(text)).as_coefficients_dict(*syms)
+    e = parse_scalar(text)
+    # A form written term by term ('D12 + alpha*D21') needs no expand, the
+    # slowest step here; the cancel below gives the same coefficients.
+    terms = e.as_coefficients_dict(*syms)
+    if not set(terms) <= {sp.S.One, *syms}:
+        terms = sp.expand(e).as_coefficients_dict(*syms)
     leftover = terms.pop(sp.S.One, None)
     if not set(terms) <= set(syms) or leftover is not None and sp.cancel(leftover) != 0:
         return None

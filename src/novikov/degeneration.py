@@ -104,7 +104,8 @@ def witness_from_json(obj: Mapping) -> DegenerationWitness:
     others an ``id`` that is not a string, a ``basis`` that is not square,
     a ``symbols`` entry that is ``t`` or ``i``, and a ``necessary_t`` entry
     that is not a positive rational or on a row whose source parameters
-    hold no t."""
+    hold no t, and a ``target_params`` value that holds a root (only the
+    ``basis`` and ``source_params`` may)."""
     wid = _json_field(obj, "id", "witness JSON")
     if not isinstance(wid, str):
         raise AlgebraError(f"witness JSON: 'id' must be a string, got {wid!r}")
@@ -120,6 +121,11 @@ def witness_from_json(obj: Mapping) -> DegenerationWitness:
     if necessary_t and not any(v.has(T) for v in source_params.values()):
         raise AlgebraError(f"{where}: 'necessary_t' is given, but no "
                            f"'source_params' value holds t")
+    target_params = {}
+    for p, v in _json_optional(obj, "target_params", where, dict).items():
+        target_params[p] = sp.Symbol(p) if v == "free" else _expr(v, where, "target_params")
+        if not is_root_free(target_params[p]):
+            raise AlgebraError(f"{where}: 'target_params' value {v!r} of {p} holds a root")
     note = obj.get("note", "")
     if not isinstance(note, str):
         raise AlgebraError(f"{where}: 'note' must be a string, got {note!r}")
@@ -136,8 +142,7 @@ def witness_from_json(obj: Mapping) -> DegenerationWitness:
             fallback["source_params"] = _params(fallback, "source_params", inner)
     return DegenerationWitness(
         id=wid, source=source, source_params=source_params, target=target,
-        target_params={p: sp.Symbol(p) if v == "free" else _expr(v, where, "target_params")
-                       for p, v in _json_optional(obj, "target_params", where, dict).items()},
+        target_params=target_params,
         basis=_basis(obj, where), avoid=_exprs(obj, "avoid", where),
         symbols=_symbols_of(_json_optional(obj, "symbols", where), where, "symbols"),
         necessary_t=necessary_t, fallback=fallback or None, note=note)

@@ -126,20 +126,21 @@ def _field(gaussian: bool, symbols: frozenset):
 
 
 def _element(field, e):
-    # e as an element of field.  A number that is not written a + b*i, such
-    # as (1 + i)^2, is converted from its real and imaginary parts.  Over
-    # ZZ_I a constant keeps the denominator of its QQ_I value, which may
-    # share a factor with the numerator ((1 + i)/2 = i/(1 + i)), so it is
-    # cancelled into the form field arithmetic gives.
+    # e as an element of field, in the canonical form field arithmetic
+    # gives.  from_sympy keeps a quotient over the denominator it reads,
+    # which may have a leading coefficient that is not the canonical unit
+    # (1/(1 - alpha)) or, over ZZ_I, share a factor with the numerator
+    # ((1 + i)/2 = i/(1 + i)), so every quotient is cancelled once more.  A
+    # number that is not written a + b*i, such as (1 + i)^2, is converted
+    # from its real and imaginary parts.
     try:
         x = field.from_sympy(e)
     except (CoercionFailed, ValueError):
-        if not field.is_FractionField:
-            re, im = e.as_real_imag()
-            if re.is_Rational and im.is_Rational and (field.is_QQ_I or not im):
-                return field.from_sympy(re + im * sp.I)
-        raise ValueError(f"scalar {e} is not a rational function over Q(i)") from None
-    if field.is_FractionField and field.domain.is_ZZ_I and x.numer.is_ground:
+        parts = None if field.is_FractionField else _gaussian_parts(e)
+        if parts is None or parts[1] and not field.is_QQ_I:
+            raise ValueError(f"scalar {e} is not a rational function over Q(i)") from None
+        return field(*parts) if field.is_QQ_I else parts[0]
+    if field.is_FractionField and not x.denom.is_one:
         return field.field.new(x.numer, x.denom)
     return x
 
@@ -164,7 +165,11 @@ def evaluate(field, point, *groups) -> tuple[object, list]:
     A value outside Q(i) raises ``ValueError`` naming it, and a pole at
     ``point`` raises ``ZeroDivisionError``.
     """
-    parts = {s: _gaussian_parts(s, v) for s, v in point.items()}
+    parts = {}
+    for s, v in point.items():
+        parts[s] = _gaussian_parts(v)
+        if parts[s] is None:
+            raise ValueError(f"value {v} of {s} is not in Q(i)")
     if not field.is_FractionField:
         return field, [_nested(lambda x: x, g) for g in groups]
     missing = [s for s in field.symbols if s not in point]
@@ -188,13 +193,14 @@ def evaluate(field, point, *groups) -> tuple[object, list]:
                    for g in groups]
 
 
-def _gaussian_parts(symbol, value) -> tuple:
-    # The real and imaginary parts of a value in Q(i), as QQ elements.
+def _gaussian_parts(value) -> tuple | None:
+    # The real and imaginary parts of a value in Q(i), as QQ elements, or
+    # None for a value outside Q(i).
     if isinstance(value, sp.Rational):
         return sp.QQ(value.p, value.q), sp.QQ.zero
     re, im = sp.sympify(value).as_real_imag()
     if not (re.is_Rational and im.is_Rational):
-        raise ValueError(f"value {value} of {symbol} is not in Q(i)")
+        return None
     return sp.QQ(re.p, re.q), sp.QQ(im.p, im.q)
 
 

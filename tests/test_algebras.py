@@ -422,6 +422,20 @@ def test_parse_vector_rejects_basis_symbol_in_coefficient(text):
                                                             sp.Rational(1, 2))
 
 
+@pytest.mark.parametrize("text, expanded", [
+    ("alpha*(e1 + e2)", "alpha*e1 + alpha*e2"),
+    ("(e1 + 1)^2 - e1^2 - 1", "2*e1"),
+    ("(alpha + 1)*e1/alpha + (2 - alpha)*e3", "e1 + e1/alpha + 2*e3 - alpha*e3"),
+    ("e1*(e2 + 1) - e1*e2", "e1"),
+])
+def test_parse_vector_reads_a_form_as_its_expansion(text, expanded):
+    # Coefficients come out in cancel form however the form is written.
+    alpha = sp.Symbol("alpha")
+    got = parse_vector(text, 3, (alpha,))
+    assert got == parse_vector(expanded, 3, (alpha,))
+    assert got == tuple(sp.cancel(c) for c in got)
+
+
 def test_degenerate_dimensions(cat):
     # every operation stays defined at dim 1 and dim 0; the only nilpotent
     # 1-dimensional algebra is the zero product

@@ -260,17 +260,26 @@ _RAGGED = [["t", "0", "0", "0"], ["0", "t", "0"], ["0", "0", "t", "0"], ["0", "0
     ({"avoid": [None]}, "'avoid' entry None is not an expression"),
     ({"note": 5, "target": "N4_01", "fallback": {"reason": "r", "basis": _WITNESS["basis"]}},
      "'note' must be a string, got 5"),
-    ({"id": [1]}, "witness JSON: 'id' must be a string, got [1]"),
+    ({"target": "N4_06", "target_params": {"alpha": "root(2,2)"}, "symbols": ["x"]},
+     "'target_params' value 'root(2,2)' of alpha holds a root"),
 ], ids=["tier", "fallback-tier", "short-basis", "ragged-basis", "ragged-fallback",
         "source-dim", "target-dim", "symbol-int", "symbol-t", "symbol-i", "necessary-symbol",
         "necessary-root", "necessary-zero", "necessary-decimal", "necessary-without-t",
-        "null-entry", "bool-entry", "float-param", "null-avoid", "note-int", "id-list"])
+        "null-entry", "bool-entry", "float-param", "null-avoid", "note-int", "target-root"])
 def test_witness_file_outside_the_schema_is_usage_error(capsys, tmp_path, change, message):
     path = tmp_path / "w.json"
     path.write_text(json.dumps({**_WITNESS, **change}))
     code, out, err = run(capsys, "degenerate", "verify", "--row", str(path))
     assert_usage_error(code, out, err, message)
-    assert err.startswith(("error: witness 'W': ", "error: W: ", "error: witness JSON: "))
+    assert err.startswith(("error: witness 'W': ", "error: W: "))
+
+
+def test_witness_file_whose_id_is_not_a_string_is_usage_error(capsys, tmp_path):
+    path = tmp_path / "w.json"
+    path.write_text(json.dumps({**_WITNESS, "id": [1]}))
+    code, out, err = run(capsys, "degenerate", "verify", "--row", str(path))
+    assert_usage_error(code, out, err)
+    assert err == "error: witness JSON: 'id' must be a string, got [1]\n"
 
 
 @pytest.mark.parametrize("obj, message", [

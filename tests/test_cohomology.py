@@ -473,6 +473,15 @@ def test_identity_is_automorphism(cat):
     assert is_automorphism_helper(a, phi)
 
 
+@pytest.mark.parametrize("c", ["1/(1 - alpha)", "(1 - alpha)^-3", "1/(i*alpha + 1)"])
+def test_identity_is_automorphism_of_a_table_with_a_quotient_constant(c):
+    # The converted constant must be in the form the change of basis
+    # computes, or the comparison of the two tables fails.
+    from novikov.cohomology import is_automorphism
+    a = algebra("q", 2, [(1, 1, 2, scalars.parse_scalar(c))], params=["alpha"])
+    assert is_automorphism(a, [["1", "0"], ["0", "1"]])
+
+
 def is_automorphism_helper(a, phi):
     from novikov.cohomology import is_automorphism
     return is_automorphism(a, phi)

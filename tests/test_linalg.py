@@ -400,8 +400,10 @@ _alpha = sp.Symbol("alpha")
     ([sp.I / 2, 1 + 3 * sp.I, sp.Rational(-2, 3)],),
     ([(_alpha + sp.I) / (lam - 1), 1 / (_alpha * scalars.T), lam ** 2 / 3, (1 + sp.I) / 2],),
     ([[_alpha, 0], [0, lam]], [[], [sp.I * scalars.T]], [], [sp.Integer(2)]),
+    ([1 / (1 - _alpha), (1 - _alpha) ** -3],),
+    ([1 / (sp.I * _alpha + 1)],),
 ], ids=["zeros", "integers", "mixed", "empty", "symbols", "gaussian", "quotients",
-        "nested-groups"])
+        "nested-groups", "negative-denominators", "gaussian-denominator"])
 def test_rational_entries_convert_as_construct_domain_does(groups):
     _assert_converts_as_construct_domain_does(groups)
 
@@ -526,20 +528,25 @@ def test_evaluate_refuses_a_value_outside_q_i(value):
         linalg.evaluate(field, {a_sym: value}, elems)
 
 
-def _cancelled(coeff):
+def _quotients(coeff):
     # A quotient of polynomials in alpha, lam and t in cancel form, so no
     # symbol and no i cancels out of it as written (construct_domain would
-    # leave out such a generator, or fall back to EX).
+    # leave out such a generator, or fall back to EX), or an odd negative
+    # power of such a polynomial, whose denominator as written may have a
+    # leading coefficient that is not the canonical unit (1/(1 - alpha)).
     gens = [_alpha, lam, scalars.T]
-    return st.builds(lambda p, q: sp.cancel(p / q) if q != 0 else p,
-                     _poly(coeff, gens), _poly(coeff, gens))
+    return st.one_of(
+        st.builds(lambda p, q: sp.cancel(p / q) if q != 0 else p,
+                  _poly(coeff, gens), _poly(coeff, gens)),
+        st.builds(lambda q, k: q ** -k if q != 0 else q,
+                  _poly(coeff, gens), st.sampled_from([1, 3])))
 
 
 _integer = st.integers(-3, 3).map(sp.Integer)
 _root_free = st.one_of(
     st.fractions(max_denominator=9).map(lambda f: sp.Rational(f.numerator, f.denominator)),
-    _cancelled(_integer),
-    _cancelled(st.builds(lambda x, y: x + y * sp.I, _integer, _integer)))
+    _quotients(_integer),
+    _quotients(st.builds(lambda x, y: x + y * sp.I, _integer, _integer)))
 
 
 def _nested(depth):

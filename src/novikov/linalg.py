@@ -77,7 +77,9 @@ def to_field(*groups) -> tuple[object, list]:
     from the entries' symbols: ``ZZ(gens)``, or ``ZZ_I(gens)`` when an entry
     holds ``i``, with the distinct free symbols as generators in the order
     sympy's ``construct_domain`` gives them; with no symbols it is ``QQ`` or
-    ``QQ_I``.  Each distinct entry is converted once.  An entry that is not
+    ``QQ_I``.  Each distinct entry is converted once, into the canonical
+    form that field arithmetic and ``construct_domain`` give, so converted
+    and computed elements compare equal.  An entry that is not
     a rational function over Q(i), such as a root, raises ``ValueError``
     naming it.  Returns the field and the groups, same nesting, as lists of
     field elements.

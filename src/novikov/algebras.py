@@ -164,20 +164,118 @@ def _linear_coordinates(text: str, names: Sequence[str],
     expression ``text``, or ``None`` when it is not a linear form in them:
     when a term holds a product, power or quotient of them (``e3/e4``), the
     terms free of them do not cancel to zero, or, when ``params`` is given,
-    a coefficient holds another symbol than ``params`` (``t`` included)."""
+    a coefficient holds another symbol than ``params`` (``t`` included).
+
+    A form written term by term, each term a coefficient times one of
+    ``names`` (``'D12 + alpha*D21 - (alpha-1)*D31/2'``), is read term by
+    term (:func:`_term_coordinates`).  Any other text is parsed whole and
+    expanded (:func:`_expanded_coordinates`); so is a form whose term reader
+    declines, which keeps every refusal and every error message of the
+    whole parse.  A Rational or a Symbol is already in ``cancel`` form, and
+    most coefficients are one of them."""
+    coords = _term_coordinates(text, names, params)
+    if coords is None:
+        return _expanded_coordinates(text, names, params)
+    return _cancelled(coords)
+
+
+def _cancelled(coords: Sequence[sp.Expr]) -> list[sp.Expr]:
+    return [c if c.is_Rational or c.is_Symbol else sp.cancel(c) for c in coords]
+
+
+#: Tokens after which a ``+`` or ``-`` is a unary sign, not a binary one.
+_OPERATORS = frozenset("(+-*/^,")
+
+
+def _term_coordinates(text: str, names: Sequence[str],
+                      params: Iterable[sp.Symbol] | None) -> list[sp.Expr] | None:
+    """The coefficients of ``names`` in ``text``, not yet cancelled, read
+    term by term; ``None`` when the text is not written that way.
+
+    The text is tokenized once and split at its top-level binary signs,
+    each sign kept with the term after it.  A term must hold exactly one of
+    ``names``, outside parentheses, as a factor multiplied in (after ``*``
+    or first, before ``*``, ``/`` or the end, with only unary signs
+    between).  Each term is parsed on its own with the cached
+    :func:`~novikov.scalars.parse_scalar`, the terms of one symbol are
+    added, and the symbol is replaced by 1 in their sum.  A coefficient may
+    not hold one of ``names`` nor, when ``params`` is given, another symbol
+    than ``params`` (``t`` and ``root`` included).  A term whose parse
+    raises, or a sum of repeated terms holding a number the whole parse
+    would refuse, gives ``None`` too: each term is parsed with its symbol,
+    as the whole parse builds it, so their numbers are the whole parse's."""
+    try:
+        tokens = scalars._tokenize(text)
+    except scalars.ParseError:
+        return None
+    index = {s: k for k, s in enumerate(names)}
+    declared = None if params is None else set(params)
+    terms, start, depth = [], 0, 0
+    for pos, tok in enumerate(tokens):
+        if tok == "(":
+            depth += 1
+        elif tok == ")":
+            depth -= 1
+        elif (tok in ("+", "-") and not depth and pos > start
+              and tokens[pos - 1] not in _OPERATORS):
+            terms.append(tokens[start:pos])
+            start = pos
+        elif (declared is not None and (tok[0].isalpha() or tok[0] == "_")
+              and tok not in index and tok != "i" and sp.Symbol(tok) not in declared):
+            return None
+        if depth < 0:
+            return None
+    terms.append(tokens[start:])
+    sums: dict[str, list] = {}
+    for term in terms:
+        at = _basis_factor(term, index)
+        if at is None:
+            return None
+        try:
+            value = parse_scalar(" ".join(term))
+        except ValueError:
+            return None
+        sums.setdefault(term[at], []).append(value)
+    coords = [sp.Integer(0)] * len(names)
+    limit = scalars._digit_limit()
+    for name, values in sums.items():
+        total = sp.Add(*values)
+        if len(values) > 1 and any(scalars._too_long(n, limit)
+                                   for r in total.atoms(sp.Rational) for n in (r.p, r.q)):
+            return None
+        coords[index[name]] = total.xreplace({sp.Symbol(name): sp.Integer(1)})
+    return coords
+
+
+def _basis_factor(term: Sequence[str], index: Mapping[str, int]) -> int | None:
+    """The position in the tokens ``term`` of its one symbol of ``index``
+    when that symbol is a factor multiplied into the term at the top level,
+    else ``None``."""
+    found = [pos for pos, tok in enumerate(term) if tok in index]
+    if len(found) != 1:
+        return None
+    at = found[0]
+    if term[:at].count("(") != term[:at].count(")"):
+        return None
+    before = at
+    while before and term[before - 1] in ("+", "-"):
+        before -= 1
+    if before and term[before - 1] != "*":
+        return None
+    return at if at + 1 == len(term) or term[at + 1] in ("*", "/") else None
+
+
+def _expanded_coordinates(text: str, names: Sequence[str],
+                          params: Iterable[sp.Symbol] | None) -> list[sp.Expr] | None:
+    """The coefficients, in ``cancel`` form, of ``names`` in the expanded
+    whole parse of ``text``, or ``None`` when it is not a linear form in
+    them."""
     syms = [sp.Symbol(s) for s in names]
-    e = parse_scalar(text)
-    # A form written term by term ('D12 + alpha*D21') needs no expand, the
-    # slowest step here; the cancel below gives the same coefficients.
-    terms = e.as_coefficients_dict(*syms)
-    if not set(terms) <= {sp.S.One, *syms}:
-        terms = sp.expand(e).as_coefficients_dict(*syms)
+    terms = sp.expand(parse_scalar(text)).as_coefficients_dict(*syms)
     leftover = terms.pop(sp.S.One, None)
     if not set(terms) <= set(syms) or leftover is not None and sp.cancel(leftover) != 0:
         return None
-    # A Rational is already in cancel form; most coefficients are.
-    coords = [c if c.is_Rational else sp.cancel(c)
-              for c in (terms.get(s, sp.Integer(0)) for s in syms)]
+    coords = _cancelled([terms.get(s, sp.Integer(0)) for s in syms])
     if params is not None:
         declared = set(params)
         if any(not c.is_Rational and not c.free_symbols <= declared for c in coords):
@@ -200,7 +298,8 @@ def algebra(name: str, dim: int, products: Iterable[tuple], params: Sequence = (
 
     Each parameter is a symbol or an identifier string other than ``t`` and
     ``i`` (:func:`_symbols_of`), declared once, and each index an integer
-    (not a bool) in range; no nonzero constraint may be identically zero.
+    (not a bool) in range; no structure constant or nonzero constraint may
+    hold a root, and no nonzero constraint may be identically zero.
     Anything else raises :class:`AlgebraError` naming it."""
     param_syms = _symbols_of(params, name, "params")
     if len(set(param_syms)) < len(param_syms):
@@ -213,7 +312,11 @@ def algebra(name: str, dim: int, products: Iterable[tuple], params: Sequence = (
                    for x in (i, j, k)):
             raise AlgebraError(f"{name}: product index ({i!r},{j!r},{k!r}) "
                                f"is not an integer in 1..{dim}")
-        grid[i - 1][j - 1][k - 1] += parse_scalar(c)
+        x = parse_scalar(c)
+        if not scalars.is_root_free(x):
+            raise AlgebraError(f"{name}: product ({i},{j},{k}) 'c' entry {c!r} "
+                               f"holds a root")
+        grid[i - 1][j - 1][k - 1] += x
     table = tuple(tuple(tuple(sp.sympify(x) for x in row) for row in plane)
                   for plane in grid)
     allowed = set(param_syms)
@@ -226,6 +329,9 @@ def algebra(name: str, dim: int, products: Iterable[tuple], params: Sequence = (
                         f"{name}: undeclared symbols {sorted(map(str, extra))}")
     cons = tuple(parse_scalar(c) for c in constraints)
     for text, c in zip(constraints, cons):
+        if not scalars.is_root_free(c):
+            raise AlgebraError(f"{name}: 'constraints_nonzero' entry {text!r} "
+                               f"holds a root")
         if scalars.vanishes(c, {}):
             raise AlgebraError(f"{name}: 'constraints_nonzero' entry {text!r} "
                                f"is identically zero")

@@ -129,8 +129,9 @@ def cocycle_from_json(a: Algebra, obj: Mapping) -> Cocycle:
     """Cocycle from its JSON object.  An object without an ``entries`` list,
     an entry without ``i``, ``j`` or ``c``, a key outside the schema
     (``algebra`` and ``entries``; ``i``, ``j`` and ``c`` in an entry), a
-    ``c`` that is not grammar text or an integer, or an index that is not an
-    integer in range raises :class:`CocycleError`."""
+    ``c`` that is not grammar text or an integer or that holds a basis form
+    ``Dij`` of ``a`` (as a cocycle expression may not), or an index that is
+    not an integer in range raises :class:`CocycleError`."""
     try:
         entries = _json_field(obj, "entries", "cocycle JSON")
         _json_keys(obj, ("algebra", "entries"), "cocycle JSON")
@@ -139,6 +140,12 @@ def cocycle_from_json(a: Algebra, obj: Mapping) -> Cocycle:
         entries = [_json_product(e, "ijc", "cocycle JSON: entry") for e in entries]
     except AlgebraError as exc:
         raise CocycleError(str(exc)) from None
+    forms = {sp.Symbol(f"D{i + 1}{j + 1}") for i in range(a.dim) for j in range(a.dim)}
+    for *_, c in entries:
+        held = sorted(str(s) for s in parse_scalar(c).free_symbols & forms)
+        if held:
+            raise CocycleError(f"cocycle JSON: entry: 'c' entry {c!r} holds the "
+                               f"basis form {held[0]}, not a scalar")
     return cocycle(a, entries)
 
 

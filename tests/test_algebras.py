@@ -6,8 +6,9 @@ from fractions import Fraction
 
 import pytest
 import sympy as sp
+from hypothesis import given, seed, settings, strategies as st
 
-from novikov import linalg
+from novikov import algebras, linalg
 from novikov.algebras import (Algebra, AlgebraError, ConstraintViolation, algebra,
                               algebra_from_json, algebra_to_json,
                               annihilator_basis, basis_vector, change_basis_table,
@@ -16,7 +17,7 @@ from novikov.algebras import (Algebra, AlgebraError, ConstraintViolation, algebr
                               parse_vector, substitute, vector_str)
 from novikov.catalog import _admissible_samples
 from novikov.cohomology import cocycle_space
-from novikov.scalars import random_rational
+from novikov.scalars import parse_scalar, random_rational
 from oracle import (annihilator_dim, cocycle_space_dims, derivation_dim_frac,
                     derivation_dim_gaussian,
                     derived_dims, h2_rep_count, identity_flags, random_products,
@@ -434,6 +435,87 @@ def test_parse_vector_reads_a_form_as_its_expansion(text, expanded):
     got = parse_vector(text, 3, (alpha,))
     assert got == parse_vector(expanded, 3, (alpha,))
     assert got == tuple(sp.cancel(c) for c in got)
+
+
+# Coefficients the term-by-term reader takes, and term layouts for them.
+_COEFFICIENTS = ["1", "2", "3/4", "alpha", "-alpha", "(alpha-1)", "(alpha - 1)/2",
+                 "alpha^2", "alpha^-1", "1/(alpha+1)", "(alpha+1)*(alpha-1)",
+                 "i", "(1+i)/2", "i*alpha"]
+_LAYOUTS = ["{c}*{s}", "{s}*{c}", "{c}*{s}/2", "{s}/{c}", "{s}", "-{s}",
+            "-{c}*{s}", "2*-{s}*{c}"]
+# Terms the reader declines and the whole parse decides, by name: a basis
+# symbol in a coefficient, a power or a denominator, t, an undeclared
+# parameter (when parameters are given), a root, a term free of basis
+# symbols, and parentheses around or beside one; then terms the whole parse refuses with an error:
+# an over-long digit run or sum of repeats, a power above the limit, a zero
+# denominator and a missing operator.
+_TWISTS = {
+    "basis-times-basis": "{o}*{s}", "basis-power": "{s}^2", "basis-denominator": "{s}/{o}",
+    "basis-under-parameter": "alpha/{s}", "t": "t*{s}", "t-after": "{s}*t/alpha",
+    "undeclared": "x*{s}", "root": "root(2, 2)*{s}", "constant": "1",
+    "vanishing-constant": "alpha - alpha", "parenthesized": "({s})",
+    "distributed": "alpha*({s} + {o})", "inside-parentheses": "(alpha*{s}*2 + 1)",
+    "digits": "7" * 5000 + "*{s}", "summed-digits": "5*10^4299*{s} + 5*10^4299*{s}",
+    "kept-digits": "{s}/10^10*(alpha + 10^4301)",
+    "power": "alpha^20000*{s}", "zero": "{s}/0",
+    "zero-power": "{s}*(alpha - alpha)^-1", "no-operator": "2 {s}",
+}
+
+
+@st.composite
+def _linear_forms(draw, twist):
+    """(text, names, params): a form in three-dimensional D_ij or
+    four-dimensional e_k written term by term, with repeats and signs, and
+    the term ``twist`` (a _TWISTS template) inserted unless it is None."""
+    names = draw(st.sampled_from([[f"D{i}{j}" for i in range(1, 4) for j in range(1, 4)],
+                                  [f"e{k}" for k in range(1, 5)]]))
+    params = draw(st.sampled_from([None, (sp.Symbol("alpha"),)]))
+    terms = [draw(st.sampled_from(_LAYOUTS)).format(c=draw(st.sampled_from(_COEFFICIENTS)),
+                                                    s=draw(st.sampled_from(names)))
+             for _ in range(draw(st.integers(1, 5)))]
+    if twist is not None:
+        s, o = draw(st.permutations(names))[:2]
+        terms.insert(draw(st.integers(0, len(terms))), twist.format(s=s, o=o))
+    text = draw(st.sampled_from(["", "-"])) + terms[0]
+    for term in terms[1:]:
+        text += draw(st.sampled_from([" + ", " - ", "+", "-"])) + term
+    return text, names, params
+
+
+def _read_whole(text, names, params):
+    # The whole parse, expanded, with every coefficient cancelled.
+    syms = [sp.Symbol(s) for s in names]
+    terms = sp.expand(parse_scalar(text)).as_coefficients_dict(*syms)
+    leftover = terms.pop(sp.S.One, sp.Integer(0))
+    if not set(terms) <= set(syms) or sp.cancel(leftover) != 0:
+        return None
+    coords = [sp.cancel(terms.get(s, sp.Integer(0))) for s in syms]
+    if params is not None and any(not c.free_symbols <= set(params) for c in coords):
+        return None
+    return coords
+
+
+def _outcome(read, *args):
+    try:
+        return sp.srepr(read(*args))
+    except ValueError as exc:
+        return type(exc).__name__, str(exc)
+
+
+@pytest.mark.parametrize("twist", [None, *_TWISTS.values()],
+                         ids=["term-by-term", *_TWISTS])
+@seed(20261022)
+@settings(max_examples=25, deadline=None)
+@given(data=st.data())
+def test_term_reader_agrees_with_the_whole_parse(twist, data):
+    # Same coordinates, same refusals and same error text as the whole
+    # parse; a form written term by term never reaches the whole parse.
+    text, names, params = data.draw(_linear_forms(twist))
+    want = _outcome(_read_whole, text, names, params)
+    assert _outcome(algebras._linear_coordinates, text, names, params) == want
+    taken = algebras._term_coordinates(text, names, params) is not None
+    assert taken or twist is not None
+    assert not taken or isinstance(want, str) and want != "None"
 
 
 def test_degenerate_dimensions(cat):

@@ -168,6 +168,9 @@ def test_undeclared_param_is_usage_error(capsys):
     *[({"name": "x", "dim": 2, "products": [{"i": 1, "j": 1, "k": 2, "c": c}]},
        f"algebra 'x': product: 'c' entry {c!r} is not an expression")
       for c in (None, True, 0.5)],
+    ({"name": "x", "dim": 2, "params": ["a"], "constraints_nonzero": ["a-root(2,2)"],
+      "products": [{"i": 1, "j": 1, "k": 2, "c": "a"}]},
+     "x: 'constraints_nonzero' entry 'a-root(2,2)' holds a root"),
 ])
 def test_algebra_file_schema_error_is_usage_error(capsys, tmp_path, obj, word):
     path = tmp_path / "alg.json"
@@ -202,7 +205,7 @@ def test_root_in_a_structure_constant_is_usage_error(capsys, tmp_path):
                                 "products": [{"i": 1, "j": 1, "k": 2, "c": "root(2, 3)"}]}))
     code, out, err = run(capsys, "check", str(path))
     assert_usage_error(code, out, err)
-    assert err == "error: scalar sqrt(3) is not a rational function over Q(i)\n"
+    assert err == "error: x: product (1,1,2) 'c' entry 'root(2, 3)' holds a root\n"
 
 
 def test_witness_file_with_vanishing_source_constraint_is_usage_error(capsys, tmp_path):
@@ -378,8 +381,10 @@ def test_new_symbol_in_cocycle_is_a_parameter(capsys):
     ({"entries": [{"i": 1, "j": 2, "c": True}]}, "'c' entry True is not an expression"),
     ({"entries": [{"i": 1, "j": 2, "c": None}]}, "'c' entry None is not an expression"),
     ({"entries": [{"i": 1, "j": 2, "c": 0.5}]}, "'c' entry 0.5 is not an expression"),
+    ({"algebra": "N3s_01", "entries": [{"i": 1, "j": 2, "c": "D12"}]},
+     "'c' entry 'D12' holds the basis form D12"),
 ], ids=["list", "entries-not-list", "entry-without-c", "string-index", "bool-index",
-        "bool-c", "null-c", "float-c"])
+        "bool-c", "null-c", "float-c", "basis-c"])
 def test_malformed_cocycle_file_is_usage_error(capsys, tmp_path, obj, word):
     from novikov.catalog import load
     from novikov.cohomology import CocycleError, cocycle_from_json

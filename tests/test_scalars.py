@@ -109,6 +109,19 @@ def test_parse_refuses_numbers_past_the_string_digit_limit(text, message):
         parse_scalar(text)
 
 
+@pytest.mark.parametrize("text, shown", [
+    ("10^4300+10" + "+1" * 25, None),
+    ("10^4300+100" + "+1" * 25, "'10^4300+100+1+1+1+1+1+1+1+1+1+1+1+1+1+1+...+1+1+1+1+1+1'"),
+], ids=["60-whole", "61-elided"])
+def test_parse_error_shows_text_of_at_most_60_characters_whole(text, shown):
+    # A message names a text of up to 60 characters as it is; a longer one
+    # keeps its first 40 and last 12 characters.
+    with pytest.raises(ParseError) as exc:
+        parse_scalar(text)
+    assert len(text) == (60 if shown is None else 61)
+    assert str(exc.value) == f"number of more than 4300 digits in {shown or repr(text)}"
+
+
 def test_parse_keeps_numbers_at_the_string_digit_limit():
     assert parse_scalar("10^4299") == 10 ** 4299
     assert parse_scalar("1/10^4299") == sp.Rational(1, 10 ** 4299)
